@@ -2,8 +2,7 @@
 
 Every kernel exists twice: a loop implementation compiled with numba
 @njit and a vectorized pure-numpy twin.  Both produce identical arrays up
-to floating-point roundoff; the tests assert their agreement and
-benchmarks/bench_kernels.py compares their speed.
+to floating-point roundoff; the tests assert their agreement.
 
 Backend selection: the CHBFEM_KERNELS environment variable ("auto",
 "numba" or "numpy", default "auto") picks the implementation at import

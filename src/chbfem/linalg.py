@@ -4,6 +4,15 @@ Storage and factorization are delegated to scipy.sparse; this module pins
 down the contracts the rest of the code relies on: duplicate triplets sum
 on compression, compressed rows are sorted, and every solve is verified
 against the residual tolerance below.
+
+The factorization is chosen from the sparsity pattern of the matrix.  A
+pattern equal to its transpose (the phase-field Jacobian, the elasticity
+matrix and the mixed flow matrix) is first factored by SuperLU in
+symmetric mode: a minimum-degree ordering of A^T + A applied to rows and
+columns alike, diagonal pivots preferred.  That keeps far less fill than
+the general setting.  Whenever it breaks down or misses the residual
+tolerance, and for every other pattern (the monolithic Jacobian), the
+matrix is factored with a COLAMD column ordering and partial pivoting.
 """
 
 from __future__ import annotations
@@ -111,11 +120,37 @@ def compress(buffer: TripletBuffer, nrows: int, ncols: int) -> SparseMatrix:
     return SparseMatrix(coo.tocsr())
 
 
-def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with partial pivoting and a residual check.
+def _pattern_is_symmetric(mat: sp.csr_matrix) -> bool:
+    """True when the stored pattern of a CSR matrix equals its transpose's.
 
-    Handles nonsymmetric and indefinite (saddle-point) systems.  The
-    returned x satisfies ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else
+    Unsorted column indices read as unsymmetric, which only costs speed.
+    """
+    t = mat.T.tocsr()
+    return (np.array_equal(mat.indptr, t.indptr)
+            and np.array_equal(mat.indices, t.indices))
+
+
+def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Return x if it is finite and meets SOLVE_RTOL, else raise."""
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveFailure("solve produced non-finite entries")
+    residual = np.linalg.norm(b - mat @ x) / max(np.linalg.norm(b), 1.0)
+    if residual > SOLVE_RTOL:
+        raise LinearSolveFailure(
+            f"relative residual {residual:.3e} exceeds {SOLVE_RTOL:.1e}")
+    return x
+
+
+def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """Direct sparse solve with a residual check.
+
+    Handles nonsymmetric and indefinite (saddle-point) systems.  A matrix
+    whose pattern equals its transpose's is first factored in SuperLU's
+    symmetric mode (MMD on A^T + A, diagonal pivots preferred); if that
+    factorization breaks down or its solution misses the contract below,
+    the solve is repeated with COLAMD and partial pivoting, which is also
+    the only path for matrices with an unsymmetric pattern.  The returned
+    x satisfies ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else
     LinearSolveFailure is raised; singular factorizations raise the same
     error so callers can tell linear breakdown apart from nonlinear
     non-convergence.
@@ -125,18 +160,21 @@ def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
     if nrows != ncols:
         raise LinearSolveFailure(f"matrix is not square: {mat.shape}")
     b = np.asarray(b, dtype=np.float64)
+    csc = mat.tocsc()
+    if _pattern_is_symmetric(mat):
+        try:
+            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            return _verified(mat, lu.solve(b), b)
+        except (RuntimeError, LinearSolveFailure):
+            pass  # the pivoting path below decides
     try:
-        lu = spla.splu(mat.tocsc())
+        lu = spla.splu(csc)
         x = lu.solve(b)
     except RuntimeError as exc:  # raised by SuperLU on singular factors
         raise LinearSolveFailure(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveFailure("solve produced non-finite entries")
-    residual = np.linalg.norm(b - mat @ x) / max(np.linalg.norm(b), 1.0)
-    if residual > SOLVE_RTOL:
-        raise LinearSolveFailure(
-            f"relative residual {residual:.3e} exceeds {SOLVE_RTOL:.1e}")
-    return x
+    return _verified(mat, x, b)
 
 
 def norms(v: np.ndarray) -> tuple[float, float]:

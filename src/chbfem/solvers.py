@@ -406,6 +406,10 @@ class ChbSystem:
                                  + np.linalg.norm(u_n - u_o) ** 2
                                  + np.linalg.norm(p_n - p_o) ** 2))
             phi_o, mu_o, u_o, p_o, q_o = phi_n, mu_n, u_n, p_n, q_n
+            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
+                raise NonConvergence("splitting outer iteration diverged",
+                                     iterations=it, last_update_norm=norm,
+                                     diverged=True, inner_newton=inner)
             if norm < config.tol:
                 stats = IterationStats(step=state_prev.n + 1, outer_iters=it,
                                        inner_newton=tuple(inner), converged=True,
@@ -575,11 +579,12 @@ def advance_simulation(system: ChbSystem, initial_state: FieldState,
 
     Returns (final_state, [IterationStats]).  A failed step aborts the
     run and raises SimulationFailed carrying the stats gathered so far
-    (including the partial counts of the failing step).
+    (including the partial counts and the wall time of the failing step).
     """
     stats = []
     state = initial_state
     for _ in range(config.num_steps):
+        t0 = time.perf_counter()
         try:
             state, step_stats = system.step(state, config)
         except NonConvergence as exc:
@@ -588,10 +593,11 @@ def advance_simulation(system: ChbSystem, initial_state: FieldState,
                 outer_iters=exc.iterations if config.strategy == "splitting" else 0,
                 inner_newton=exc.inner_newton,
                 newton_iters=exc.iterations if config.strategy == "monolithic" else 0,
-                converged=False)
+                converged=False, wall_seconds=time.perf_counter() - t0)
             raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
         except LinearSolveFailure as exc:
-            failed = IterationStats(step=state.n + 1, converged=False)
+            failed = IterationStats(step=state.n + 1, converged=False,
+                                    wall_seconds=time.perf_counter() - t0)
             raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
         stats.append(step_stats)
         if on_step is not None:

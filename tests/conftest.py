@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from chbfem import MaterialParams, build_unit_square_mesh
 from chbfem.solvers import ChbSystem, FieldState
@@ -18,6 +19,20 @@ def small_mesh():
 @pytest.fixture()
 def baseline_params():
     return MaterialParams()
+
+
+@pytest.fixture()
+def splu_specs(monkeypatch):
+    """The permc_spec of every SuperLU factorization made during a test."""
+    specs = []
+    splu = spla.splu
+
+    def recording(A, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return specs
 
 
 def random_state(system: ChbSystem, rng: np.random.Generator,

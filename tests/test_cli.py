@@ -141,6 +141,7 @@ def test_failed_runs_are_recorded_rows_not_crashes():
     assert all(not r.converged for r in records)
     assert all(not r.solver_fault for r in records)
     assert all(r.inner_newton_iters >= 1 for r in records)
+    assert all(r.wall_seconds > 0.0 for r in records)
 
 
 def test_metrics_csv_schema(tmp_path):
@@ -165,6 +166,7 @@ def test_metrics_csv_failed_row(tmp_path):
     row = path.read_text().splitlines()[1].split(",")
     assert row[3] == "false"
     assert int(row[5]) == 1  # iterations consumed before the abort
+    assert float(row[6]) > 0.0
 
 
 def test_metrics_csv_deterministic_apart_from_wall_time(tmp_path):

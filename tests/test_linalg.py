@@ -116,6 +116,37 @@ def test_indefinite_saddle_point_solve():
     assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
 
+SYMMETRIC = "MMD_AT_PLUS_A"
+
+
+def test_pattern_decides_factorization(splu_specs):
+    b = np.array([1.0, 2.0])
+    solve_linear(SparseMatrix(sp.csr_matrix([[2.0, 1.0], [3.0, 4.0]])), b)
+    solve_linear(SparseMatrix(sp.csr_matrix([[2.0, 1.0], [0.0, 4.0]])), b)
+    assert splu_specs == [SYMMETRIC, None]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-20])
+def test_pattern_symmetric_solve_with_bad_diagonal_pivots(eps, splu_specs):
+    # SuperLU steps off an exactly zero diagonal, but takes a tiny one as
+    # the pivot in symmetric mode and loses the residual contract; the
+    # pivoting factorization must then repeat the solve
+    A = sp.csr_matrix(np.array([[eps, 1.0], [1.0, eps]]))
+    b = np.array([1.0, 2.0])
+    x = solve_linear(SparseMatrix(A), b)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+    assert splu_specs[0] == SYMMETRIC
+    if eps:
+        assert splu_specs == [SYMMETRIC, None]
+
+
+def test_singular_pattern_symmetric_matrix_raises(splu_specs):
+    A = SparseMatrix(sp.csr_matrix(np.ones((2, 2))))
+    with pytest.raises(LinearSolveFailure, match="factorization failed"):
+        solve_linear(A, np.array([1.0, 1.0]))
+    assert splu_specs == [SYMMETRIC, None]
+
+
 def test_norms_examples():
     assert norms(np.array([3.0, 4.0])) == (5.0, 4.0)
     assert norms(np.zeros(5)) == (0.0, 0.0)

@@ -1,12 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chbfem.linalg import LinearSolveFailure, solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
-from chbfem.solvers import (ChbSystem, FieldState, IterationStats,
-                            NonConvergence, SimulationFailed, SolverConfig,
-                            advance_simulation)
+from chbfem.solvers import (DIVERGENCE_LIMIT, ChbSystem, FieldState,
+                            IterationStats, NonConvergence, SimulationFailed,
+                            SolverConfig, advance_simulation)
 
 from conftest import random_state
 
@@ -263,6 +266,33 @@ def test_nonconvergence_is_reported_not_crashed(system4):
     assert exc_info.value.iterations == 2
 
 
+@pytest.mark.parametrize("pressure", [10 * DIVERGENCE_LIMIT, np.nan])
+def test_splitting_outer_divergence_is_reported(system4, monkeypatch, pressure):
+    monkeypatch.setattr(system4, "solve_flow", lambda *args, **kwargs: (
+        np.full(system4.nc, pressure), np.zeros(system4.ne)))
+    with pytest.raises(NonConvergence, match="outer iteration diverged") as exc_info:
+        system4.splitting_step(system4.initial_state(), SolverConfig())
+    exc = exc_info.value
+    assert exc.diverged
+    assert exc.iterations == 1
+    assert len(exc.inner_newton) == 1
+    assert not exc.last_update_norm <= DIVERGENCE_LIMIT
+
+
+def test_splitting_subsystems_use_symmetric_mode_lu(system4, splu_specs):
+    _, stats = system4.splitting_step(system4.initial_state(), SolverConfig())
+    # one factorization per CH Newton iterate, elasticity and flow solve
+    assert len(splu_specs) == sum(stats.inner_newton) + 2 * stats.outer_iters
+    assert set(splu_specs) == {"MMD_AT_PLUS_A"}
+
+
+def test_monolithic_jacobian_uses_colamd(system4, splu_specs):
+    st0 = system4.initial_state()
+    J = system4.monolithic_jacobian(st0, st0)
+    solve_linear(J, -system4.monolithic_residual(st0, st0))
+    assert splu_specs == [None]   # SuperLU's default ordering, COLAMD
+
+
 def test_advance_simulation_zero_steps(system4):
     st0 = system4.initial_state()
     fin, stats = advance_simulation(system4, st0, SolverConfig(num_steps=0))
@@ -279,7 +309,19 @@ def test_advance_simulation_wraps_failures_with_step_index(system4):
     assert exc.step_index == 1
     assert len(exc.stats) == 1
     assert not exc.stats[-1].converged
+    assert exc.stats[-1].wall_seconds > 0.0
     assert isinstance(exc.cause, NonConvergence)
+
+
+def test_advance_simulation_times_linear_breakdown(system4, monkeypatch):
+    def breaks_down(state, config):
+        time.sleep(0.001)
+        raise LinearSolveFailure("singular")
+
+    monkeypatch.setattr(system4, "step", breaks_down)
+    with pytest.raises(SimulationFailed) as exc_info:
+        advance_simulation(system4, system4.initial_state(), SolverConfig())
+    assert exc_info.value.stats[-1].wall_seconds >= 0.001
 
 
 def test_iteration_stats_sanity(system4):
