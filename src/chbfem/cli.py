@@ -26,7 +26,7 @@ import numpy as np
 
 from .linalg import LinearSolveFailure
 from .mesh import StructuredTriMesh, build_unit_square_mesh
-from .model import DEFAULT_C0, DEFAULT_C1, MaterialParams
+from .model import DEFAULT_C0, DEFAULT_C1, MaterialParams, stiffness_errors
 from .solvers import (ChbSystem, FieldState, SimulationFailed, SolverConfig,
                       advance_simulation)
 
@@ -43,6 +43,15 @@ DESK_NUM_STEPS = 20
 
 class ConfigError(ValueError):
     """Unreadable, unparsable or invalid configuration."""
+
+
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -76,29 +85,35 @@ class SimulationConfig:
         errors = []
         for name in ("gamma", "ell", "mobility", "M0", "M1", "kappa0",
                      "kappa1", "tau", "tol"):
-            if not isinstance(getattr(self, name), (int, float)) or not getattr(self, name) > 0:
+            if not _is_number(getattr(self, name)) or not getattr(self, name) > 0:
                 errors.append(f"{name} must be a positive number")
-        if self.max_iter < 1:
-            errors.append("max_iter must be at least 1")
-        if self.n < 1:
-            errors.append("n must be at least 1")
-        if self.num_steps < 0:
-            errors.append("num_steps must be nonnegative")
+        for name in ("xi", "phi_bar", "alpha0", "alpha1"):
+            if not _is_number(getattr(self, name)):
+                errors.append(f"{name} must be a number")
+        for name, low in (("max_iter", 1), ("n", 1), ("num_steps", 0),
+                          ("vtk_every", 0)):
+            if not _is_int(getattr(self, name)) or getattr(self, name) < low:
+                errors.append(f"{name} must be an integer of at least {low}")
         if self.strategy not in ("monolithic", "splitting", "both"):
             errors.append("strategy must be monolithic, splitting or both")
-        if self.vtk_every < 0:
-            errors.append("vtk_every must be nonnegative")
+        if not isinstance(self.out_dir, str):
+            errors.append("out_dir must be a string")
         for name in ("C0", "C1"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3, 3):
-                errors.append(f"{name} must be a 3x3 matrix")
-        if self.sweep is not None:
+            try:
+                C = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                C = np.empty(0)
+            errors += stiffness_errors(name, C)
+        if self.sweep is not None and not isinstance(self.sweep, dict):
+            errors.append("sweep must be an object with a param key")
+        elif self.sweep is not None:
             param = self.sweep.get("param")
             if param not in SWEEP_PARAMS:
                 errors.append(f"sweep param must be one of {SWEEP_PARAMS}")
             values = self.sweep.get("values", None)
             if values is not None:
-                if not values or not all(isinstance(v, (int, float)) for v in values):
+                if (not isinstance(values, (list, tuple)) or not values
+                        or not all(_is_number(v) for v in values)):
                     errors.append("sweep values must be a nonempty list of numbers")
                 elif param == "gamma" and any(v <= 0 for v in values):
                     errors.append("gamma sweep values must be positive")

@@ -5,14 +5,13 @@ down the contracts the rest of the code relies on: duplicate triplets sum
 on compression, compressed rows are sorted, and every solve is verified
 against the residual tolerance below.
 
-The factorization is chosen from the sparsity pattern of the matrix.  A
-pattern equal to its transpose (the phase-field Jacobian, the elasticity
-matrix and the mixed flow matrix) is first factored by SuperLU in
-symmetric mode: a minimum-degree ordering of A^T + A applied to rows and
-columns alike, diagonal pivots preferred.  That keeps far less fill than
-the general setting.  Whenever it breaks down or misses the residual
-tolerance, and for every other pattern (the monolithic Jacobian), the
-matrix is factored with a COLAMD column ordering and partial pivoting.
+Every matrix is first factored by SuperLU in symmetric mode: a
+minimum-degree ordering of A^T + A applied to rows and columns alike,
+diagonal pivots preferred.  That keeps far less fill than the general
+setting, also for the monolithic Jacobian, whose pattern is not
+symmetric.  Whenever it breaks down or misses the residual tolerance, the
+matrix is factored again with a COLAMD column ordering and partial
+pivoting.
 """
 
 from __future__ import annotations
@@ -120,16 +119,6 @@ def compress(buffer: TripletBuffer, nrows: int, ncols: int) -> SparseMatrix:
     return SparseMatrix(coo.tocsr())
 
 
-def _pattern_is_symmetric(mat: sp.csr_matrix) -> bool:
-    """True when the stored pattern of a CSR matrix equals its transpose's.
-
-    Unsorted column indices read as unsymmetric, which only costs speed.
-    """
-    t = mat.T.tocsr()
-    return (np.array_equal(mat.indptr, t.indptr)
-            and np.array_equal(mat.indices, t.indices))
-
-
 def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Return x if it is finite and meets SOLVE_RTOL, else raise."""
     if not np.all(np.isfinite(x)):
@@ -144,16 +133,14 @@ def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Direct sparse solve with a residual check.
 
-    Handles nonsymmetric and indefinite (saddle-point) systems.  A matrix
-    whose pattern equals its transpose's is first factored in SuperLU's
-    symmetric mode (MMD on A^T + A, diagonal pivots preferred); if that
-    factorization breaks down or its solution misses the contract below,
-    the solve is repeated with COLAMD and partial pivoting, which is also
-    the only path for matrices with an unsymmetric pattern.  The returned
-    x satisfies ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else
-    LinearSolveFailure is raised; singular factorizations raise the same
-    error so callers can tell linear breakdown apart from nonlinear
-    non-convergence.
+    Handles nonsymmetric and indefinite (saddle-point) systems.  The
+    matrix is first factored in SuperLU's symmetric mode (MMD on A^T + A,
+    diagonal pivots preferred); if that factorization breaks down or its
+    solution misses the contract below, the solve is repeated with COLAMD
+    and partial pivoting.  The returned x satisfies
+    ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else LinearSolveFailure is
+    raised; singular factorizations raise the same error so callers can
+    tell linear breakdown apart from nonlinear non-convergence.
     """
     mat = A.to_scipy() if isinstance(A, SparseMatrix) else A.tocsr()
     nrows, ncols = mat.shape
@@ -161,14 +148,12 @@ def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
         raise LinearSolveFailure(f"matrix is not square: {mat.shape}")
     b = np.asarray(b, dtype=np.float64)
     csc = mat.tocsc()
-    if _pattern_is_symmetric(mat):
-        try:
-            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-            return _verified(mat, lu.solve(b), b)
-        except (RuntimeError, LinearSolveFailure):
-            pass  # the pivoting path below decides
+    try:
+        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        return _verified(mat, lu.solve(b), b)
+    except (RuntimeError, LinearSolveFailure):
+        pass  # the pivoting path below decides
     try:
         lu = spla.splu(csc)
         x = lu.solve(b)

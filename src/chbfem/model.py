@@ -57,23 +57,26 @@ class MaterialParams:
         if self.max_iter < 1:
             errors.append("max_iter must be at least 1")
         for name in ("C0", "C1"):
-            C = getattr(self, name)
-            if C.shape != (3, 3):
-                errors.append(f"{name} must be a 3x3 Voigt matrix")
-                continue
-            if not np.allclose(C, C.T):
-                errors.append(f"{name} must be symmetric")
-            else:
-                try:
-                    np.linalg.cholesky(C)
-                except np.linalg.LinAlgError:
-                    errors.append(f"{name} must be positive definite")
+            errors += stiffness_errors(name, getattr(self, name))
         if errors:
             raise ValueError("invalid material parameters: " + "; ".join(errors))
 
     @property
     def dC(self) -> np.ndarray:
         return self.C1 - self.C0
+
+
+def stiffness_errors(name: str, C: np.ndarray) -> list:
+    """Why C is not a symmetric positive definite 3x3 Voigt matrix, if it isn't."""
+    if C.shape != (3, 3):
+        return [f"{name} must be a 3x3 Voigt matrix"]
+    if not np.allclose(C, C.T):
+        return [f"{name} must be symmetric"]
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return [f"{name} must be positive definite"]
+    return []
 
 
 def pi_interp(phi):

@@ -310,7 +310,8 @@ class ChbSystem:
     def solve_elasticity(self, phi, p_fixed):
         """Solve the linear elasticity subsystem at the given phase field."""
         cint, abar, swell, _ = self._elasticity_data(phi)
-        a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B)
+        a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
+                           optimize=True)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
                     + (abar * p_fixed)[:, None] * self.drow)
         r, c, v = _block_triplets(a_elem, self.udofs, self.udofs)
@@ -498,7 +499,8 @@ class ChbSystem:
         add((r, c, -v), self.off_mu, self.off_p)
 
         cint, abar, _, dinv = self._elasticity_data(st.phi)
-        a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B)
+        a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
+                           optimize=True)
         add(_block_triplets(a_elem, self.udofs, self.udofs),
             self.off_u, self.off_u)
         add(_block_triplets(u_phi, self.udofs, self.cells),

@@ -54,6 +54,22 @@ def test_negative_tau_rejected_by_name(tmp_path):
         load_config(write_config(tmp_path, {"tau": -1}))
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"tol": True}, "tol"),
+    ({"max_iter": 2.5}, "max_iter"),
+    ({"n": "4"}, "n must be"),
+    ({"C0": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+     "C0 must be positive definite"),
+], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0"])
+def test_invalid_field_rejected_by_name(tmp_path, data, message):
+    path = write_config(tmp_path, data)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--desk", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_all_violations_listed(tmp_path):
     with pytest.raises(ConfigError) as exc_info:
         load_config(write_config(tmp_path, {"tau": -1, "gamma": 0, "n": 0}))

@@ -119,10 +119,20 @@ def test_indefinite_saddle_point_solve():
 SYMMETRIC = "MMD_AT_PLUS_A"
 
 
-def test_pattern_decides_factorization(splu_specs):
+def test_every_pattern_starts_on_symmetric_mode(splu_specs):
     b = np.array([1.0, 2.0])
     solve_linear(SparseMatrix(sp.csr_matrix([[2.0, 1.0], [3.0, 4.0]])), b)
     solve_linear(SparseMatrix(sp.csr_matrix([[2.0, 1.0], [0.0, 4.0]])), b)
+    assert splu_specs == [SYMMETRIC, SYMMETRIC]
+
+
+def test_unsymmetric_pattern_with_bad_diagonal_pivots_falls_back(splu_specs):
+    A = sp.csr_matrix(np.array([[1e-20, 1.0, 0.0],
+                                [1.0, 1e-20, 0.0],
+                                [1.0, 0.0, 1.0]]))
+    b = np.array([1.0, 2.0, 3.0])
+    x = solve_linear(SparseMatrix(A), b)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
     assert splu_specs == [SYMMETRIC, None]
 
 

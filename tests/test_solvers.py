@@ -286,11 +286,24 @@ def test_splitting_subsystems_use_symmetric_mode_lu(system4, splu_specs):
     assert set(splu_specs) == {"MMD_AT_PLUS_A"}
 
 
-def test_monolithic_jacobian_uses_colamd(system4, splu_specs):
+def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
     st0 = system4.initial_state()
     J = system4.monolithic_jacobian(st0, st0)
     solve_linear(J, -system4.monolithic_residual(st0, st0))
-    assert splu_specs == [None]   # SuperLU's default ordering, COLAMD
+    assert splu_specs == ["MMD_AT_PLUS_A"]
+
+
+def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
+                                                                splu_specs):
+    rng = np.random.default_rng(40)
+    prev = random_state(system4, rng)
+    st = random_state(system4, rng, n=1)
+    J = system4.monolithic_jacobian(prev, st)
+    b = -system4.monolithic_residual(prev, st)
+    x = solve_linear(J, b)
+    assert splu_specs == ["MMD_AT_PLUS_A"]
+    assert (np.linalg.norm(b - J.matvec(x))
+            <= 1e-10 * max(np.linalg.norm(b), 1.0))
 
 
 def test_advance_simulation_zero_steps(system4):
