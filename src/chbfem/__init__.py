@@ -6,7 +6,6 @@ meshes of the unit square, advanced in time either by a monolithic Newton
 method or by an iterative three-field splitting scheme.
 """
 
-from ._kernels import active_backend, use_backend
 from .cli import (ConfigError, RunRecord, SimulationConfig, load_config,
                   run_experiment, write_metrics_csv, write_vtk)
 from .fem import (FieldFunction, FunctionSpace, QuadratureRule, apply_dirichlet,
@@ -28,12 +27,11 @@ __all__ = [
     "IterationStats", "LinearSolveFailure", "MaterialParams", "NonConvergence",
     "QuadratureRule", "RunRecord", "SimulationConfig", "SimulationFailed",
     "SolverConfig", "SparseMatrix", "StructuredTriMesh", "TripletBuffer",
-    "active_backend", "advance_simulation", "apply_dirichlet", "assemble_form",
-    "boundary_dofs", "build_unit_square_mesh", "cell_geometry", "compress",
-    "default_rule", "dphi_E_elastic", "dphi_E_fluid", "eval_basis",
-    "integrate_scalar", "interpolate", "load_config", "norms", "p0_space",
-    "p1_scalar", "p1_vector", "pi_interp", "pi_prime", "psi_split",
-    "rt0_space", "run_experiment", "solve_linear", "stiffness_C", "stress",
-    "swelling_T", "use_backend", "write_metrics_csv", "write_vtk", "zeta",
-    "zeta_prime",
+    "advance_simulation", "apply_dirichlet", "assemble_form", "boundary_dofs",
+    "build_unit_square_mesh", "cell_geometry", "compress", "default_rule",
+    "dphi_E_elastic", "dphi_E_fluid", "eval_basis", "integrate_scalar",
+    "interpolate", "load_config", "norms", "p0_space", "p1_scalar",
+    "p1_vector", "pi_interp", "pi_prime", "psi_split", "rt0_space",
+    "run_experiment", "solve_linear", "stiffness_C", "stress", "swelling_T",
+    "write_metrics_csv", "write_vtk", "zeta", "zeta_prime",
 ]

@@ -18,12 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
+from .fem import rt0_basis
 from .linalg import LinearSolveFailure
 from .mesh import StructuredTriMesh, build_unit_square_mesh
 from .model import DEFAULT_C0, DEFAULT_C1, MaterialParams, stiffness_errors
@@ -46,8 +48,14 @@ class ConfigError(ValueError):
 
 
 def _is_number(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # JSON true/false load as bool, which Python counts as int; json also
+    # reads NaN, Infinity and integers beyond float range, which no field accepts
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_int(value) -> bool:
@@ -133,7 +141,7 @@ class SimulationConfig:
             C1=np.asarray(self.C1, dtype=float),
             M0=self.M0, M1=self.M1, kappa0=self.kappa0, kappa1=self.kappa1,
             alpha0=self.alpha0, alpha1=self.alpha1,
-            tau=self.tau, tol=self.tol, max_iter=self.max_iter)
+            tau=self.tau)
 
     def solver_config(self, strategy: str) -> SolverConfig:
         return SolverConfig(strategy=strategy, tol=self.tol,
@@ -270,19 +278,6 @@ def write_metrics_csv(records, path) -> None:
             ])
 
 
-def _rt0_at_centroids(state: FieldState, mesh: StructuredTriMesh) -> np.ndarray:
-    coords = mesh.vertices[mesh.cells]
-    cent = coords.mean(axis=1)
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    elen = np.linalg.norm(
-        mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]], axis=1)
-    fac = mesh.cell_signs * elen[mesh.cell_edges] / two_area[:, None]
-    qloc = state.q[mesh.cell_edges]
-    return np.einsum("ck,cka->ca", qloc * fac, cent[:, None, :] - coords)
-
-
 def write_vtk(state: FieldState, mesh: StructuredTriMesh, path) -> None:
     """Write all fields to a legacy-ASCII VTK unstructured grid file.
 
@@ -291,7 +286,8 @@ def write_vtk(state: FieldState, mesh: StructuredTriMesh, path) -> None:
     """
     nv = mesh.num_vertices
     nc = mesh.num_cells
-    qc = _rt0_at_centroids(state, mesh)
+    psi_c = rt0_basis(mesh, np.full((1, 3), 1.0 / 3.0))[:, 0]
+    qc = np.einsum("ck,cka->ca", state.q[mesh.cell_edges], psi_c)
     lines = [
         "# vtk DataFile Version 3.0",
         f"chbfem fields at step {state.n}",

@@ -172,6 +172,24 @@ def eval_basis(space_kind, cell_geom, point, rt0_signs=None) -> BasisValues:
     raise ValueError(f"unknown space kind {space_kind!r}")
 
 
+def rt0_basis(mesh: StructuredTriMesh, points) -> np.ndarray:
+    """Signed RT0 basis vectors of every cell at barycentric points.
+
+    points has shape (npts, 3); returns (num_cells, npts, 3, 2), the basis
+    function of local edge k being sign*|e_k|/(2*area) * (x - x_k).
+    """
+    coords = mesh.vertices[mesh.cells]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
+    fac = mesh.cell_signs * elen_loc / two_area[:, None]
+    x = np.einsum("qi,cia->cqa", points, coords)
+    return np.ascontiguousarray(
+        fac[:, None, :, None] * (x[:, :, None, :] - coords[:, None, :, :]))
+
+
 @dataclass
 class CellContext:
     """Everything a per-cell assembly kernel gets to see."""

@@ -27,7 +27,7 @@ VOIGT_ID = np.array([1.0, 1.0, 0.0])
 
 @dataclass
 class MaterialParams:
-    """Material, discretization and iteration parameters of the baseline setup."""
+    """Material and discretization parameters of the baseline setup."""
 
     gamma: float = 5.0          # surface tension
     ell: float = 2.0e-2         # interface regularization width
@@ -43,19 +43,15 @@ class MaterialParams:
     alpha0: float = 1.0         # Biot-Willis coefficients
     alpha1: float = 0.5
     tau: float = 1.0e-5         # time step size
-    tol: float = 1.0e-6
-    max_iter: int = 100
 
     def __post_init__(self):
         self.C0 = np.asarray(self.C0, dtype=np.float64)
         self.C1 = np.asarray(self.C1, dtype=np.float64)
         errors = []
         for name in ("gamma", "ell", "mobility", "M0", "M1",
-                     "kappa0", "kappa1", "tau", "tol"):
+                     "kappa0", "kappa1", "tau"):
             if not getattr(self, name) > 0:
                 errors.append(f"{name} must be positive")
-        if self.max_iter < 1:
-            errors.append("max_iter must be at least 1")
         for name in ("C0", "C1"):
             errors += stiffness_errors(name, getattr(self, name))
         if errors:
@@ -70,6 +66,8 @@ def stiffness_errors(name: str, C: np.ndarray) -> list:
     """Why C is not a symmetric positive definite 3x3 Voigt matrix, if it isn't."""
     if C.shape != (3, 3):
         return [f"{name} must be a 3x3 Voigt matrix"]
+    if not np.all(np.isfinite(C)):
+        return [f"{name} must have finite entries"]
     if not np.allclose(C, C.T):
         return [f"{name} must be symmetric"]
     try:

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as kn
-from .fem import default_rule, p0_space, p1_scalar, p1_vector, rt0_space
+from .fem import (apply_dirichlet, default_rule, p0_space, p1_scalar, p1_vector,
+                  rt0_basis, rt0_space)
 from .linalg import LinearSolveFailure, SparseMatrix, solve_linear
 from .mesh import StructuredTriMesh, boundary_dofs
 from .model import MaterialParams
@@ -172,13 +173,7 @@ class ChbSystem:
         self.B = B
         self.drow = B[:, 0, :] + B[:, 1, :]
 
-        edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-        self.edge_len = np.linalg.norm(edge_vec, axis=1)
-        elen_loc = self.edge_len[mesh.cell_edges]
-        fac = mesh.cell_signs * elen_loc / two_area[:, None]
-        xq = np.einsum("qi,cia->cqa", self.lam, coords)
-        self.psi_q = np.ascontiguousarray(
-            fac[:, None, :, None] * (xq[:, :, None, :] - coords[:, None, :, :]))
+        self.psi_q = rt0_basis(mesh, self.lam)
 
         self.cells = mesh.cells
         self.udofs = self.u_space.cell_dofs
@@ -194,6 +189,8 @@ class ChbSystem:
         self.K = sp.coo_matrix((self._k_trip[2], self._k_trip[:2]),
                                shape=(self.nv, self.nv)).tocsr()
 
+        edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+        elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
         div_vals = (mesh.cell_signs * elen_loc).astype(np.float64)
         rows = np.repeat(np.arange(self.nc), 3)
         self._bdiv_trip = (rows, mesh.cell_edges.ravel(), div_vals.ravel())
@@ -232,11 +229,6 @@ class ChbSystem:
                           p=x[self.off_p:self.off_q].copy(),
                           q=x[self.off_q:].copy(), n=n)
 
-    def _kernel_params(self):
-        pa = self.params
-        return (pa.gamma, pa.ell, pa.xi, pa.phi_bar, pa.M0, pa.M1,
-                pa.alpha0, pa.alpha1, pa.C0, pa.dC)
-
     # -- Cahn-Hilliard subsystem -------------------------------------------
 
     def ch_residual(self, state_prev, phi_i, mu_i, u_fixed, p_fixed):
@@ -245,7 +237,7 @@ class ChbSystem:
         phi_q = self.phi_at_qp(phi_i)
         strain = self.strain_per_cell(u_fixed)
         nl_elem = kn.ch_load(phi_q, self.wq, self.lam, strain,
-                             np.ascontiguousarray(p_fixed), *self._kernel_params())
+                             np.ascontiguousarray(p_fixed), pa)
         nl = _scatter_vector(nl_elem, self.cells, self.nv)
         r_phi = self.M @ (phi_i - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu_i)
         r_mu = (self.M @ mu_i - pa.gamma * pa.ell * (self.K @ phi_i) - nl
@@ -263,7 +255,7 @@ class ChbSystem:
         phi_q = self.phi_at_qp(phi_i)
         strain = self.strain_per_cell(u_fixed)
         w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain,
-                           np.ascontiguousarray(p_fixed), *self._kernel_params())
+                           np.ascontiguousarray(p_fixed), pa)
         r, c, v = _block_triplets(w_elem, self.cells, self.cells)
         W = sp.coo_matrix((v, (r, c)), shape=(self.nv, self.nv)).tocsr()
         J = sp.bmat([[self.M, pa.tau * pa.mobility * self.K],
@@ -299,8 +291,7 @@ class ChbSystem:
         """Integrated stiffness, swelling load and pressure coupling per cell."""
         pa = self.params
         phi_q = self.phi_at_qp(phi)
-        ibar, s1, s2, dinv = kn.phase_cell_integrals(phi_q, self.wq,
-                                                     pa.phi_bar, pa.M0, pa.M1)
+        ibar, s1, s2, dinv = kn.phase_cell_integrals(phi_q, self.wq, pa)
         cint = self.areas[:, None, None] * pa.C0 + ibar[:, None, None] * pa.dC
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
         v = np.array([1.0, 1.0, 0.0])
@@ -317,14 +308,8 @@ class ChbSystem:
         r, c, v = _block_triplets(a_elem, self.udofs, self.udofs)
         A = sp.coo_matrix((v, (r, c)), shape=(2 * self.nv, 2 * self.nv)).tocsr()
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
-        # symmetric elimination of the homogeneous Dirichlet rows/columns:
-        # D A D zeros them, the indicator restores unit diagonal entries
-        keep = np.ones(2 * self.nv)
-        keep[self.u_bdofs] = 0.0
-        D = sp.diags(keep)
-        A = D @ A @ D + sp.diags(1.0 - keep)
-        b[self.u_bdofs] = 0.0
-        return solve_linear(SparseMatrix(A.tocsr()), b)
+        A, b = apply_dirichlet(SparseMatrix(A), b, self.u_bdofs, symmetric=True)
+        return solve_linear(A, b)
 
     # -- flow subsystem ------------------------------------------------------
 
@@ -332,8 +317,7 @@ class ChbSystem:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
         pa = self.params
         phi_q = self.phi_at_qp(state.phi)
-        ibar, _, _, dinv = kn.phase_cell_integrals(phi_q, self.wq,
-                                                   pa.phi_bar, pa.M0, pa.M1)
+        ibar, _, _, dinv = kn.phase_cell_integrals(phi_q, self.wq, pa)
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
         divu = self.strain_per_cell(state.u) @ np.array([1.0, 1.0, 0.0])
         return dinv * state.p + abar * divu
@@ -341,11 +325,9 @@ class ChbSystem:
     def _flow_data(self, phi):
         pa = self.params
         phi_q = self.phi_at_qp(phi)
-        ibar, _, _, dinv = kn.phase_cell_integrals(phi_q, self.wq,
-                                                   pa.phi_bar, pa.M0, pa.M1)
+        ibar, _, _, dinv = kn.phase_cell_integrals(phi_q, self.wq, pa)
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
-        mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q,
-                                       pa.kappa0, pa.kappa1)
+        mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
         return dinv, abar, mq_elem
 
     def solve_flow(self, phi, u, state_prev, config=None, storage_prev=None):
@@ -451,7 +433,7 @@ class ChbSystem:
         res[self.off_p:self.off_q] = (dinv * st.p + abar * divu - storage_prev
                                       + pa.tau * (self.Bdiv @ st.q))
         mq_elem = kn.rt0_weighted_mass(self.phi_at_qp(st.phi), self.wq,
-                                       self.psi_q, pa.kappa0, pa.kappa1)
+                                       self.psi_q, pa)
         mq_q = np.einsum("cij,cj->ci", mq_elem, st.q[self.qdofs])
         res[self.off_q:] = _scatter_vector(mq_q, self.qdofs, self.ne) \
             - self.BdivT @ st.p
@@ -481,17 +463,14 @@ class ChbSystem:
         add(self._m_trip, self.off_mu, self.off_mu)
 
         # (mu, phi): stiffness, convex double well and energy couplings
-        w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain, p_cell,
-                           *self._kernel_params())
+        w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain, p_cell, pa)
         add((self._k_trip[0], self._k_trip[1],
              -pa.gamma * pa.ell * self._k_trip[2]), self.off_mu, self.off_phi)
         r, c, v = _block_triplets(w_elem, self.cells, self.cells)
         add((r, c, -v), self.off_mu, self.off_phi)
 
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
-            phi_q, self.wq, self.lam, strain, p_cell, qloc, self.B, self.psi_q,
-            pa.xi, pa.phi_bar, pa.M0, pa.M1, pa.alpha0, pa.alpha1,
-            pa.kappa0, pa.kappa1, pa.C0, pa.dC)
+            phi_q, self.wq, self.lam, strain, p_cell, qloc, self.B, self.psi_q, pa)
 
         r, c, v = _block_triplets(mu_u, self.cells, self.udofs)
         add((r, c, -v), self.off_mu, self.off_u)
@@ -519,8 +498,7 @@ class ChbSystem:
         add((self._bdiv_trip[0], self._bdiv_trip[1],
              pa.tau * self._bdiv_trip[2]), self.off_p, self.off_q)
 
-        mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q,
-                                       pa.kappa0, pa.kappa1)
+        mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
         add(_block_triplets(mq_elem, self.qdofs, self.qdofs),
             self.off_q, self.off_q)
         add((self._bdiv_trip[1], self._bdiv_trip[0],

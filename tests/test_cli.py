@@ -60,7 +60,15 @@ def test_negative_tau_rejected_by_name(tmp_path):
     ({"n": "4"}, "n must be"),
     ({"C0": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
      "C0 must be positive definite"),
-], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0"])
+    ({"xi": float("nan")}, "xi must be a number"),
+    ({"phi_bar": float("inf")}, "phi_bar must be a number"),
+    ({"sweep": {"param": "xi", "values": [0.5, float("nan")]}},
+     "sweep values must be"),
+    ({"gamma": 10 ** 400}, "gamma must be a positive number"),
+    ({"C1": [[float("inf"), 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+     "C1 must have finite entries"),
+], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0",
+        "nan_xi", "inf_phi_bar", "nan_sweep_value", "huge_int_gamma", "inf_C1"])
 def test_invalid_field_rejected_by_name(tmp_path, data, message):
     path = write_config(tmp_path, data)
     with pytest.raises(ConfigError, match=message):

@@ -101,6 +101,19 @@ def test_rt0_normal_flux_duality():
             assert np.allclose(flux, want, atol=1e-12)
 
 
+def test_rt0_basis_matches_per_cell_evaluation():
+    rng = np.random.default_rng(7)
+    mesh = build_unit_square_mesh(3)
+    points = rng.dirichlet(np.ones(3), size=4)
+    table = fem.rt0_basis(mesh, points)
+    assert table.shape == (mesh.num_cells, 4, 3, 2)
+    for c in range(mesh.num_cells):
+        geom = cell_geometry(mesh, c)
+        for q, lam in enumerate(points):
+            vals = eval_basis("rt0", geom, lam, rt0_signs=mesh.cell_signs[c])
+            assert np.allclose(table[c, q], vals.values, rtol=0, atol=1e-13)
+
+
 def _barycentric(coords, x):
     T = np.column_stack([coords[1] - coords[0], coords[2] - coords[0]])
     ab = np.linalg.solve(T, x - coords[0])

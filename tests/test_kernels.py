@@ -1,9 +1,4 @@
-"""Backend equivalence: every numba kernel against its pure-numpy twin,
-plus cross-checks of the fused kernels against the generic assembly path."""
-
-import os
-import subprocess
-import sys
+"""Cross-checks of the vectorized kernels against the generic assembly path."""
 
 import numpy as np
 import pytest
@@ -11,16 +6,13 @@ import scipy.sparse as sp
 
 from chbfem import _kernels as kn
 from chbfem import model
-from chbfem.fem import FieldFunction, assemble_form, p1_scalar, rt0_space
+from chbfem.fem import FieldFunction, assemble_form, p0_space, p1_scalar, rt0_space
 from chbfem.linalg import compress
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
-from chbfem.solvers import ChbSystem, SolverConfig
+from chbfem.solvers import ChbSystem
 
 from conftest import random_state
-
-needs_numba = pytest.mark.skipif(kn.NUMBA_KERNELS is None,
-                                 reason="numba not installed")
 
 
 @pytest.fixture(scope="module")
@@ -33,43 +25,10 @@ def setup():
     return system, params, state
 
 
-def _kernel_args(system, params, state, name):
-    phi_q = system.phi_at_qp(state.phi)
-    strain = system.strain_per_cell(state.u)
-    pa = params
-    if name in ("ch_load", "ch_jac"):
-        return (phi_q, system.wq, system.lam, strain, state.p, pa.gamma, pa.ell,
-                pa.xi, pa.phi_bar, pa.M0, pa.M1, pa.alpha0, pa.alpha1, pa.C0, pa.dC)
-    if name == "phase_cell_integrals":
-        return (phi_q, system.wq, pa.phi_bar, pa.M0, pa.M1)
-    if name == "rt0_weighted_mass":
-        return (phi_q, system.wq, system.psi_q, pa.kappa0, pa.kappa1)
-    if name == "coupling_blocks":
-        qloc = np.ascontiguousarray(state.q[system.qdofs])
-        return (phi_q, system.wq, system.lam, strain, state.p, qloc, system.B,
-                system.psi_q, pa.xi, pa.phi_bar, pa.M0, pa.M1, pa.alpha0,
-                pa.alpha1, pa.kappa0, pa.kappa1, pa.C0, pa.dC)
-    raise KeyError(name)
-
-
-@needs_numba
-@pytest.mark.parametrize("name", sorted(kn.NUMPY_KERNELS))
-def test_numba_matches_numpy(setup, name):
-    system, params, state = setup
-    args = _kernel_args(system, params, state, name)
-    got_nb = kn.NUMBA_KERNELS[name](*args)
-    got_np = kn.NUMPY_KERNELS[name](*args)
-    if not isinstance(got_nb, tuple):
-        got_nb, got_np = (got_nb,), (got_np,)
-    for a, b in zip(got_nb, got_np):
-        scale = max(np.abs(b).max(), 1.0)
-        assert np.allclose(a, b, rtol=0, atol=1e-12 * scale)
-
-
 def test_ch_load_matches_generic_assembly(setup):
     system, params, state = setup
-    elem = kn.NUMPY_KERNELS["ch_load"](
-        *_kernel_args(system, params, state, "ch_load"))
+    elem = kn.ch_load(system.phi_at_qp(state.phi), system.wq, system.lam,
+                      system.strain_per_cell(state.u), state.p, params)
     fast = np.zeros(system.nv)
     np.add.at(fast, system.cells.ravel(), elem.ravel())
 
@@ -92,8 +51,8 @@ def test_ch_load_matches_generic_assembly(setup):
 
 def test_rt0_mass_matches_generic_assembly(setup):
     system, params, state = setup
-    elem = kn.NUMPY_KERNELS["rt0_weighted_mass"](
-        *_kernel_args(system, params, state, "rt0_weighted_mass"))
+    elem = kn.rt0_weighted_mass(system.phi_at_qp(state.phi), system.wq,
+                                system.psi_q, params)
     r = np.repeat(system.qdofs[:, :, None], 3, axis=2).ravel()
     c = np.repeat(system.qdofs[:, None, :], 3, axis=1).ravel()
     fast = sp.coo_matrix((elem.ravel(), (r, c)),
@@ -112,51 +71,22 @@ def test_rt0_mass_matches_generic_assembly(setup):
     assert np.allclose(fast, slow, rtol=0, atol=1e-12 * max(np.abs(slow).max(), 1.0))
 
 
-@needs_numba
-def test_backend_switch_gives_identical_simulation():
-    params = MaterialParams()
-    system = ChbSystem(build_unit_square_mesh(8), params)
-    cfg = SolverConfig(strategy="splitting", num_steps=1)
-    state0 = system.initial_state()
+def test_phase_cell_integrals_match_generic_assembly(setup):
+    system, params, state = setup
+    fast = kn.phase_cell_integrals(system.phi_at_qp(state.phi), system.wq, params)
 
-    previous = kn.use_backend("numba")
-    try:
-        kn.use_backend("numba")
-        st_nb, stats_nb = system.splitting_step(state0, cfg)
-        kn.use_backend("numpy")
-        st_np, stats_np = system.splitting_step(state0, cfg)
-    finally:
-        kn.use_backend(previous)
-    assert stats_nb.outer_iters == stats_np.outer_iters
-    assert np.allclose(st_nb.phi, st_np.phi, atol=1e-9)
-    assert np.allclose(st_nb.u, st_np.u, atol=1e-9)
-    assert np.allclose(st_nb.p, st_np.p, atol=1e-9)
+    P = p0_space(system.mesh)
+    phi_f = FieldFunction(p1_scalar(system.mesh), state.phi)
+    integrands = (
+        lambda phi: model.pi_interp(phi),
+        lambda phi: phi - params.phi_bar,
+        lambda phi: model.pi_interp(phi) * (phi - params.phi_bar),
+        lambda phi: 1.0 / model.zeta(phi, params.M0, params.M1),
+    )
+    for got, f in zip(fast, integrands):
+        def kernel(ctx):
+            return np.einsum("q,q,iq->i", ctx.w, f(ctx.coeffs[0]), ctx.test.vals)
 
-
-def test_use_backend_reports_and_rejects():
-    prev = kn.active_backend()
-    try:
-        kn.use_backend("numpy")
-        assert kn.active_backend() == "numpy"
-    finally:
-        kn.use_backend(prev)
-    with pytest.raises(ValueError):
-        kn.use_backend("fortran")
-
-
-def test_env_flag_selects_backend():
-    env = dict(os.environ, CHBFEM_KERNELS="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import chbfem; print(chbfem.active_backend())"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    env = dict(os.environ, CHBFEM_KERNELS="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import chbfem"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode != 0
+        slow = assemble_form(P, None, kernel, coefficients=(phi_f,))
+        assert np.allclose(got, slow, rtol=0,
+                           atol=1e-12 * max(np.abs(slow).max(), 1.0))
