@@ -62,6 +62,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _voigt_errors(name, value) -> list:
+    """Why a configured C0/C1 is not a 3x3 SPD matrix of numbers, if it isn't."""
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 3
+            and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rows)):
+        return [f"{name} must be a 3x3 Voigt matrix"]
+    if not all(_is_number(x) for r in rows for x in r):
+        return [f"{name} must have finite entries, each a number"]
+    return stiffness_errors(name, np.asarray(rows, dtype=float))
+
+
 @dataclass
 class SimulationConfig:
     """Effective configuration of one experiment (all fields resolved)."""
@@ -107,11 +118,7 @@ class SimulationConfig:
         if not isinstance(self.out_dir, str):
             errors.append("out_dir must be a string")
         for name in ("C0", "C1"):
-            try:
-                C = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):
-                C = np.empty(0)
-            errors += stiffness_errors(name, C)
+            errors += _voigt_errors(name, getattr(self, name))
         if self.sweep is not None and not isinstance(self.sweep, dict):
             errors.append("sweep must be an object with a param key")
         elif self.sweep is not None:

@@ -5,6 +5,13 @@ down the contracts the rest of the code relies on: duplicate triplets sum
 on compression, compressed rows are sorted, and every solve is verified
 against the residual tolerance below.
 
+A CsrPattern holds the CSR layout of a triplet list whose positions stay
+fixed while its values change, as in every Newton or outer iteration on
+one mesh.  It is built once; each fill then only gathers and adds values.
+Its sums are those of scipy's COO-to-CSR conversion bit for bit: every
+slot adds its triplets in the order that conversion adds them, an order
+taken once from scipy's own sort of the triplet numbers.
+
 Every matrix is first factored by SuperLU in symmetric mode: a
 minimum-degree ordering of A^T + A applied to rows and columns alike,
 diagonal pivots preferred.  That keeps far less fill than the general
@@ -100,6 +107,85 @@ class SparseMatrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         return self._csr
+
+
+class CsrPattern:
+    """CSR layout of a fixed triplet list, filled with new values on demand.
+
+    Built once from the (rows, cols) of a triplet list.  ``sum(values)``
+    then returns the ``data`` array that
+    ``coo_matrix((values, (rows, cols)), shape).tocsr()`` holds, bit for
+    bit: every slot adds its triplets left to right in the order scipy's
+    conversion uses (a stable sort by row, then scipy's own sort of each
+    row by column).  That order is found once, by letting scipy sort the
+    triplet numbers in place of values.
+
+    With ``take``, triplet k reads ``values[take[k]]``, so a caller can
+    fill from a longer value list that contains entries it leaves out.
+    Tables are int32: the first triplet of each slot, and a (slot,
+    triplet) pair for each further one, in summation order.
+    """
+
+    def __init__(self, rows, cols, shape, take=None):
+        nrows, ncols = shape
+        rows = np.asarray(rows).ravel()
+        cols = np.asarray(cols).ravel()
+        if rows.shape != cols.shape:
+            raise ValueError("rows and cols must have matching sizes")
+        if len(rows) and (rows.min() < 0 or rows.max() >= nrows
+                          or cols.min() < 0 or cols.max() >= ncols):
+            raise ValueError("triplet index out of range")
+        self.shape = (nrows, ncols)
+        # the row pass of scipy's coo_tocsr is a stable counting sort
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+        csr = sp.csr_matrix((order.astype(np.float64), cols[order], indptr),
+                            shape=self.shape)
+        del order
+        csr.sort_indices()
+        order = csr.data.astype(np.int32)
+        sorted_cols = csr.indices.astype(np.int32, copy=False)
+        del csr
+        if take is not None:
+            order = np.asarray(take, dtype=np.int32)[order]
+
+        # a slot starts at every row start and wherever the column changes
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = sorted_cols[1:] != sorted_cols[:-1]
+        starts[indptr[:-1][indptr[:-1] < len(order)]] = True
+        slot_ends = np.zeros(len(order) + 1, dtype=np.int32)
+        np.cumsum(starts, out=slot_ends[1:])
+        self.indptr = slot_ends[indptr]
+        self.indices = sorted_cols[starts]
+        self.nnz = len(self.indices)
+        del sorted_cols
+        self._head = order[starts]
+        later = np.flatnonzero(~starts)
+        del starts
+        self._tail_slot = slot_ends[later + 1] - 1
+        self._tail_src = order[later]
+        for table in (self.indptr, self.indices):
+            table.flags.writeable = False
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Slot values: each slot's triplet values added in scipy's order."""
+        data = values[self._head]
+        # ufunc.at adds unbuffered, one pair after another
+        np.add.at(data, self._tail_slot, values[self._tail_src])
+        return data
+
+    def matrix(self, data: np.ndarray, dropped=None) -> sp.csr_matrix:
+        """CSR matrix of slot values; slots where `dropped` is set are left out."""
+        indptr, indices = self.indptr, self.indices
+        if dropped is not None and dropped.any():
+            kept = ~dropped
+            ends = np.zeros(self.nnz + 1, dtype=np.int32)
+            np.cumsum(kept, out=ends[1:])
+            indptr, indices, data = ends[indptr], indices[kept], data[kept]
+        mat = sp.csr_matrix((data, indices, indptr), shape=self.shape)
+        mat.has_canonical_format = True
+        return mat
 
 
 def compress(buffer: TripletBuffer, nrows: int, ncols: int) -> SparseMatrix:

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as kn
-from .fem import (apply_dirichlet, default_rule, p0_space, p1_scalar, p1_vector,
-                  rt0_basis, rt0_space)
-from .linalg import LinearSolveFailure, SparseMatrix, solve_linear
+from .fem import default_rule, p0_space, p1_scalar, p1_vector, rt0_basis, rt0_space
+from .linalg import CsrPattern, LinearSolveFailure, SparseMatrix, solve_linear
 from .mesh import StructuredTriMesh, boundary_dofs
 from .model import MaterialParams
 
@@ -113,12 +114,46 @@ def _scatter_vector(elem, dofs, n):
     return out
 
 
-def _block_triplets(elem, rows, cols):
+def _block_indices(rows, cols):
+    """Row and column of each entry of per-cell blocks, in elem.ravel() order."""
     a = rows.shape[1]
     b = cols.shape[1]
     r = np.repeat(rows[:, :, None], b, axis=2).ravel()
     c = np.repeat(cols[:, None, :], a, axis=1).ravel()
-    return r, c, elem.ravel()
+    return r, c
+
+
+def _slot_rows(csr) -> np.ndarray:
+    """Row of every stored entry of a CSR matrix or pattern."""
+    return np.repeat(np.arange(len(csr.indptr) - 1), np.diff(csr.indptr))
+
+
+def _stacked_indices(blocks):
+    """Rows and columns of blocks given as (rows, cols, row off, col off)."""
+    return (np.concatenate([r + ro for r, _, ro, _ in blocks]),
+            np.concatenate([c + co for _, c, _, co in blocks]))
+
+
+def _block_pattern(blocks, shape):
+    """Pattern of a matrix stacked from duplicate-free blocks.
+
+    blocks: (rows, cols, row offset, column offset) per block, in the
+    order their values are concatenated.  Also returns each slot's block.
+    """
+    pattern = CsrPattern(*_stacked_indices(blocks), shape)
+    block_of = np.concatenate([np.full(len(r), k, dtype=np.float64)
+                               for k, (r, _, _, _) in enumerate(blocks)])
+    return pattern, pattern.sum(block_of)
+
+
+class PhaseIntegrals(NamedTuple):
+    """phi at the quadrature points and kn.phase_cell_integrals of it."""
+
+    phi_q: np.ndarray
+    ibar: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    dinv: np.ndarray
 
 
 class ChbSystem:
@@ -127,6 +162,8 @@ class ChbSystem:
     Precomputes geometry tables, basis values at quadrature points, the
     constant P1 mass/stiffness matrices and the RT0 divergence matrix;
     the phi-dependent terms are assembled on demand through the kernels.
+    Each linear system's CSR pattern (a linalg.CsrPattern) is built at its
+    first assembly; later assemblies only compute and place values.
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
@@ -182,8 +219,8 @@ class ChbSystem:
 
         m_elem = (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
         k_elem = self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
-        self._m_trip = _block_triplets(m_elem, self.cells, self.cells)
-        self._k_trip = _block_triplets(k_elem, self.cells, self.cells)
+        self._m_trip = (*_block_indices(self.cells, self.cells), m_elem.ravel())
+        self._k_trip = (*_block_indices(self.cells, self.cells), k_elem.ravel())
         self.M = sp.coo_matrix((self._m_trip[2], self._m_trip[:2]),
                                shape=(self.nv, self.nv)).tocsr()
         self.K = sp.coo_matrix((self._k_trip[2], self._k_trip[:2]),
@@ -256,11 +293,23 @@ class ChbSystem:
         strain = self.strain_per_cell(u_fixed)
         w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain,
                            np.ascontiguousarray(p_fixed), pa)
-        r, c, v = _block_triplets(w_elem, self.cells, self.cells)
-        W = sp.coo_matrix((v, (r, c)), shape=(self.nv, self.nv)).tocsr()
-        J = sp.bmat([[self.M, pa.tau * pa.mobility * self.K],
-                     [-pa.gamma * pa.ell * self.K - W, self.M]], format="csr")
+        p1, pattern, block = self._ch_layout
+        W = p1.sum(w_elem.ravel())
+        # [[M, tau m K], [-gamma ell K - W, M]]; the sparse difference
+        # leaves out its exact zeros
+        data = pattern.sum(np.concatenate([
+            self.M.data, self.K.data * (pa.tau * pa.mobility),
+            self.K.data * (-pa.gamma * pa.ell) - W, self.M.data]))
+        J = pattern.matrix(data, dropped=(block == 2) & (data == 0))
         return res, SparseMatrix(J)
+
+    @cached_property
+    def _ch_layout(self):
+        """P1 pattern of M, K and W; CH Jacobian pattern and slot blocks."""
+        p1 = CsrPattern(self._m_trip[0], self._m_trip[1], (self.nv, self.nv))
+        r, c, nv = _slot_rows(p1), p1.indices, self.nv
+        blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
+        return (p1, *_block_pattern(blocks, (2 * nv, 2 * nv)))
 
     def solve_ch_subsystem(self, state_prev, u_fixed, p_fixed, config,
                            phi_init=None, mu_init=None):
@@ -287,29 +336,55 @@ class ChbSystem:
 
     # -- elasticity subsystem ----------------------------------------------
 
-    def _elasticity_data(self, phi):
+    def phase_integrals(self, phi) -> PhaseIntegrals:
+        """phi at the quadrature points and its cellwise phase integrals."""
+        phi_q = self.phi_at_qp(phi)
+        return PhaseIntegrals(phi_q,
+                              *kn.phase_cell_integrals(phi_q, self.wq, self.params))
+
+    def _elasticity_data(self, phi, phase=None):
         """Integrated stiffness, swelling load and pressure coupling per cell."""
         pa = self.params
-        phi_q = self.phi_at_qp(phi)
-        ibar, s1, s2, dinv = kn.phase_cell_integrals(phi_q, self.wq, pa)
+        if phase is None:
+            phase = self.phase_integrals(phi)
+        _, ibar, s1, s2, dinv = phase
         cint = self.areas[:, None, None] * pa.C0 + ibar[:, None, None] * pa.dC
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
         v = np.array([1.0, 1.0, 0.0])
         swell = pa.xi * (np.outer(s1, pa.C0 @ v) + np.outer(s2, pa.dC @ v))
         return cint, abar, swell, dinv
 
-    def solve_elasticity(self, phi, p_fixed):
-        """Solve the linear elasticity subsystem at the given phase field."""
-        cint, abar, swell, _ = self._elasticity_data(phi)
+    def solve_elasticity(self, phi, p_fixed, phase=None):
+        """Solve the linear elasticity subsystem at the given phase field.
+
+        phase: phase_integrals(phi), when the caller has it already.
+        """
+        cint, abar, swell, _ = self._elasticity_data(phi, phase)
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=True)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
                     + (abar * p_fixed)[:, None] * self.drow)
-        r, c, v = _block_triplets(a_elem, self.udofs, self.udofs)
-        A = sp.coo_matrix((v, (r, c)), shape=(2 * self.nv, 2 * self.nv)).tocsr()
+        pattern, fixed, fixed_diag = self._elasticity_layout
+        # Dirichlet dofs: rows and columns eliminated, identity on the
+        # diagonal, exact zeros left out
+        data = pattern.sum(a_elem.ravel())
+        data[fixed] = 0.0
+        data[fixed_diag] = 1.0
+        A = pattern.matrix(data, dropped=data == 0)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
-        A, b = apply_dirichlet(SparseMatrix(A), b, self.u_bdofs, symmetric=True)
-        return solve_linear(A, b)
+        b[self.u_bdofs] = 0.0
+        return solve_linear(SparseMatrix(A), b)
+
+    @cached_property
+    def _elasticity_layout(self):
+        """Stiffness pattern, its Dirichlet slots and their diagonal slots."""
+        pattern = CsrPattern(*_block_indices(self.udofs, self.udofs),
+                             (2 * self.nv, 2 * self.nv))
+        rows, cols = _slot_rows(pattern), pattern.indices
+        on_boundary = np.zeros(2 * self.nv, dtype=bool)
+        on_boundary[self.u_bdofs] = True
+        fixed = on_boundary[rows] | on_boundary[cols]
+        return pattern, fixed, np.flatnonzero(fixed & (rows == cols))
 
     # -- flow subsystem ------------------------------------------------------
 
@@ -322,28 +397,48 @@ class ChbSystem:
         divu = self.strain_per_cell(state.u) @ np.array([1.0, 1.0, 0.0])
         return dinv * state.p + abar * divu
 
-    def _flow_data(self, phi):
+    def _flow_data(self, phi, phase=None):
         pa = self.params
-        phi_q = self.phi_at_qp(phi)
-        ibar, _, _, dinv = kn.phase_cell_integrals(phi_q, self.wq, pa)
+        if phase is None:
+            phase = self.phase_integrals(phi)
+        phi_q, ibar, _, _, dinv = phase
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
         mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
         return dinv, abar, mq_elem
 
-    def solve_flow(self, phi, u, state_prev, config=None, storage_prev=None):
-        """Solve the mixed pressure/flux subsystem; returns (p, q)."""
+    def solve_flow(self, phi, u, state_prev, config=None, storage_prev=None,
+                   phase=None):
+        """Solve the mixed pressure/flux subsystem; returns (p, q).
+
+        phase: phase_integrals(phi), when the caller has it already.
+        """
         pa = self.params
-        dinv, abar, mq_elem = self._flow_data(phi)
+        dinv, abar, mq_elem = self._flow_data(phi, phase)
         if storage_prev is None:
             storage_prev = self.storage_coefficient(state_prev)
         divu = self.strain_per_cell(u) @ np.array([1.0, 1.0, 0.0])
         rhs = np.concatenate([storage_prev - abar * divu, np.zeros(self.ne)])
-        r, c, v = _block_triplets(mq_elem, self.qdofs, self.qdofs)
-        Mq = sp.coo_matrix((v, (r, c)), shape=(self.ne, self.ne)).tocsr()
-        A = sp.bmat([[sp.diags(dinv), pa.tau * self.Bdiv],
-                     [-self.BdivT, Mq]], format="csr")
+        mq, pattern, block = self._flow_layout
+        # [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]]; zeros of the diagonal
+        # block are left out
+        data = pattern.sum(np.concatenate([
+            dinv, self.Bdiv.data * pa.tau, -self.BdivT.data,
+            mq.sum(mq_elem.ravel())]))
+        A = pattern.matrix(data, dropped=(block == 0) & (data == 0))
         x = solve_linear(SparseMatrix(A), rhs)
         return x[:self.nc], x[self.nc:]
+
+    @cached_property
+    def _flow_layout(self):
+        """Pattern of Mq; flow matrix pattern and slot blocks."""
+        mq = CsrPattern(*_block_indices(self.qdofs, self.qdofs),
+                        (self.ne, self.ne))
+        diag, nc = np.arange(self.nc), self.nc
+        blocks = [(diag, diag, 0, 0),
+                  (_slot_rows(self.Bdiv), self.Bdiv.indices, 0, nc),
+                  (_slot_rows(self.BdivT), self.BdivT.indices, nc, 0),
+                  (_slot_rows(mq), mq.indices, nc, nc)]
+        return (mq, *_block_pattern(blocks, (nc + self.ne, nc + self.ne)))
 
     def flow_cell_residual(self, state_prev, state: FieldState) -> np.ndarray:
         """Per-cell mass balance residual of the flow equation at a state."""
@@ -381,9 +476,10 @@ class ChbSystem:
                     diverged=exc.diverged,
                     inner_newton=inner + [exc.iterations]) from exc
             inner.append(nit)
-            u_n = self.solve_elasticity(phi_n, p_o)
+            phase = self.phase_integrals(phi_n)
+            u_n = self.solve_elasticity(phi_n, p_o, phase=phase)
             p_n, q_n = self.solve_flow(phi_n, u_n, state_prev,
-                                       storage_prev=storage_prev)
+                                       storage_prev=storage_prev, phase=phase)
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
                                  + np.linalg.norm(mu_n - mu_o) ** 2
                                  + np.linalg.norm(u_n - u_o) ** 2
@@ -449,77 +545,71 @@ class ChbSystem:
         p_cell = np.ascontiguousarray(st.p)
         qloc = np.ascontiguousarray(st.q[self.qdofs])
 
-        rows, cols, vals = [], [], []
-
-        def add(trip, roff, coff):
-            rows.append(trip[0] + roff)
-            cols.append(trip[1] + coff)
-            vals.append(trip[2])
-
-        # (phi, *) and (mu, mu): constant blocks
-        add(self._m_trip, self.off_phi, self.off_phi)
-        add((self._k_trip[0], self._k_trip[1],
-             pa.tau * pa.mobility * self._k_trip[2]), self.off_phi, self.off_mu)
-        add(self._m_trip, self.off_mu, self.off_mu)
-
-        # (mu, phi): stiffness, convex double well and energy couplings
+        # values in the block order of _monolithic_layout
         w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain, p_cell, pa)
-        add((self._k_trip[0], self._k_trip[1],
-             -pa.gamma * pa.ell * self._k_trip[2]), self.off_mu, self.off_phi)
-        r, c, v = _block_triplets(w_elem, self.cells, self.cells)
-        add((r, c, -v), self.off_mu, self.off_phi)
-
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
             phi_q, self.wq, self.lam, strain, p_cell, qloc, self.B, self.psi_q, pa)
-
-        r, c, v = _block_triplets(mu_u, self.cells, self.udofs)
-        add((r, c, -v), self.off_mu, self.off_u)
-        r, c, v = _block_triplets(mu_p[:, :, None], self.cells, self.pdofs)
-        add((r, c, -v), self.off_mu, self.off_p)
-
         cint, abar, _, dinv = self._elasticity_data(st.phi)
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=True)
-        add(_block_triplets(a_elem, self.udofs, self.udofs),
-            self.off_u, self.off_u)
-        add(_block_triplets(u_phi, self.udofs, self.cells),
-            self.off_u, self.off_phi)
-        up_elem = -abar[:, None] * self.drow
-        add(_block_triplets(up_elem[:, :, None], self.udofs, self.pdofs),
-            self.off_u, self.off_p)
-
-        add(_block_triplets(p_phi, self.pdofs, self.cells),
-            self.off_p, self.off_phi)
-        pu_elem = abar[:, None] * self.drow
-        add(_block_triplets(pu_elem[:, None, :], self.pdofs, self.udofs),
-            self.off_p, self.off_u)
-        add((np.arange(self.nc), np.arange(self.nc), dinv),
-            self.off_p, self.off_p)
-        add((self._bdiv_trip[0], self._bdiv_trip[1],
-             pa.tau * self._bdiv_trip[2]), self.off_p, self.off_q)
-
         mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
-        add(_block_triplets(mq_elem, self.qdofs, self.qdofs),
-            self.off_q, self.off_q)
-        add((self._bdiv_trip[1], self._bdiv_trip[0],
-             -self._bdiv_trip[2]), self.off_q, self.off_p)
-        add(_block_triplets(q_phi, self.qdofs, self.cells),
-            self.off_q, self.off_phi)
+        m, k, div = self._m_trip[2], self._k_trip[2], self._bdiv_trip[2]
+        vals = np.concatenate([
+            m, pa.tau * pa.mobility * k, m, -pa.gamma * pa.ell * k,
+            -w_elem.ravel(), -mu_u.ravel(), -mu_p.ravel(),
+            a_elem.ravel(), u_phi.ravel(), (-abar[:, None] * self.drow).ravel(),
+            p_phi.ravel(), (abar[:, None] * self.drow).ravel(), dinv,
+            pa.tau * div, mq_elem.ravel(), -div, q_phi.ravel(),
+            np.ones(len(self.u_bdofs))])
+        pattern = self._monolithic_layout
+        return SparseMatrix(pattern.matrix(pattern.sum(vals)))
 
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+    @cached_property
+    def _monolithic_layout(self) -> CsrPattern:
+        """Pattern of the monolithic Jacobian.
 
+        Its triplets are the blocks below, in this order, followed by one
+        identity triplet per displacement Dirichlet dof, whose row drops
+        every other triplet.
+        """
+        # int32 throughout: the n=65 Jacobian has 1.3M triplets
+        cells, u, pd, q, m_r, m_c, div_r, div_c = (
+            a.astype(np.int32) for a in (self.cells, self.udofs, self.pdofs,
+                                         self.qdofs, *self._m_trip[:2],
+                                         *self._bdiv_trip[:2]))
+        off_phi, off_mu, off_u, off_p, off_q = (
+            self.off_phi, self.off_mu, self.off_u, self.off_p, self.off_q)
+        diag_p = np.arange(self.nc, dtype=np.int32)
+        rows, cols = _stacked_indices([
+            # (phi, *) and (mu, mu): constant blocks
+            (m_r, m_c, off_phi, off_phi), (m_r, m_c, off_phi, off_mu),
+            (m_r, m_c, off_mu, off_mu),
+            # (mu, phi): stiffness, convex double well and energy couplings
+            (m_r, m_c, off_mu, off_phi),
+            (*_block_indices(cells, cells), off_mu, off_phi),
+            (*_block_indices(cells, u), off_mu, off_u),
+            (*_block_indices(cells, pd), off_mu, off_p),
+            (*_block_indices(u, u), off_u, off_u),
+            (*_block_indices(u, cells), off_u, off_phi),
+            (*_block_indices(u, pd), off_u, off_p),
+            (*_block_indices(pd, cells), off_p, off_phi),
+            (*_block_indices(pd, u), off_p, off_u),
+            (diag_p, diag_p, off_p, off_p),
+            (div_r, div_c, off_p, off_q),
+            (*_block_indices(q, q), off_q, off_q),
+            (div_c, div_r, off_q, off_p),
+            (*_block_indices(q, cells), off_q, off_phi),
+        ])
         # displacement Dirichlet rows become identity rows
-        bmask = np.zeros(self.ndofs, dtype=bool)
-        bmask[self.off_u + self.u_bdofs] = True
-        keep = ~bmask[rows]
-        rows = np.concatenate([rows[keep], self.off_u + self.u_bdofs])
-        cols = np.concatenate([cols[keep], self.off_u + self.u_bdofs])
-        vals = np.concatenate([vals[keep], np.ones(len(self.u_bdofs))])
-        J = sp.coo_matrix((vals, (rows, cols)),
-                          shape=(self.ndofs, self.ndofs)).tocsr()
-        return SparseMatrix(J)
+        fixed = (off_u + self.u_bdofs).astype(np.int32)
+        on_boundary = np.zeros(self.ndofs, dtype=bool)
+        on_boundary[fixed] = True
+        kept = ~on_boundary[rows]
+        take = np.concatenate([np.flatnonzero(kept),
+                               len(rows) + np.arange(len(fixed))], dtype=np.int32)
+        rows = np.concatenate([rows[kept], fixed])
+        cols = np.concatenate([cols[kept], fixed])
+        return CsrPattern(rows, cols, (self.ndofs, self.ndofs), take=take)
 
     def monolithic_step(self, state_prev: FieldState, config: SolverConfig):
         """One time step of plain Newton on the full coupled system."""

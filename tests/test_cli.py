@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chbfem import cli
 from chbfem.cli import (CSV_HEADER, ConfigError, SimulationConfig,
@@ -67,8 +69,13 @@ def test_negative_tau_rejected_by_name(tmp_path):
     ({"gamma": 10 ** 400}, "gamma must be a positive number"),
     ({"C1": [[float("inf"), 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]},
      "C1 must have finite entries"),
+    ({"C0": [[True, 0, 0], [0, True, 0], [0, 0, True]]},
+     "C0 must have finite entries, each a number"),
+    ({"C1": [["100", "20", "0"], ["20", "100", "0"], ["0", "0", "100"]]},
+     "C1 must have finite entries, each a number"),
 ], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0",
-        "nan_xi", "inf_phi_bar", "nan_sweep_value", "huge_int_gamma", "inf_C1"])
+        "nan_xi", "inf_phi_bar", "nan_sweep_value", "huge_int_gamma", "inf_C1",
+        "bool_C0", "string_C1"])
 def test_invalid_field_rejected_by_name(tmp_path, data, message):
     path = write_config(tmp_path, data)
     with pytest.raises(ConfigError, match=message):
@@ -116,6 +123,59 @@ def test_config_round_trip(tmp_path):
                                                         "values": [0.5, 1.0]}}))
     again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
+
+
+# anything a JSON document can hold, and a few things it cannot
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10 ** 400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10)
+_NUMBER = st.integers(-3, 200) | st.floats(-1e3, 1e3)
+_ENTRY = _NUMBER | st.booleans() | st.just(float("nan")) | st.text(max_size=3)
+_FIELD_VALUES = {
+    "max_iter": st.integers(-2, 200), "n": st.integers(-2, 200),
+    "num_steps": st.integers(-2, 50), "vtk_every": st.integers(-2, 5),
+    "strategy": st.sampled_from(["monolithic", "splitting", "both", "Both"]),
+    "out_dir": st.text(max_size=8),
+    "C0": st.one_of(
+        st.floats(0.1, 1e3).map(lambda d: [[d, 0, 0], [0, d, 0], [0, 0, d]]),
+        st.lists(st.lists(_ENTRY, min_size=3, max_size=3), min_size=3,
+                 max_size=3),
+        st.lists(st.lists(_ENTRY, max_size=4), max_size=4)),
+    "sweep": st.fixed_dictionaries(
+        {"param": st.sampled_from(["gamma", "xi", "tau"])},
+        optional={"values": st.lists(_ENTRY, max_size=4)}),
+}
+_FIELD_VALUES["C1"] = _FIELD_VALUES["C0"]
+
+
+def _field_value(name):
+    return st.one_of(_FIELD_VALUES.get(name, _NUMBER), _ANY)
+
+
+_CONFIGS = st.sets(st.sampled_from(sorted(SimulationConfig.__dataclass_fields__)),
+                   max_size=5).flatmap(
+    lambda names: st.fixed_dictionaries({k: _field_value(k) for k in names}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_config_fuzz_builds_parameters_or_names_a_key(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError as exc:
+        # the defaults are valid, so an error must name one of the given keys
+        named = [k for k in data if re.search(rf"\b{k}\b", str(exc))]
+        assert named, (data, str(exc))
+        return
+    cfg.material_params()
+    param, values = cfg.sweep_plan()
+    for value in values if param != "none" else ():
+        cfg.material_params(**{param: value})
+    for strategy in ("monolithic", "splitting"):
+        cfg.solver_config(strategy)
 
 
 def test_default_sweep_grids():
@@ -336,7 +396,8 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_solver_fault_exit_code(tmp_path, monkeypatch):
-    def boom(self, phi, u, state_prev, config=None, storage_prev=None):
+    def boom(self, phi, u, state_prev, config=None, storage_prev=None,
+             phase=None):
         raise LinearSolveFailure("synthetic breakdown")
 
     monkeypatch.setattr(ChbSystem, "solve_flow", boom)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chbfem.linalg import (LinearSolveFailure, SparseMatrix, TripletBuffer,
-                           compress, norms, solve_linear)
+from chbfem.linalg import (CsrPattern, LinearSolveFailure, SparseMatrix,
+                           TripletBuffer, compress, norms, solve_linear)
 
 
 def test_duplicates_sum_on_compress():
@@ -162,3 +162,58 @@ def test_norms_examples():
     assert norms(np.zeros(5)) == (0.0, 0.0)
     l2, linf = norms(np.array([1.0, -2.0, 2.0]))
     assert np.isclose(l2, 3.0) and linf == 2.0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pattern_sums_like_coo_to_csr_bit_for_bit(seed):
+    # values of wildly different magnitudes and signed zeros make every
+    # change of summation order visible; long rows take scipy's sort past
+    # its insertion-sort cutoff
+    rng = np.random.default_rng(seed)
+    nrows, ncols = 7, 40
+    rows = np.concatenate([rng.integers(0, nrows, 400), np.full(300, 3)])
+    cols = rng.integers(0, ncols, len(rows))
+    pattern = CsrPattern(rows, cols, (nrows, ncols))
+    for _ in range(3):
+        vals = (rng.choice([1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 1e-300], len(rows))
+                * rng.uniform(0.5, 2.0, len(rows)))
+        ref = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+        assert np.array_equal(pattern.indptr, ref.indptr)
+        assert np.array_equal(pattern.indices, ref.indices)
+        assert np.array_equal(_bits(pattern.sum(vals)), _bits(ref.data))
+        A = pattern.matrix(pattern.sum(vals))
+        assert np.array_equal(A.toarray(), ref.toarray())
+
+
+def test_pattern_take_reads_a_longer_value_list():
+    rows = np.array([0, 1, 0, 1, 0])
+    cols = np.array([1, 0, 1, 1, 1])
+    keep = np.array([0, 2, 3, 4])
+    pattern = CsrPattern(rows[keep], cols[keep], (2, 2), take=keep)
+    vals = np.array([1.0, 100.0, 2.0, 4.0, 8.0])
+    assert np.array_equal(pattern.matrix(pattern.sum(vals)).toarray(),
+                          [[0.0, 11.0], [0.0, 4.0]])
+
+
+def test_pattern_matrix_leaves_out_dropped_slots():
+    pattern = CsrPattern([0, 0, 1, 2], [0, 2, 1, 2], (3, 3))
+    data = np.array([1.0, 0.0, 0.0, 3.0])
+    A = pattern.matrix(data, dropped=np.array([False, True, False, False]))
+    assert np.array_equal(A.indptr, [0, 1, 2, 3])
+    assert np.array_equal(A.indices, [0, 1, 2])
+    assert np.array_equal(A.data, [1.0, 0.0, 3.0])
+    # the pattern itself is shared by every matrix and stays intact
+    assert pattern.nnz == 4
+    with pytest.raises(ValueError):
+        pattern.indices[0] = 1
+
+
+def test_pattern_rejects_out_of_range_triplets():
+    with pytest.raises(ValueError, match="out of range"):
+        CsrPattern([0, 3], [0, 0], (3, 3))
+    with pytest.raises(ValueError, match="out of range"):
+        CsrPattern([0, 1], [0, -1], (3, 3))

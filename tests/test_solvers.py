@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chbfem.linalg import LinearSolveFailure, solve_linear
+from chbfem import _kernels as kn
+from chbfem import solvers
+from chbfem.fem import apply_dirichlet
+from chbfem.linalg import LinearSolveFailure, SparseMatrix, solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import (DIVERGENCE_LIMIT, ChbSystem, FieldState,
@@ -358,3 +361,173 @@ def test_initial_state_shapes_and_step(system4):
     for v, (x, _) in enumerate(system4.mesh.vertices):
         assert st.phi[v] == (1.0 if x >= 0.5 else 0.0)
     assert np.all(st.mu == 0.0) and np.all(st.p == 0.0)
+
+
+# -- assembly on cached sparsity patterns ---------------------------------------
+# References build each system the direct way, with a COO-to-CSR conversion,
+# sp.bmat and fem.apply_dirichlet; the cached patterns must reproduce them
+# entry for entry, and leave out the same exact zeros.
+
+def _coo(elem, rows, cols, shape):
+    r = np.repeat(rows[:, :, None], cols.shape[1], axis=2).ravel()
+    c = np.repeat(cols[:, None, :], rows.shape[1], axis=1).ravel()
+    return sp.coo_matrix((elem.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def reference_ch_jacobian(o, phi, u, p):
+    pa = o.params
+    w_elem = kn.ch_jac(o.phi_at_qp(phi), o.wq, o.lam, o.strain_per_cell(u),
+                       np.ascontiguousarray(p), pa)
+    W = _coo(w_elem, o.cells, o.cells, (o.nv, o.nv))
+    return sp.bmat([[o.M, pa.tau * pa.mobility * o.K],
+                    [-pa.gamma * pa.ell * o.K - W, o.M]], format="csr")
+
+
+def reference_elasticity_system(o, phi, p):
+    cint, abar, swell, _ = o._elasticity_data(phi)
+    a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
+    rhs_elem = (np.einsum("cai,ca->ci", o.B, swell)
+                + (abar * p)[:, None] * o.drow)
+    A = _coo(a_elem, o.udofs, o.udofs, (2 * o.nv, 2 * o.nv))
+    b = np.zeros(2 * o.nv)
+    np.add.at(b, o.udofs.ravel(), rhs_elem.ravel())
+    return apply_dirichlet(SparseMatrix(A), b, o.u_bdofs, symmetric=True)
+
+
+def reference_flow_matrix(o, phi):
+    dinv, _, mq_elem = o._flow_data(phi)
+    Mq = _coo(mq_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
+    return sp.bmat([[sp.diags(dinv), o.params.tau * o.Bdiv],
+                    [-o.BdivT, Mq]], format="csr")
+
+
+def reference_monolithic_jacobian(o, st):
+    pa = o.params
+    phi_q = o.phi_at_qp(st.phi)
+    strain = o.strain_per_cell(st.u)
+    p_cell = np.ascontiguousarray(st.p)
+    w_elem = kn.ch_jac(phi_q, o.wq, o.lam, strain, p_cell, pa)
+    mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
+        phi_q, o.wq, o.lam, strain, p_cell,
+        np.ascontiguousarray(st.q[o.qdofs]), o.B, o.psi_q, pa)
+    cint, abar, _, dinv = o._elasticity_data(st.phi)
+    a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
+    mq_elem = kn.rt0_weighted_mass(phi_q, o.wq, o.psi_q, pa)
+    cells, u, pd, q = o.cells, o.udofs, o.pdofs, o.qdofs
+    m, k = o._m_trip[2].reshape(-1, 3, 3), o._k_trip[2].reshape(-1, 3, 3)
+    div = o._bdiv_trip[2].reshape(-1, 3, 1)
+    diag = np.arange(o.nc)[:, None]
+    blocks = [  # (elem, row dofs, col dofs, row offset, col offset)
+        (m, cells, cells, o.off_phi, o.off_phi),
+        (pa.tau * pa.mobility * k, cells, cells, o.off_phi, o.off_mu),
+        (m, cells, cells, o.off_mu, o.off_mu),
+        (-pa.gamma * pa.ell * k, cells, cells, o.off_mu, o.off_phi),
+        (-w_elem, cells, cells, o.off_mu, o.off_phi),
+        (-mu_u, cells, u, o.off_mu, o.off_u),
+        (-mu_p[:, :, None], cells, pd, o.off_mu, o.off_p),
+        (a_elem, u, u, o.off_u, o.off_u),
+        (u_phi, u, cells, o.off_u, o.off_phi),
+        ((-abar[:, None] * o.drow)[:, :, None], u, pd, o.off_u, o.off_p),
+        (p_phi, pd, cells, o.off_p, o.off_phi),
+        ((abar[:, None] * o.drow)[:, None, :], pd, u, o.off_p, o.off_u),
+        (dinv[:, None, None], diag, diag, o.off_p, o.off_p),
+        (pa.tau * div.transpose(0, 2, 1), pd, q, o.off_p, o.off_q),
+        (mq_elem, q, q, o.off_q, o.off_q),
+        (-div, q, pd, o.off_q, o.off_p),
+        (q_phi, q, cells, o.off_q, o.off_phi),
+    ]
+    rows, cols, vals = [], [], []
+    for elem, rdofs, cdofs, roff, coff in blocks:
+        rows.append(np.repeat(rdofs[:, :, None], cdofs.shape[1], axis=2).ravel()
+                    + roff)
+        cols.append(np.repeat(cdofs[:, None, :], rdofs.shape[1], axis=1).ravel()
+                    + coff)
+        vals.append(elem.ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    fixed = o.off_u + o.u_bdofs
+    keep = ~np.isin(rows, fixed)
+    rows = np.concatenate([rows[keep], fixed])
+    cols = np.concatenate([cols[keep], fixed])
+    vals = np.concatenate([vals[keep], np.ones(len(fixed))])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(o.ndofs, o.ndofs)).tocsr()
+
+
+def assert_same_csr(A, B):
+    A = A.to_scipy() if isinstance(A, SparseMatrix) else A
+    B = B.to_scipy() if isinstance(B, SparseMatrix) else B
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("phi_range", [(0.15, 0.85), (-0.4, 1.4)],
+                         ids=["inside", "beyond_unit_interval"])
+def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
+    o = ChbSystem(build_unit_square_mesh(n), MaterialParams(xi=2.0))
+    rng = np.random.default_rng(n)
+    solved = []
+    monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
+        solved.append((A, b)), np.zeros(len(b)))[1])
+    for _ in range(3):  # the first call builds the patterns, later ones fill
+        prev = random_state(o, rng, *phi_range)
+        st = random_state(o, rng, *phi_range, n=1)
+        _, J = o.ch_residual_and_jacobian(prev, st.phi, st.mu, st.u, st.p)
+        assert_same_csr(J, reference_ch_jacobian(o, st.phi, st.u, st.p))
+        assert_same_csr(o.monolithic_jacobian(prev, st),
+                        reference_monolithic_jacobian(o, st))
+        solved.clear()
+        o.solve_elasticity(st.phi, st.p)
+        o.solve_flow(st.phi, st.u, prev)
+        (A_el, b_el), (A_fl, b_fl) = solved
+        A_ref, b_ref = reference_elasticity_system(o, st.phi, st.p)
+        assert_same_csr(A_el, A_ref)
+        assert np.array_equal(b_el, b_ref)
+        assert_same_csr(A_fl, reference_flow_matrix(o, st.phi))
+        dinv, abar, _ = o._flow_data(st.phi)
+        divu = o.strain_per_cell(st.u) @ np.array([1.0, 1.0, 0.0])
+        assert np.array_equal(b_fl[:o.nc], o.storage_coefficient(prev) - abar * divu)
+        assert np.array_equal(b_fl[o.nc:], np.zeros(o.ne))
+
+
+def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
+    # the eliminated Dirichlet rows and columns, and the stiffness's own
+    # exact zeros, are left out of the matrix, as apply_dirichlet does
+    solved = []
+    monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
+        solved.append(A), np.zeros(len(b)))[1])
+    phi = np.full(system4.nv, 0.5)
+    system4.solve_elasticity(phi, np.zeros(system4.nc))
+    A_ref, _ = reference_elasticity_system(system4, phi, np.zeros(system4.nc))
+    assert solved[0].nnz == A_ref.nnz < system4._elasticity_layout[0].nnz
+
+
+def test_later_steps_build_no_sparsity(system4, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sparsity rebuilt after the first step")
+
+    states = {}
+    for strategy in ("splitting", "monolithic"):
+        cfg = SolverConfig(strategy=strategy, num_steps=1)
+        states[strategy], _ = advance_simulation(system4, system4.initial_state(),
+                                                 cfg)
+    monkeypatch.setattr(solvers.sp, "coo_matrix", forbidden)
+    monkeypatch.setattr(solvers.sp, "bmat", forbidden)
+    for strategy, state in states.items():
+        cfg = SolverConfig(strategy=strategy, num_steps=1)
+        _, stats = advance_simulation(system4, state, cfg)
+        assert stats[0].converged
+
+
+def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
+    calls = []
+    integrals = kn.phase_cell_integrals
+    monkeypatch.setattr(kn, "phase_cell_integrals",
+                        lambda *args: (calls.append(1), integrals(*args))[1])
+    _, stats = system4.splitting_step(system4.initial_state(), SolverConfig())
+    # one per outer iteration, plus the storage term of the previous step
+    assert len(calls) == stats.outer_iters + 1
+    calls.clear()
+    _, stats = system4.monolithic_step(system4.initial_state(), SolverConfig())
+    assert len(calls) == 3 * stats.newton_iters
