@@ -109,9 +109,8 @@ class SolverConfig:
 
 
 def _scatter_vector(elem, dofs, n):
-    out = np.zeros(n)
-    np.add.at(out, dofs.ravel(), elem.ravel())
-    return out
+    """Sum element vectors into a global one; adds in ravel order from 0.0."""
+    return np.bincount(dofs.ravel(), weights=elem.ravel(), minlength=n)
 
 
 def _block_indices(rows, cols):
@@ -247,6 +246,11 @@ class ChbSystem:
         return np.ascontiguousarray(
             np.einsum("cil,cl->ci", self.B, u[self.udofs]))
 
+    def pointwise(self, phi, u, p) -> kn.Pointwise:
+        """Kernel pointwise values at the iterate (phi, u, p)."""
+        return kn.Pointwise(self.phi_at_qp(phi), self.strain_per_cell(u),
+                            np.ascontiguousarray(p), self.params)
+
     def initial_state(self, phi_expr=None) -> FieldState:
         """State at time level 0: half-domain phase split, everything else zero."""
         if phi_expr is None:
@@ -268,14 +272,16 @@ class ChbSystem:
 
     # -- Cahn-Hilliard subsystem -------------------------------------------
 
-    def ch_residual(self, state_prev, phi_i, mu_i, u_fixed, p_fixed):
-        """Stacked residual of the (phi, mu) block with u, p frozen."""
+    def ch_residual(self, state_prev, phi_i, mu_i, u_fixed, p_fixed, pw=None):
+        """Stacked residual of the (phi, mu) block with u, p frozen.
+
+        pw: pointwise(phi_i, u_fixed, p_fixed), when the caller has it.
+        """
         pa = self.params
-        phi_q = self.phi_at_qp(phi_i)
-        strain = self.strain_per_cell(u_fixed)
-        nl_elem = kn.ch_load(phi_q, self.wq, self.lam, strain,
-                             np.ascontiguousarray(p_fixed), pa)
-        nl = _scatter_vector(nl_elem, self.cells, self.nv)
+        if pw is None:
+            pw = self.pointwise(phi_i, u_fixed, p_fixed)
+        nl = _scatter_vector(kn.ch_load(pw, self.wq, self.lam), self.cells,
+                             self.nv)
         r_phi = self.M @ (phi_i - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu_i)
         r_mu = (self.M @ mu_i - pa.gamma * pa.ell * (self.K @ phi_i) - nl
                 + (pa.gamma / pa.ell) * (self.M @ (state_prev.phi - 0.5)))
@@ -288,11 +294,9 @@ class ChbSystem:
         at phi_i (implicit), the expansive term at the previous time step.
         """
         pa = self.params
-        res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed)
-        phi_q = self.phi_at_qp(phi_i)
-        strain = self.strain_per_cell(u_fixed)
-        w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain,
-                           np.ascontiguousarray(p_fixed), pa)
+        pw = self.pointwise(phi_i, u_fixed, p_fixed)
+        res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw)
+        w_elem = kn.ch_jac(pw, self.wq, self.lam)
         p1, pattern, block = self._ch_layout
         W = p1.sum(w_elem.ravel())
         # [[M, tau m K], [-gamma ell K - W, M]]; the sparse difference
@@ -336,9 +340,13 @@ class ChbSystem:
 
     # -- elasticity subsystem ----------------------------------------------
 
-    def phase_integrals(self, phi) -> PhaseIntegrals:
-        """phi at the quadrature points and its cellwise phase integrals."""
-        phi_q = self.phi_at_qp(phi)
+    def phase_integrals(self, phi, phi_q=None) -> PhaseIntegrals:
+        """phi at the quadrature points and its cellwise phase integrals.
+
+        phi_q: phi_at_qp(phi), when the caller has it already.
+        """
+        if phi_q is None:
+            phi_q = self.phi_at_qp(phi)
         return PhaseIntegrals(phi_q,
                               *kn.phase_cell_integrals(phi_q, self.wq, self.params))
 
@@ -442,12 +450,9 @@ class ChbSystem:
 
     def flow_cell_residual(self, state_prev, state: FieldState) -> np.ndarray:
         """Per-cell mass balance residual of the flow equation at a state."""
-        pa = self.params
-        dinv, abar, _ = self._flow_data(state.phi)
-        divu = self.strain_per_cell(state.u) @ np.array([1.0, 1.0, 0.0])
-        storage_prev = self.storage_coefficient(state_prev)
-        return (dinv * state.p + abar * divu - storage_prev
-                + pa.tau * (self.Bdiv @ state.q))
+        return (self.storage_coefficient(state)
+                - self.storage_coefficient(state_prev)
+                + self.params.tau * (self.Bdiv @ state.q))
 
     # -- splitting strategy ---------------------------------------------------
 
@@ -503,21 +508,31 @@ class ChbSystem:
 
     # -- monolithic strategy ----------------------------------------------
 
+    def monolithic_iterate(self, state: FieldState):
+        """(pointwise values, RT0 mass) shared by a monolithic residual and
+        Jacobian at the same iterate."""
+        pw = self.pointwise(state.phi, state.u, state.p)
+        return pw, kn.rt0_weighted_mass(pw.phi_q, self.wq, self.psi_q,
+                                        self.params)
+
     def monolithic_residual(self, state_prev: FieldState,
-                            state_iter: FieldState) -> np.ndarray:
+                            state_iter: FieldState, at=None) -> np.ndarray:
         """Stacked residual of all five blocks with every coupling implicit.
 
         Only the expansive double-well term and the storage term keep
         their previous-time-step evaluation; boundary rows of the
-        displacement block read u - 0.
+        displacement block read u - 0.  at: monolithic_iterate(state_iter),
+        when the caller has it.
         """
         pa = self.params
         st = state_iter
+        pw, mq_elem = self.monolithic_iterate(st) if at is None else at
         res = np.empty(self.ndofs)
         res[:2 * self.nv] = self.ch_residual(state_prev, st.phi, st.mu,
-                                             st.u, st.p)
-        cint, abar, swell, dinv = self._elasticity_data(st.phi)
-        strain = self.strain_per_cell(st.u)
+                                             st.u, st.p, pw)
+        cint, abar, swell, dinv = self._elasticity_data(
+            st.phi, self.phase_integrals(st.phi, pw.phi_q))
+        strain = pw.strain
         sint = np.einsum("cab,cb->ca", cint, strain) - swell
         ru_elem = (np.einsum("cai,ca->ci", self.B, sint)
                    - (abar * st.p)[:, None] * self.drow)
@@ -528,31 +543,30 @@ class ChbSystem:
         storage_prev = self.storage_coefficient(state_prev)
         res[self.off_p:self.off_q] = (dinv * st.p + abar * divu - storage_prev
                                       + pa.tau * (self.Bdiv @ st.q))
-        mq_elem = kn.rt0_weighted_mass(self.phi_at_qp(st.phi), self.wq,
-                                       self.psi_q, pa)
         mq_q = np.einsum("cij,cj->ci", mq_elem, st.q[self.qdofs])
         res[self.off_q:] = _scatter_vector(mq_q, self.qdofs, self.ne) \
             - self.BdivT @ st.p
         return res
 
     def monolithic_jacobian(self, state_prev: FieldState,
-                            state_iter: FieldState) -> SparseMatrix:
-        """Exact Jacobian of monolithic_residual at the iterate."""
+                            state_iter: FieldState, at=None) -> SparseMatrix:
+        """Exact Jacobian of monolithic_residual at the iterate.
+
+        at: monolithic_iterate(state_iter), when the caller has it.
+        """
         pa = self.params
         st = state_iter
-        phi_q = self.phi_at_qp(st.phi)
-        strain = self.strain_per_cell(st.u)
-        p_cell = np.ascontiguousarray(st.p)
+        pw, mq_elem = self.monolithic_iterate(st) if at is None else at
         qloc = np.ascontiguousarray(st.q[self.qdofs])
 
         # values in the block order of _monolithic_layout
-        w_elem = kn.ch_jac(phi_q, self.wq, self.lam, strain, p_cell, pa)
+        w_elem = kn.ch_jac(pw, self.wq, self.lam)
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
-            phi_q, self.wq, self.lam, strain, p_cell, qloc, self.B, self.psi_q, pa)
-        cint, abar, _, dinv = self._elasticity_data(st.phi)
+            pw, self.wq, self.lam, qloc, self.B, self.psi_q)
+        cint, abar, _, dinv = self._elasticity_data(
+            st.phi, self.phase_integrals(st.phi, pw.phi_q))
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=True)
-        mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
         m, k, div = self._m_trip[2], self._k_trip[2], self._bdiv_trip[2]
         vals = np.concatenate([
             m, pa.tau * pa.mobility * k, m, -pa.gamma * pa.ell * k,
@@ -618,8 +632,10 @@ class ChbSystem:
         state.n = state_prev.n + 1
         norm = np.inf
         for it in range(1, config.max_iter + 1):
-            res = self.monolithic_residual(state_prev, state)
-            J = self.monolithic_jacobian(state_prev, state)
+            at = self.monolithic_iterate(state)
+            res = self.monolithic_residual(state_prev, state, at)
+            J = self.monolithic_jacobian(state_prev, state, at)
+            del at  # its pointwise arrays need not outlive the factorization
             delta = solve_linear(J, -res)
             x = self.pack(state) + delta
             state = self.unpack(x, state.n)

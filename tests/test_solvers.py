@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import reference_kernels as ref
 from chbfem import _kernels as kn
 from chbfem import solvers
 from chbfem.fem import apply_dirichlet
@@ -32,6 +33,24 @@ def fd_jacobian(residual, x0, h=1e-6):
         xm[k] -= h
         J[:, k] = (residual(xp) - residual(xm)) / (2.0 * h)
     return J
+
+
+def test_scatter_vector_adds_like_add_at():
+    # duplicate dofs, signed zeros (dof 1 receives only -0.0) and a dof
+    # no element touches
+    dofs = np.array([[0, 2, 1], [2, 0, 4], [4, 1, 0]])
+    elem = np.array([[-0.0, 1e-17, -0.0], [-0.0, 0.1, 1.0], [0.3, -0.0, 0.2]])
+    want = np.zeros(6)
+    np.add.at(want, dofs.ravel(), elem.ravel())
+    got = solvers._scatter_vector(elem, dofs, 6)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    rng = np.random.default_rng(40)
+    dofs = rng.integers(0, 50, (200, 3))
+    elem = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-8, 8, (200, 3))
+    want = np.zeros(50)
+    np.add.at(want, dofs.ravel(), elem.ravel())
+    assert np.array_equal(solvers._scatter_vector(elem, dofs, 50), want)
 
 
 def test_solver_config_validation():
@@ -376,8 +395,8 @@ def _coo(elem, rows, cols, shape):
 
 def reference_ch_jacobian(o, phi, u, p):
     pa = o.params
-    w_elem = kn.ch_jac(o.phi_at_qp(phi), o.wq, o.lam, o.strain_per_cell(u),
-                       np.ascontiguousarray(p), pa)
+    w_elem = ref.ch_jac(o.phi_at_qp(phi), o.wq, o.lam, o.strain_per_cell(u),
+                        np.ascontiguousarray(p), pa)
     W = _coo(w_elem, o.cells, o.cells, (o.nv, o.nv))
     return sp.bmat([[o.M, pa.tau * pa.mobility * o.K],
                     [-pa.gamma * pa.ell * o.K - W, o.M]], format="csr")
@@ -395,7 +414,8 @@ def reference_elasticity_system(o, phi, p):
 
 
 def reference_flow_matrix(o, phi):
-    dinv, _, mq_elem = o._flow_data(phi)
+    dinv, _, _ = o._flow_data(phi)
+    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq, o.psi_q, o.params)
     Mq = _coo(mq_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
     return sp.bmat([[sp.diags(dinv), o.params.tau * o.Bdiv],
                     [-o.BdivT, Mq]], format="csr")
@@ -406,13 +426,13 @@ def reference_monolithic_jacobian(o, st):
     phi_q = o.phi_at_qp(st.phi)
     strain = o.strain_per_cell(st.u)
     p_cell = np.ascontiguousarray(st.p)
-    w_elem = kn.ch_jac(phi_q, o.wq, o.lam, strain, p_cell, pa)
-    mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
+    w_elem = ref.ch_jac(phi_q, o.wq, o.lam, strain, p_cell, pa)
+    mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
         phi_q, o.wq, o.lam, strain, p_cell,
         np.ascontiguousarray(st.q[o.qdofs]), o.B, o.psi_q, pa)
     cint, abar, _, dinv = o._elasticity_data(st.phi)
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
-    mq_elem = kn.rt0_weighted_mass(phi_q, o.wq, o.psi_q, pa)
+    mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, o.psi_q, pa)
     cells, u, pd, q = o.cells, o.udofs, o.pdofs, o.qdofs
     m, k = o._m_trip[2].reshape(-1, 3, 3), o._k_trip[2].reshape(-1, 3, 3)
     div = o._bdiv_trip[2].reshape(-1, 3, 1)
