@@ -230,6 +230,9 @@ def coupling_blocks(pw: Pointwise, wq, lam, qloc, B, psi_q):
     Returns (mu_u, mu_p, u_phi, p_phi, q_phi) with shapes
     (nc,3,6), (nc,3), (nc,6,3), (nc,3), (nc,3,3).  Signs are those of the
     raw derivative; callers place them in the residual's Jacobian.
+    MaterialParams stores C0 and C1 exactly symmetric, so the row of
+    d(dphi_E)/d(strain) equals the column of d(elastic residual)/d(phi)
+    bit for bit, and u_phi is mu_u transposed.
     """
     pa = pw.params
     xi, p, C, M, Mp, ap, divu = pa.xi, pw.p, pw.C, pw.M, pw.Mp, pw.ap, pw.divu
@@ -246,10 +249,6 @@ def coupling_blocks(pw: Pointwise, wq, lam, qloc, B, psi_q):
     dfl_dp = Mp * p[:, None] / (M * M) - ap * divu[:, None]
     mu_p = np.einsum("cq,qi->ci", wq * dfl_dp, lam)
 
-    # d(elastic residual)/d(phi): C'(phi)(e - T) - C(phi) T'
-    col = pip_dCem - xi * (C[..., :, 0] + C[..., :, 1])
-    u_phi = _lam_outer_sum(wq, lam, B, col) - dterm
-
     dstor = -p[:, None] * Mp / (M * M) + divu[:, None] * ap
     p_phi = np.einsum("cq,qk->ck", wq * dstor, lam)
 
@@ -261,5 +260,6 @@ def coupling_blocks(pw: Pointwise, wq, lam, qloc, B, psi_q):
                       + qloc[:, None, 2, None] * psi_q[:, :, 2])
     q_phi = _psi_sum(wq * dkinv, _cells_last(psi_q), lambda q, wpsi: (
         (wpsi * qhT[q])[:, None] * lam[q, None, :, None, None]))
-    return (_cells_first(mu_u, (2, 0, 1)), mu_p,
-            _cells_first(u_phi, (2, 1, 0)), p_phi, _cells_first(q_phi, (2, 0, 1)))
+    mu_u = _cells_first(mu_u, (2, 0, 1))
+    return (mu_u, mu_p, np.ascontiguousarray(mu_u.transpose(0, 2, 1)), p_phi,
+            _cells_first(q_phi, (2, 0, 1)))

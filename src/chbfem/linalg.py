@@ -1,9 +1,9 @@
-"""Sparse assembly buffers and direct linear solves.
+"""Fixed CSR layouts and verified direct linear solves.
 
-Storage and factorization are delegated to scipy.sparse; this module pins
-down the contracts the rest of the code relies on: duplicate triplets sum
-on compression, compressed rows are sorted, and every solve is verified
-against the residual tolerance below.
+Matrices are scipy.sparse CSR matrices throughout; this module pins down
+the contracts the rest of the code relies on: duplicate triplets sum in
+the order scipy's COO-to-CSR conversion adds them, each row's columns are
+sorted, and every solve is verified against the residual tolerance below.
 
 A CsrPattern holds the CSR layout of a triplet list whose positions stay
 fixed while its values change, as in every Newton or outer iteration on
@@ -33,80 +33,6 @@ SOLVE_RTOL = 1e-10
 
 class LinearSolveFailure(Exception):
     """Factorization breakdown or a solve that missed the residual contract."""
-
-
-class TripletBuffer:
-    """Accumulates (row, col, value) contributions; duplicates sum on compress."""
-
-    def __init__(self):
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, row: int, col: int, value: float) -> None:
-        self._rows.append(np.asarray([row], dtype=np.int64))
-        self._cols.append(np.asarray([col], dtype=np.int64))
-        self._vals.append(np.asarray([value], dtype=np.float64))
-
-    def add_block(self, rows, cols, values) -> None:
-        """Append flattened index/value arrays of equal length."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if not (rows.shape == cols.shape == values.shape):
-            raise ValueError("rows, cols and values must have matching sizes")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(values)
-
-    def arrays(self):
-        if self._rows:
-            return (np.concatenate(self._rows), np.concatenate(self._cols),
-                    np.concatenate(self._vals))
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self._rows)
-
-
-class SparseMatrix:
-    """Compressed sparse row matrix with sorted, duplicate-free columns."""
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self._csr = csr
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
-    @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._csr
 
 
 class CsrPattern:
@@ -188,23 +114,6 @@ class CsrPattern:
         return mat
 
 
-def compress(buffer: TripletBuffer, nrows: int, ncols: int) -> SparseMatrix:
-    """Compress a triplet buffer, summing duplicate entries.
-
-    Raises
-    ------
-    ValueError
-        If any index falls outside [0, nrows) x [0, ncols).
-    """
-    rows, cols, vals = buffer.arrays()
-    if len(rows) and (rows.min() < 0 or rows.max() >= nrows):
-        raise ValueError("row index out of range")
-    if len(cols) and (cols.min() < 0 or cols.max() >= ncols):
-        raise ValueError("column index out of range")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    return SparseMatrix(coo.tocsr())
-
-
 def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Return x if it is finite and meets SOLVE_RTOL, else raise."""
     if not np.all(np.isfinite(x)):
@@ -216,19 +125,21 @@ def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with a residual check.
+def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a square scipy sparse matrix, checking the residual.
 
-    Handles nonsymmetric and indefinite (saddle-point) systems.  The
-    matrix is first factored in SuperLU's symmetric mode (MMD on A^T + A,
-    diagonal pivots preferred); if that factorization breaks down or its
-    solution misses the contract below, the solve is repeated with COLAMD
-    and partial pivoting.  The returned x satisfies
+    A is used as it is when it is CSR, as CsrPattern.matrix returns it,
+    and converted otherwise.  Handles nonsymmetric and indefinite
+    (saddle-point) systems.  The matrix is first factored in SuperLU's
+    symmetric mode (MMD on A^T + A, diagonal pivots preferred); if that
+    factorization breaks down or its solution misses the contract below,
+    the solve is repeated with COLAMD and partial pivoting.  The returned
+    x satisfies
     ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else LinearSolveFailure is
     raised; singular factorizations raise the same error so callers can
     tell linear breakdown apart from nonlinear non-convergence.
     """
-    mat = A.to_scipy() if isinstance(A, SparseMatrix) else A.tocsr()
+    mat = A.tocsr()
     nrows, ncols = mat.shape
     if nrows != ncols:
         raise LinearSolveFailure(f"matrix is not square: {mat.shape}")
@@ -246,11 +157,3 @@ def solve_linear(A: SparseMatrix | sp.spmatrix, b: np.ndarray) -> np.ndarray:
     except RuntimeError as exc:  # raised by SuperLU on singular factors
         raise LinearSolveFailure(f"sparse factorization failed: {exc}") from exc
     return _verified(mat, x, b)
-
-
-def norms(v: np.ndarray) -> tuple[float, float]:
-    """(l2, linf) norms of a vector; (0, 0) for the empty vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        return 0.0, 0.0
-    return float(np.linalg.norm(v)), float(np.max(np.abs(v)))

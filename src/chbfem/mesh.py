@@ -126,31 +126,6 @@ def build_unit_square_mesh(n: int) -> StructuredTriMesh:
     )
 
 
-def cell_geometry(mesh: StructuredTriMesh, cell_index: int):
-    """Area, vertex coordinates and P1 basis gradients of one cell.
-
-    Returns
-    -------
-    (area, coords, grads)
-        area : positive float; coords : (3, 2) vertex coordinates;
-        grads : (3, 2) constant gradients of the barycentric basis
-        functions (they sum to the zero vector).
-    """
-    if not 0 <= cell_index < mesh.num_cells:
-        raise IndexError(f"cell index {cell_index} out of range [0, {mesh.num_cells})")
-    coords = mesh.vertices[mesh.cells[cell_index]]
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    twice_area = d1[0] * d2[1] - d1[1] * d2[0]
-    grads = np.empty((3, 2))
-    for k in range(3):
-        a = coords[(k + 1) % 3]
-        b = coords[(k + 2) % 3]
-        grads[k] = (a[1] - b[1], b[0] - a[0])
-    grads /= twice_area
-    return 0.5 * twice_area, coords, grads
-
-
 def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:
     """Indices of boundary entities for vertex- or edge-based spaces.
 

@@ -56,6 +56,10 @@ class MaterialParams:
             errors += stiffness_errors(name, getattr(self, name))
         if errors:
             raise ValueError("invalid material parameters: " + "; ".join(errors))
+        # exactly symmetric, as the kernels assume; the same bits for a
+        # matrix that is symmetric already
+        self.C0 = 0.5 * (self.C0 + self.C0.T)
+        self.C1 = 0.5 * (self.C1 + self.C1.T)
 
     @property
     def dC(self) -> np.ndarray:

@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as kn
-from .fem import default_rule, p0_space, p1_scalar, p1_vector, rt0_basis, rt0_space
-from .linalg import CsrPattern, LinearSolveFailure, SparseMatrix, solve_linear
+from .fem import default_rule, rt0_basis
+from .linalg import CsrPattern, LinearSolveFailure, solve_linear
 from .mesh import StructuredTriMesh, boundary_dofs
 from .model import MaterialParams
 
@@ -168,10 +168,6 @@ class ChbSystem:
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
         self.mesh = mesh
         self.params = params
-        self.ch_space = p1_scalar(mesh)
-        self.u_space = p1_vector(mesh)
-        self.p_space = p0_space(mesh)
-        self.q_space = rt0_space(mesh)
 
         self.nv = mesh.num_vertices
         self.nc = mesh.num_cells
@@ -211,10 +207,16 @@ class ChbSystem:
 
         self.psi_q = rt0_basis(mesh, self.lam)
 
+        # cell-to-dof maps: u interleaved per vertex, one p dof per cell
         self.cells = mesh.cells
-        self.udofs = self.u_space.cell_dofs
-        self.pdofs = self.p_space.cell_dofs
+        udofs = np.empty((self.nc, 6), dtype=np.int64)
+        udofs[:, 0::2] = 2 * mesh.cells
+        udofs[:, 1::2] = 2 * mesh.cells + 1
+        self.udofs = udofs
+        self.pdofs = np.arange(self.nc, dtype=np.int64)[:, None]
         self.qdofs = mesh.cell_edges
+        for dofs in (self.udofs, self.pdofs):
+            dofs.setflags(write=False)
 
         m_elem = (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
         k_elem = self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
@@ -305,7 +307,7 @@ class ChbSystem:
             self.M.data, self.K.data * (pa.tau * pa.mobility),
             self.K.data * (-pa.gamma * pa.ell) - W, self.M.data]))
         J = pattern.matrix(data, dropped=(block == 2) & (data == 0))
-        return res, SparseMatrix(J)
+        return res, J
 
     @cached_property
     def _ch_layout(self):
@@ -381,7 +383,7 @@ class ChbSystem:
         A = pattern.matrix(data, dropped=data == 0)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
-        return solve_linear(SparseMatrix(A), b)
+        return solve_linear(A, b)
 
     @cached_property
     def _elasticity_layout(self):
@@ -414,8 +416,7 @@ class ChbSystem:
         mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
         return dinv, abar, mq_elem
 
-    def solve_flow(self, phi, u, state_prev, config=None, storage_prev=None,
-                   phase=None):
+    def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None):
         """Solve the mixed pressure/flux subsystem; returns (p, q).
 
         phase: phase_integrals(phi), when the caller has it already.
@@ -433,7 +434,7 @@ class ChbSystem:
             dinv, self.Bdiv.data * pa.tau, -self.BdivT.data,
             mq.sum(mq_elem.ravel())]))
         A = pattern.matrix(data, dropped=(block == 0) & (data == 0))
-        x = solve_linear(SparseMatrix(A), rhs)
+        x = solve_linear(A, rhs)
         return x[:self.nc], x[self.nc:]
 
     @cached_property
@@ -549,7 +550,7 @@ class ChbSystem:
         return res
 
     def monolithic_jacobian(self, state_prev: FieldState,
-                            state_iter: FieldState, at=None) -> SparseMatrix:
+                            state_iter: FieldState, at=None) -> sp.csr_matrix:
         """Exact Jacobian of monolithic_residual at the iterate.
 
         at: monolithic_iterate(state_iter), when the caller has it.
@@ -576,7 +577,7 @@ class ChbSystem:
             pa.tau * div, mq_elem.ravel(), -div, q_phi.ravel(),
             np.ones(len(self.u_bdofs))])
         pattern = self._monolithic_layout
-        return SparseMatrix(pattern.matrix(pattern.sum(vals)))
+        return pattern.matrix(pattern.sum(vals))
 
     @cached_property
     def _monolithic_layout(self) -> CsrPattern:

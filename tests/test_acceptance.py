@@ -12,12 +12,12 @@ import pytest
 
 from chbfem import model
 from chbfem.cli import config_from_dict, run_experiment
-from chbfem.fem import assemble_matrix, mass_kernel, p1_scalar
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig, advance_simulation
 
 from conftest import random_state
+from reference_fem import assemble_form, mass_kernel, p1_scalar
 
 TOL = 1.0e-6
 
@@ -202,12 +202,17 @@ def test_criterion_8_element_oracles(desk_system):
                                               [-1.0, 1.0, 0.0],
                                               [-1.0, 0.0, 1.0]])).max()
     V = p1_scalar(desk_system.mesh)
-    total = assemble_matrix(V, V, mass_kernel).to_scipy().sum()
+    total = assemble_form(V, V, mass_kernel).sum()
     sum_defect = abs(total - 1.0)
-    ok = mass_defect <= 1e-14 and stiff_defect <= 1e-14 and sum_defect <= 1e-12
+    # the solver's own P1 matrices: unit total mass, constants in the kernel
+    system_sum_defect = abs(desk_system.M.sum() - 1.0)
+    system_kernel_defect = np.abs(desk_system.K @ np.ones(desk_system.nv)).max()
+    ok = (mass_defect <= 1e-14 and stiff_defect <= 1e-14 and sum_defect <= 1e-12
+          and system_sum_defect <= 1e-12 and system_kernel_defect <= 1e-13)
     check(8, "element oracles", ok,
           f"mass defect {mass_defect:.1e}, stiffness defect {stiff_defect:.1e}, "
-          f"mesh mass sum defect {sum_defect:.1e}")
+          f"mesh mass sum defect {sum_defect:.1e}, solver M sum defect "
+          f"{system_sum_defect:.1e}, solver |K 1| {system_kernel_defect:.1e}")
 
 
 def test_criterion_9_zero_data_fixed_point(desk_system):

@@ -340,7 +340,7 @@ def test_vtk_flux_vectors_at_centroids(tmp_path):
     mesh = build_unit_square_mesh(3)
     system = ChbSystem(mesh, MaterialParams())
     state = system.initial_state()
-    from chbfem.fem import interpolate, rt0_space
+    from reference_fem import interpolate, rt0_space
     state.q = interpolate(rt0_space(mesh), lambda x, y: np.array([1.5, -0.5])).coefficients
     path = tmp_path / "flux.vtk"
     write_vtk(state, mesh, path)
@@ -396,8 +396,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_solver_fault_exit_code(tmp_path, monkeypatch):
-    def boom(self, phi, u, state_prev, config=None, storage_prev=None,
-             phase=None):
+    def boom(self, phi, u, state_prev, storage_prev=None, phase=None):
         raise LinearSolveFailure("synthetic breakdown")
 
     monkeypatch.setattr(ChbSystem, "solve_flow", boom)

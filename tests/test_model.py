@@ -38,6 +38,18 @@ def test_params_validation_names_offender():
         MaterialParams(C0=-np.eye(3))
 
 
+def test_stiffness_stored_exactly_symmetric():
+    C0 = model.DEFAULT_C0.copy()
+    C0[0, 1] += 1e-14  # within the symmetry check's tolerance
+    params = MaterialParams(C0=C0)
+    assert np.array_equal(params.C0, params.C0.T)
+    assert np.array_equal(params.C1, params.C1.T)
+    assert np.allclose(params.C0, C0, rtol=0, atol=1e-14)
+    # a symmetric matrix keeps its bits
+    assert np.array_equal(MaterialParams().C0, model.DEFAULT_C0)
+    assert np.array_equal(MaterialParams().C1, model.DEFAULT_C1)
+
+
 def test_pi_clamps():
     assert model.pi_interp(-0.3) == 0.0
     assert model.pi_interp(1.2) == 1.0

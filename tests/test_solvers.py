@@ -7,8 +7,7 @@ import scipy.sparse as sp
 import reference_kernels as ref
 from chbfem import _kernels as kn
 from chbfem import solvers
-from chbfem.fem import apply_dirichlet
-from chbfem.linalg import LinearSolveFailure, SparseMatrix, solve_linear
+from chbfem.linalg import LinearSolveFailure, solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import (DIVERGENCE_LIMIT, ChbSystem, FieldState,
@@ -16,6 +15,7 @@ from chbfem.solvers import (DIVERGENCE_LIMIT, ChbSystem, FieldState,
                             SolverConfig, advance_simulation)
 
 from conftest import random_state
+from reference_fem import apply_dirichlet
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +324,7 @@ def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
     b = -system4.monolithic_residual(prev, st)
     x = solve_linear(J, b)
     assert splu_specs == ["MMD_AT_PLUS_A"]
-    assert (np.linalg.norm(b - J.matvec(x))
+    assert (np.linalg.norm(b - J @ x)
             <= 1e-10 * max(np.linalg.norm(b), 1.0))
 
 
@@ -384,8 +384,8 @@ def test_initial_state_shapes_and_step(system4):
 
 # -- assembly on cached sparsity patterns ---------------------------------------
 # References build each system the direct way, with a COO-to-CSR conversion,
-# sp.bmat and fem.apply_dirichlet; the cached patterns must reproduce them
-# entry for entry, and leave out the same exact zeros.
+# sp.bmat and reference_fem.apply_dirichlet; the cached patterns must
+# reproduce them entry for entry, and leave out the same exact zeros.
 
 def _coo(elem, rows, cols, shape):
     r = np.repeat(rows[:, :, None], cols.shape[1], axis=2).ravel()
@@ -410,7 +410,7 @@ def reference_elasticity_system(o, phi, p):
     A = _coo(a_elem, o.udofs, o.udofs, (2 * o.nv, 2 * o.nv))
     b = np.zeros(2 * o.nv)
     np.add.at(b, o.udofs.ravel(), rhs_elem.ravel())
-    return apply_dirichlet(SparseMatrix(A), b, o.u_bdofs, symmetric=True)
+    return apply_dirichlet(A, b, o.u_bdofs, symmetric=True)
 
 
 def reference_flow_matrix(o, phi):
@@ -473,8 +473,6 @@ def reference_monolithic_jacobian(o, st):
 
 
 def assert_same_csr(A, B):
-    A = A.to_scipy() if isinstance(A, SparseMatrix) else A
-    B = B.to_scipy() if isinstance(B, SparseMatrix) else B
     assert A.shape == B.shape
     assert np.array_equal(A.indptr, B.indptr)
     assert np.array_equal(A.indices, B.indices)
