@@ -26,8 +26,10 @@ rewrites keep both.  Products are formed left to right in the operand
 order of the einsum they replace; sums follow numpy's unoptimized
 einsum: the quadrature point is the outermost summation index, and in
 each contraction over an RT0 vector component the two components are
-added first and their sum is then added to the accumulator.  The
-iteration counts the benchmark pins, among them a chaotic diverging
+added first and their sum is then added to the accumulator.  Sums over
+a Voigt index are written out as (t0 + t2) + t1, the order of numpy
+2.4's two-operand einsum on x86-64, which another build could change.
+The iteration counts the benchmark pins, among them a chaotic diverging
 Newton run that a 3e-16 change moves, hold only under this contract;
 once that run is no longer pinned exactly (ROADMAP item 1), the
 contract can relax to agreement within a few ulps, which admits
@@ -42,6 +44,11 @@ import numpy as np
 
 from . import model
 from .model import MaterialParams
+
+
+def _dot3(a, b):
+    """sum_j a[..., j] * b[..., j] over three j, in the module's order."""
+    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
 
 
 class Pointwise:
@@ -89,11 +96,11 @@ class Pointwise:
 
     @cached_property
     def dCem(self):
-        return np.einsum("ij,cqj->cqi", self.params.dC, self.em)
+        return np.stack([_dot3(dC_i, self.em) for dC_i in self.params.dC], axis=-1)
 
     @cached_property
     def em_dCem(self):
-        return np.einsum("cqi,cqi->cq", self.em, self.dCem)
+        return _dot3(self.em, self.dCem)
 
     @cached_property
     def M(self):
@@ -121,8 +128,8 @@ def ch_load(pw: Pointwise, wq, lam):
     """
     pa = pw.params
     p = pw.p
-    Cem = np.einsum("cqij,cqj->cqi", pw.C, pw.em)
-    term1 = -pa.xi * (Cem[..., 0] + Cem[..., 1])
+    C, em = pw.C, pw.em
+    term1 = -pa.xi * (_dot3(C[..., 0, :], em) + _dot3(C[..., 1, :], em))
     term2 = 0.5 * pw.pip * pw.em_dCem
     fluid = (pw.Mp * p[:, None] ** 2 / (2.0 * pw.M * pw.M)
              - p[:, None] * pw.ap * pw.divu[:, None])

@@ -285,6 +285,11 @@ def write_metrics_csv(records, path) -> None:
             ])
 
 
+def _vtk_block(fmt, rows) -> str:
+    """One `fmt` line per row (or entry) of `rows`, formatted by a single %."""
+    return "\n".join([fmt] * len(rows)) % tuple(np.ravel(rows).tolist())
+
+
 def write_vtk(state: FieldState, mesh: StructuredTriMesh, path) -> None:
     """Write all fields to a legacy-ASCII VTK unstructured grid file.
 
@@ -295,32 +300,28 @@ def write_vtk(state: FieldState, mesh: StructuredTriMesh, path) -> None:
     nc = mesh.num_cells
     psi_c = rt0_basis(mesh, np.full((1, 3), 1.0 / 3.0))[:, 0]
     qc = np.einsum("ck,cka->ca", state.q[mesh.cell_edges], psi_c)
+    vector = "%.10e %.10e 0.0"
     lines = [
         "# vtk DataFile Version 3.0",
         f"chbfem fields at step {state.n}",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
+        _vtk_block(vector, mesh.vertices),
+        f"CELLS {nc} {4 * nc}",
+        _vtk_block("3 %d %d %d", mesh.cells),
+        f"CELL_TYPES {nc}",
+        "\n".join(["5"] * nc),
+        f"POINT_DATA {nv}",
     ]
-    lines += [f"{x:.10e} {y:.10e} 0.0" for x, y in mesh.vertices]
-    lines.append(f"CELLS {nc} {4 * nc}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.cells]
-    lines.append(f"CELL_TYPES {nc}")
-    lines += ["5"] * nc
-    lines.append(f"POINT_DATA {nv}")
     for name, values in (("phi", state.phi), ("mu", state.mu)):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines += [f"{v:.10e}" for v in values]
-    lines.append("VECTORS u double")
-    lines += [f"{ux:.10e} {uy:.10e} 0.0"
-              for ux, uy in zip(state.u[0::2], state.u[1::2])]
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+                  _vtk_block("%.10e", values)]
+    lines += ["VECTORS u double", _vtk_block(vector, state.u.reshape(-1, 2))]
     lines.append(f"CELL_DATA {nc}")
-    lines.append("SCALARS p double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [f"{v:.10e}" for v in state.p]
-    lines.append("VECTORS q double")
-    lines += [f"{qx:.10e} {qy:.10e} 0.0" for qx, qy in qc]
+    lines += ["SCALARS p double 1", "LOOKUP_TABLE default",
+              _vtk_block("%.10e", state.p)]
+    lines += ["VECTORS q double", _vtk_block(vector, qc)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,10 +7,10 @@ sorted, and every solve is verified against the residual tolerance below.
 
 A CsrPattern holds the CSR layout of a triplet list whose positions stay
 fixed while its values change, as in every Newton or outer iteration on
-one mesh.  It is built once; each fill then only gathers and adds values.
-Its sums are those of scipy's COO-to-CSR conversion bit for bit: every
-slot adds its triplets in the order that conversion adds them, an order
-taken once from scipy's own sort of the triplet numbers.
+one mesh.  It is built once; each fill only gathers and adds values and
+keeps every slot, exact zeros included.  Its sums are those of scipy's
+COO-to-CSR conversion bit for bit: every slot adds its triplets in the
+order that conversion adds them, taken once from scipy's own sort.
 
 Every matrix is first factored by SuperLU in symmetric mode: a
 minimum-degree ordering of A^T + A applied to rows and columns alike,
@@ -34,6 +34,10 @@ SOLVE_RTOL = 1e-10
 class LinearSolveFailure(Exception):
     """Factorization breakdown or a solve that missed the residual contract."""
 
+    # set by the nonlinear solver it stops, as on a NonConvergence
+    iterations = 0
+    inner_newton = ()
+
 
 class CsrPattern:
     """CSR layout of a fixed triplet list, filled with new values on demand.
@@ -47,7 +51,9 @@ class CsrPattern:
     triplet numbers in place of values.
 
     With ``take``, triplet k reads ``values[take[k]]``, so a caller can
-    fill from a longer value list that contains entries it leaves out.
+    fill from a longer value list that contains entries it leaves out,
+    or let several triplets read one value.  Every matrix of one pattern
+    keeps all its slots, exact zeros included, and shares its layout.
     Tables are int32: the first triplet of each slot, and a (slot,
     triplet) pair for each further one, in summation order.
     """
@@ -84,7 +90,6 @@ class CsrPattern:
         np.cumsum(starts, out=slot_ends[1:])
         self.indptr = slot_ends[indptr]
         self.indices = sorted_cols[starts]
-        self.nnz = len(self.indices)
         del sorted_cols
         self._head = order[starts]
         later = np.flatnonzero(~starts)
@@ -101,15 +106,9 @@ class CsrPattern:
         np.add.at(data, self._tail_slot, values[self._tail_src])
         return data
 
-    def matrix(self, data: np.ndarray, dropped=None) -> sp.csr_matrix:
-        """CSR matrix of slot values; slots where `dropped` is set are left out."""
-        indptr, indices = self.indptr, self.indices
-        if dropped is not None and dropped.any():
-            kept = ~dropped
-            ends = np.zeros(self.nnz + 1, dtype=np.int32)
-            np.cumsum(kept, out=ends[1:])
-            indptr, indices, data = ends[indptr], indices[kept], data[kept]
-        mat = sp.csr_matrix((data, indices, indptr), shape=self.shape)
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix of slot values on this layout, which every such matrix shares."""
+        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         mat.has_canonical_format = True
         return mat
 

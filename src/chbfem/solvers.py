@@ -113,6 +113,15 @@ def _scatter_vector(elem, dofs, n):
     return np.bincount(dofs.ravel(), weights=elem.ravel(), minlength=n)
 
 
+def _newton_solve(J, rhs, it):
+    """solve_linear at Newton iteration `it`, which a failure records."""
+    try:
+        return solve_linear(J, rhs)
+    except LinearSolveFailure as exc:
+        exc.iterations = it
+        raise
+
+
 def _block_indices(rows, cols):
     """Row and column of each entry of per-cell blocks, in elem.ravel() order."""
     a = rows.shape[1]
@@ -133,16 +142,22 @@ def _stacked_indices(blocks):
             np.concatenate([c + co for _, c, _, co in blocks]))
 
 
-def _block_pattern(blocks, shape):
-    """Pattern of a matrix stacked from duplicate-free blocks.
+def _clamped_pattern(rows, cols, fixed, shape, symmetric=False) -> CsrPattern:
+    """Pattern of a triplet list whose dofs `fixed` get identity rows.
 
-    blocks: (rows, cols, row offset, column offset) per block, in the
-    order their values are concatenated.  Also returns each slot's block.
+    Leaves out the triplets in a fixed row, and with symmetric=True in a
+    fixed column, and adds a unit diagonal triplet per fixed dof; each of
+    these reads one 1.0 appended to the triplet values.
     """
-    pattern = CsrPattern(*_stacked_indices(blocks), shape)
-    block_of = np.concatenate([np.full(len(r), k, dtype=np.float64)
-                               for k, (r, _, _, _) in enumerate(blocks)])
-    return pattern, pattern.sum(block_of)
+    clamped = np.zeros(shape[0], dtype=bool)
+    clamped[fixed] = True
+    kept = ~clamped[rows]
+    if symmetric:
+        kept &= ~clamped[cols]
+    take = np.concatenate([np.flatnonzero(kept), np.full(len(fixed), len(rows))],
+                          dtype=np.int32)
+    return CsrPattern(np.concatenate([rows[kept], fixed]),
+                      np.concatenate([cols[kept], fixed]), shape, take=take)
 
 
 class PhaseIntegrals(NamedTuple):
@@ -161,8 +176,8 @@ class ChbSystem:
     Precomputes geometry tables, basis values at quadrature points, the
     constant P1 mass/stiffness matrices and the RT0 divergence matrix;
     the phi-dependent terms are assembled on demand through the kernels.
-    Each linear system's CSR pattern (a linalg.CsrPattern) is built at its
-    first assembly; later assemblies only compute and place values.
+    Each linear system has one CSR layout (a linalg.CsrPattern), built at
+    its first assembly; every later matrix of that system only fills it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
@@ -299,23 +314,21 @@ class ChbSystem:
         pw = self.pointwise(phi_i, u_fixed, p_fixed)
         res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw)
         w_elem = kn.ch_jac(pw, self.wq, self.lam)
-        p1, pattern, block = self._ch_layout
+        p1, pattern = self._ch_layout
         W = p1.sum(w_elem.ravel())
-        # [[M, tau m K], [-gamma ell K - W, M]]; the sparse difference
-        # leaves out its exact zeros
-        data = pattern.sum(np.concatenate([
+        # [[M, tau m K], [-gamma ell K - W, M]]
+        J = pattern.matrix(pattern.sum(np.concatenate([
             self.M.data, self.K.data * (pa.tau * pa.mobility),
-            self.K.data * (-pa.gamma * pa.ell) - W, self.M.data]))
-        J = pattern.matrix(data, dropped=(block == 2) & (data == 0))
+            self.K.data * (-pa.gamma * pa.ell) - W, self.M.data])))
         return res, J
 
     @cached_property
     def _ch_layout(self):
-        """P1 pattern of M, K and W; CH Jacobian pattern and slot blocks."""
+        """P1 pattern of M, K and W, and the CH Jacobian's, its 2x2 stack."""
         p1 = CsrPattern(self._m_trip[0], self._m_trip[1], (self.nv, self.nv))
         r, c, nv = _slot_rows(p1), p1.indices, self.nv
         blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
-        return (p1, *_block_pattern(blocks, (2 * nv, 2 * nv)))
+        return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv))
 
     def solve_ch_subsystem(self, state_prev, u_fixed, p_fixed, config,
                            phi_init=None, mu_init=None):
@@ -326,7 +339,7 @@ class ChbSystem:
         for it in range(1, config.max_iter + 1):
             res, J = self.ch_residual_and_jacobian(state_prev, phi, mu,
                                                    u_fixed, p_fixed)
-            delta = solve_linear(J, -res)
+            delta = _newton_solve(J, -res, it)
             phi += delta[:self.nv]
             mu += delta[self.nv:]
             norm = float(np.linalg.norm(delta))
@@ -374,27 +387,18 @@ class ChbSystem:
                            optimize=True)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
                     + (abar * p_fixed)[:, None] * self.drow)
-        pattern, fixed, fixed_diag = self._elasticity_layout
-        # Dirichlet dofs: rows and columns eliminated, identity on the
-        # diagonal, exact zeros left out
-        data = pattern.sum(a_elem.ravel())
-        data[fixed] = 0.0
-        data[fixed_diag] = 1.0
-        A = pattern.matrix(data, dropped=data == 0)
+        pattern = self._elasticity_layout
+        A = pattern.matrix(pattern.sum(np.append(a_elem.ravel(), 1.0)))
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
         return solve_linear(A, b)
 
     @cached_property
-    def _elasticity_layout(self):
-        """Stiffness pattern, its Dirichlet slots and their diagonal slots."""
-        pattern = CsrPattern(*_block_indices(self.udofs, self.udofs),
-                             (2 * self.nv, 2 * self.nv))
-        rows, cols = _slot_rows(pattern), pattern.indices
-        on_boundary = np.zeros(2 * self.nv, dtype=bool)
-        on_boundary[self.u_bdofs] = True
-        fixed = on_boundary[rows] | on_boundary[cols]
-        return pattern, fixed, np.flatnonzero(fixed & (rows == cols))
+    def _elasticity_layout(self) -> CsrPattern:
+        """Stiffness pattern, Dirichlet rows and columns set to identity."""
+        return _clamped_pattern(*_block_indices(self.udofs, self.udofs),
+                                self.u_bdofs, (2 * self.nv, 2 * self.nv),
+                                symmetric=True)
 
     # -- flow subsystem ------------------------------------------------------
 
@@ -427,19 +431,17 @@ class ChbSystem:
             storage_prev = self.storage_coefficient(state_prev)
         divu = self.strain_per_cell(u) @ np.array([1.0, 1.0, 0.0])
         rhs = np.concatenate([storage_prev - abar * divu, np.zeros(self.ne)])
-        mq, pattern, block = self._flow_layout
-        # [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]]; zeros of the diagonal
-        # block are left out
-        data = pattern.sum(np.concatenate([
+        mq, pattern = self._flow_layout
+        # [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]]
+        A = pattern.matrix(pattern.sum(np.concatenate([
             dinv, self.Bdiv.data * pa.tau, -self.BdivT.data,
-            mq.sum(mq_elem.ravel())]))
-        A = pattern.matrix(data, dropped=(block == 0) & (data == 0))
+            mq.sum(mq_elem.ravel())])))
         x = solve_linear(A, rhs)
         return x[:self.nc], x[self.nc:]
 
     @cached_property
     def _flow_layout(self):
-        """Pattern of Mq; flow matrix pattern and slot blocks."""
+        """Pattern of Mq, and the flow matrix's, its 2x2 block stack."""
         mq = CsrPattern(*_block_indices(self.qdofs, self.qdofs),
                         (self.ne, self.ne))
         diag, nc = np.arange(self.nc), self.nc
@@ -447,7 +449,8 @@ class ChbSystem:
                   (_slot_rows(self.Bdiv), self.Bdiv.indices, 0, nc),
                   (_slot_rows(self.BdivT), self.BdivT.indices, nc, 0),
                   (_slot_rows(mq), mq.indices, nc, nc)]
-        return (mq, *_block_pattern(blocks, (nc + self.ne, nc + self.ne)))
+        return mq, CsrPattern(*_stacked_indices(blocks),
+                              (nc + self.ne, nc + self.ne))
 
     def flow_cell_residual(self, state_prev, state: FieldState) -> np.ndarray:
         """Per-cell mass balance residual of the flow equation at a state."""
@@ -481,11 +484,18 @@ class ChbSystem:
                     iterations=it - 1, last_update_norm=exc.last_update_norm,
                     diverged=exc.diverged,
                     inner_newton=inner + [exc.iterations]) from exc
+            except LinearSolveFailure as exc:
+                exc.iterations, exc.inner_newton = it - 1, (*inner, exc.iterations)
+                raise
             inner.append(nit)
             phase = self.phase_integrals(phi_n)
-            u_n = self.solve_elasticity(phi_n, p_o, phase=phase)
-            p_n, q_n = self.solve_flow(phi_n, u_n, state_prev,
-                                       storage_prev=storage_prev, phase=phase)
+            try:
+                u_n = self.solve_elasticity(phi_n, p_o, phase=phase)
+                p_n, q_n = self.solve_flow(phi_n, u_n, state_prev,
+                                           storage_prev=storage_prev, phase=phase)
+            except LinearSolveFailure as exc:
+                exc.iterations, exc.inner_newton = it - 1, tuple(inner)
+                raise
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
                                  + np.linalg.norm(mu_n - mu_o) ** 2
                                  + np.linalg.norm(u_n - u_o) ** 2
@@ -574,8 +584,7 @@ class ChbSystem:
             -w_elem.ravel(), -mu_u.ravel(), -mu_p.ravel(),
             a_elem.ravel(), u_phi.ravel(), (-abar[:, None] * self.drow).ravel(),
             p_phi.ravel(), (abar[:, None] * self.drow).ravel(), dinv,
-            pa.tau * div, mq_elem.ravel(), -div, q_phi.ravel(),
-            np.ones(len(self.u_bdofs))])
+            pa.tau * div, mq_elem.ravel(), -div, q_phi.ravel(), [1.0]])
         pattern = self._monolithic_layout
         return pattern.matrix(pattern.sum(vals))
 
@@ -583,9 +592,8 @@ class ChbSystem:
     def _monolithic_layout(self) -> CsrPattern:
         """Pattern of the monolithic Jacobian.
 
-        Its triplets are the blocks below, in this order, followed by one
-        identity triplet per displacement Dirichlet dof, whose row drops
-        every other triplet.
+        Its triplets are the blocks below, in this order; the rows of the
+        displacement Dirichlet dofs are identity rows (_clamped_pattern).
         """
         # int32 throughout: the n=65 Jacobian has 1.3M triplets
         cells, u, pd, q, m_r, m_c, div_r, div_c = (
@@ -615,16 +623,9 @@ class ChbSystem:
             (div_c, div_r, off_q, off_p),
             (*_block_indices(q, cells), off_q, off_phi),
         ])
-        # displacement Dirichlet rows become identity rows
-        fixed = (off_u + self.u_bdofs).astype(np.int32)
-        on_boundary = np.zeros(self.ndofs, dtype=bool)
-        on_boundary[fixed] = True
-        kept = ~on_boundary[rows]
-        take = np.concatenate([np.flatnonzero(kept),
-                               len(rows) + np.arange(len(fixed))], dtype=np.int32)
-        rows = np.concatenate([rows[kept], fixed])
-        cols = np.concatenate([cols[kept], fixed])
-        return CsrPattern(rows, cols, (self.ndofs, self.ndofs), take=take)
+        return _clamped_pattern(rows, cols,
+                                (off_u + self.u_bdofs).astype(np.int32),
+                                (self.ndofs, self.ndofs))
 
     def monolithic_step(self, state_prev: FieldState, config: SolverConfig):
         """One time step of plain Newton on the full coupled system."""
@@ -637,7 +638,7 @@ class ChbSystem:
             res = self.monolithic_residual(state_prev, state, at)
             J = self.monolithic_jacobian(state_prev, state, at)
             del at  # its pointwise arrays need not outlive the factorization
-            delta = solve_linear(J, -res)
+            delta = _newton_solve(J, -res, it)
             x = self.pack(state) + delta
             state = self.unpack(x, state.n)
             norm = float(np.linalg.norm(delta))
@@ -674,17 +675,13 @@ def advance_simulation(system: ChbSystem, initial_state: FieldState,
         t0 = time.perf_counter()
         try:
             state, step_stats = system.step(state, config)
-        except NonConvergence as exc:
+        except (NonConvergence, LinearSolveFailure) as exc:
             failed = IterationStats(
                 step=state.n + 1,
                 outer_iters=exc.iterations if config.strategy == "splitting" else 0,
                 inner_newton=exc.inner_newton,
                 newton_iters=exc.iterations if config.strategy == "monolithic" else 0,
                 converged=False, wall_seconds=time.perf_counter() - t0)
-            raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
-        except LinearSolveFailure as exc:
-            failed = IterationStats(step=state.n + 1, converged=False,
-                                    wall_seconds=time.perf_counter() - t0)
             raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
         stats.append(step_stats)
         if on_step is not None:

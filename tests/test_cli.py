@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chbfem import cli
 from chbfem.cli import (CSV_HEADER, ConfigError, SimulationConfig,
@@ -13,6 +14,8 @@ from chbfem.linalg import LinearSolveFailure
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem
+
+from conftest import random_state
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -176,6 +179,20 @@ def test_config_fuzz_builds_parameters_or_names_a_key(data):
         cfg.material_params(**{param: value})
     for strategy in ("monolithic", "splitting"):
         cfg.solver_config(strategy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CONFIGS)
+def test_accepted_configs_run_one_step(tmp_path_factory, data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        assume(False)
+    cfg = dataclasses.replace(cfg, n=4, num_steps=1, vtk_every=0,
+                              out_dir=str(tmp_path_factory.mktemp("run")))
+    records = run_experiment(cfg)
+    _, values = cfg.sweep_plan()
+    assert len(records) == len(values) * (2 if cfg.strategy == "both" else 1)
 
 
 def test_default_sweep_grids():
@@ -346,6 +363,50 @@ def test_vtk_flux_vectors_at_centroids(tmp_path):
     write_vtk(state, mesh, path)
     data = parse_vtk(path)
     assert np.allclose(data["cell_data"]["q"][:, :2], [1.5, -0.5], atol=1e-9)
+
+
+def per_value_vtk(state, mesh):
+    """The VTK text written one f-string per value, as the writer once did."""
+    from chbfem.fem import rt0_basis
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    psi_c = rt0_basis(mesh, np.full((1, 3), 1.0 / 3.0))[:, 0]
+    qc = np.einsum("ck,cka->ca", state.q[mesh.cell_edges], psi_c)
+    lines = ["# vtk DataFile Version 3.0", f"chbfem fields at step {state.n}",
+             "ASCII", "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+    lines += [f"{x:.10e} {y:.10e} 0.0" for x, y in mesh.vertices]
+    lines.append(f"CELLS {nc} {4 * nc}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.cells]
+    lines.append(f"CELL_TYPES {nc}")
+    lines += ["5"] * nc
+    lines.append(f"POINT_DATA {nv}")
+    for name, values in (("phi", state.phi), ("mu", state.mu)):
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines += [f"{v:.10e}" for v in values]
+    lines.append("VECTORS u double")
+    lines += [f"{ux:.10e} {uy:.10e} 0.0"
+              for ux, uy in zip(state.u[0::2], state.u[1::2])]
+    lines.append(f"CELL_DATA {nc}")
+    lines.append("SCALARS p double 1")
+    lines.append("LOOKUP_TABLE default")
+    lines += [f"{v:.10e}" for v in state.p]
+    lines.append("VECTORS q double")
+    lines += [f"{qx:.10e} {qy:.10e} 0.0" for qx, qy in qc]
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_bytes_match_per_value_formatting(tmp_path):
+    mesh = build_unit_square_mesh(3)
+    system = ChbSystem(mesh, MaterialParams())
+    rng = np.random.default_rng(12)
+    state = random_state(system, rng, n=7)
+    # magnitudes across the exponent range, signed zeros and non-finite values
+    state.mu = rng.normal(size=system.nv) * 10.0 ** rng.integers(-300, 300, system.nv)
+    state.mu[:4] = [0.0, -0.0, np.inf, np.nan]
+    state.p[0] = -np.inf
+    path = tmp_path / "state.vtk"
+    write_vtk(state, mesh, path)
+    assert path.read_bytes() == per_value_vtk(state, mesh).encode()
 
 
 def test_main_runs_and_writes_outputs(tmp_path, capsys):

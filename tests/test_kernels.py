@@ -102,8 +102,9 @@ def assert_same_bits(got, want, what):
         f"{what} differs from the reference kernels under numpy {np.__version__}")
 
 
-def kernel_inputs(n, seed):
-    system = ChbSystem(build_unit_square_mesh(n), MaterialParams(xi=2.0))
+def kernel_inputs(n, seed, params=None):
+    system = ChbSystem(build_unit_square_mesh(n),
+                       params or MaterialParams(xi=2.0))
     state = random_state(system, np.random.default_rng(seed),
                          phi_low=-0.3, phi_high=1.3)
     return system, state
@@ -148,6 +149,18 @@ def check_kernels(system, state):
 @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (16, 3), (16, 4), (65, 5)])
 def test_kernels_match_reference_bit_for_bit(n, seed):
     check_kernels(*kernel_inputs(n, seed))
+
+
+# SPD stiffnesses with nonzero shear couplings: every term of each
+# three-term sum in the kernels is nonzero, so a change of its order shows
+SHEAR_COUPLED = dict(
+    C0=np.array([[100.0, 20.0, 7.0], [20.0, 90.0, -5.0], [7.0, -5.0, 60.0]]),
+    C1=np.array([[1.0, 0.1, 0.03], [0.1, 1.2, -0.07], [0.03, -0.07, 0.8]]))
+
+
+@pytest.mark.parametrize("n, seed", [(4, 11), (16, 12), (65, 13)])
+def test_kernels_match_reference_bit_for_bit_with_shear_couplings(n, seed):
+    check_kernels(*kernel_inputs(n, seed, MaterialParams(xi=2.0, **SHEAR_COUPLED)))
 
 
 def test_kernels_match_reference_at_the_unit_interval_ends():

@@ -144,21 +144,18 @@ def test_pattern_take_reads_a_longer_value_list():
     keep = np.array([0, 2, 3, 4])
     pattern = CsrPattern(rows[keep], cols[keep], (2, 2), take=keep)
     vals = np.array([1.0, 100.0, 2.0, 4.0, 8.0])
-    assert np.array_equal(pattern.matrix(pattern.sum(vals)).toarray(),
-                          [[0.0, 11.0], [0.0, 4.0]])
-
-
-def test_pattern_matrix_leaves_out_dropped_slots():
-    pattern = CsrPattern([0, 0, 1, 2], [0, 2, 1, 2], (3, 3))
-    data = np.array([1.0, 0.0, 0.0, 3.0])
-    A = pattern.matrix(data, dropped=np.array([False, True, False, False]))
-    assert np.array_equal(A.indptr, [0, 1, 2, 3])
-    assert np.array_equal(A.indices, [0, 1, 2])
-    assert np.array_equal(A.data, [1.0, 0.0, 3.0])
-    # the pattern itself is shared by every matrix and stays intact
-    assert pattern.nnz == 4
+    A = pattern.matrix(pattern.sum(vals))
+    assert np.array_equal(A.toarray(), [[0.0, 11.0], [0.0, 4.0]])
+    # exact zeros stay stored: every matrix has the pattern's layout,
+    # shares its tables, and leaves them intact
+    Z = pattern.matrix(pattern.sum(np.array([1.0, 100.0, -1.0, 0.0, 0.0])))
+    for mat in (A, Z):
+        assert mat.nnz == len(pattern.indices) == 2
+        assert np.shares_memory(mat.indptr, pattern.indptr)
+        assert np.shares_memory(mat.indices, pattern.indices)
+    assert np.array_equal(Z.data, [0.0, 0.0])
     with pytest.raises(ValueError):
-        pattern.indices[0] = 1
+        pattern.indices[0] = 0
 
 
 def test_pattern_rejects_out_of_range_triplets():

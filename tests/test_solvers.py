@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -359,6 +360,54 @@ def test_advance_simulation_times_linear_breakdown(system4, monkeypatch):
     assert exc_info.value.stats[-1].wall_seconds >= 0.001
 
 
+def _counts_at_failed_solve(inner_newton, k):
+    """(outer_iters, inner_newton) of a splitting step whose k-th solve fails.
+
+    Each outer iteration solves its CH Newton iterates, then elasticity,
+    then flow; the failed solve's outer iteration is not complete.
+    """
+    done = 0
+    for j, nit in enumerate(inner_newton):
+        if k <= done + nit:
+            return j, (*inner_newton[:j], k - done)
+        done += nit
+        if k <= done + 2:
+            return j, tuple(inner_newton[:j + 1])
+        done += 2
+    raise ValueError(f"the step makes fewer than {k} solves")
+
+
+@pytest.mark.parametrize("strategy", ["splitting", "monolithic"])
+def test_linear_breakdown_keeps_true_iteration_counts(system4, monkeypatch,
+                                                      strategy):
+    cfg = SolverConfig(strategy=strategy, num_steps=2)
+    _, (first, clean) = advance_simulation(system4, system4.initial_state(), cfg)
+    solves = clean.newton_total + 2 * clean.outer_iters
+    for k in range(1, solves + 1):
+        calls = []
+
+        def fails_at_k(A, b):
+            calls.append(1)
+            if len(calls) == first.newton_total + 2 * first.outer_iters + k:
+                raise LinearSolveFailure("forced")
+            return solve_linear(A, b)
+
+        monkeypatch.setattr(solvers, "solve_linear", fails_at_k)
+        with pytest.raises(SimulationFailed) as exc_info:
+            advance_simulation(system4, system4.initial_state(), cfg)
+        assert isinstance(exc_info.value.cause, LinearSolveFailure)
+        kept, failed = exc_info.value.stats
+        assert kept == dataclasses.replace(first, wall_seconds=kept.wall_seconds)
+        if strategy == "splitting":
+            outer, inner = _counts_at_failed_solve(clean.inner_newton, k)
+            assert (failed.outer_iters, failed.inner_newton) == (outer, inner)
+            assert failed.newton_iters == 0
+        else:
+            assert (failed.outer_iters, failed.inner_newton) == (0, ())
+            assert failed.newton_iters == k
+        assert not failed.converged and failed.wall_seconds > 0.0
+
+
 def test_iteration_stats_sanity(system4):
     st0 = system4.initial_state()
     cfg = SolverConfig(strategy="splitting", num_steps=2)
@@ -383,9 +432,9 @@ def test_initial_state_shapes_and_step(system4):
 
 
 # -- assembly on cached sparsity patterns ---------------------------------------
-# References build each system the direct way, with a COO-to-CSR conversion,
-# sp.bmat and reference_fem.apply_dirichlet; the cached patterns must
-# reproduce them entry for entry, and leave out the same exact zeros.
+# References build each system the direct way, with a COO-to-CSR conversion
+# and sp.bmat; the cached patterns must reproduce them entry for entry.
+# The elasticity matrix is also checked against reference_fem.apply_dirichlet.
 
 def _coo(elem, rows, cols, shape):
     r = np.repeat(rows[:, :, None], cols.shape[1], axis=2).ravel()
@@ -402,11 +451,30 @@ def reference_ch_jacobian(o, phi, u, p):
                     [-pa.gamma * pa.ell * o.K - W, o.M]], format="csr")
 
 
-def reference_elasticity_system(o, phi, p):
+def elasticity_elements(o, phi, p):
     cint, abar, swell, _ = o._elasticity_data(phi)
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
     rhs_elem = (np.einsum("cai,ca->ci", o.B, swell)
                 + (abar * p)[:, None] * o.drow)
+    return a_elem, rhs_elem
+
+
+def reference_elasticity_matrix(o, phi):
+    """The stiffness triplets that touch no Dirichlet dof, plus one unit
+    triplet per Dirichlet dof."""
+    a_elem, _ = elasticity_elements(o, phi, np.zeros(o.nc))
+    r = np.repeat(o.udofs[:, :, None], 6, axis=2).ravel()
+    c = np.repeat(o.udofs[:, None, :], 6, axis=1).ravel()
+    keep = ~np.isin(r, o.u_bdofs) & ~np.isin(c, o.u_bdofs)
+    fixed = o.u_bdofs
+    return sp.coo_matrix(
+        (np.concatenate([a_elem.ravel()[keep], np.ones(len(fixed))]),
+         (np.concatenate([r[keep], fixed]), np.concatenate([c[keep], fixed]))),
+        shape=(2 * o.nv, 2 * o.nv)).tocsr()
+
+
+def reference_elasticity_system(o, phi, p):
+    a_elem, rhs_elem = elasticity_elements(o, phi, p)
     A = _coo(a_elem, o.udofs, o.udofs, (2 * o.nv, 2 * o.nv))
     b = np.zeros(2 * o.nv)
     np.add.at(b, o.udofs.ravel(), rhs_elem.ravel())
@@ -499,8 +567,14 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         o.solve_elasticity(st.phi, st.p)
         o.solve_flow(st.phi, st.u, prev)
         (A_el, b_el), (A_fl, b_fl) = solved
+        assert_same_csr(A_el, reference_elasticity_matrix(o, st.phi))
+        # apply_dirichlet sums the full triplet list, in another order
         A_ref, b_ref = reference_elasticity_system(o, st.phi, st.p)
-        assert_same_csr(A_el, A_ref)
+        A_kept = A_el.copy()
+        A_kept.eliminate_zeros()
+        assert np.array_equal(A_kept.indptr, A_ref.indptr)
+        assert np.array_equal(A_kept.indices, A_ref.indices)
+        np.testing.assert_allclose(A_kept.data, A_ref.data, rtol=1e-13, atol=0)
         assert np.array_equal(b_el, b_ref)
         assert_same_csr(A_fl, reference_flow_matrix(o, st.phi))
         dinv, abar, _ = o._flow_data(st.phi)
@@ -510,15 +584,61 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
 
 
 def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
-    # the eliminated Dirichlet rows and columns, and the stiffness's own
-    # exact zeros, are left out of the matrix, as apply_dirichlet does
+    # the eliminated Dirichlet rows and columns hold only their unit
+    # diagonal; every other slot of the layout stays, exact zeros included
     solved = []
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
         solved.append(A), np.zeros(len(b)))[1])
-    phi = np.full(system4.nv, 0.5)
-    system4.solve_elasticity(phi, np.zeros(system4.nc))
-    A_ref, _ = reference_elasticity_system(system4, phi, np.zeros(system4.nc))
-    assert solved[0].nnz == A_ref.nnz < system4._elasticity_layout[0].nnz
+    system4.solve_elasticity(np.full(system4.nv, 0.5), np.zeros(system4.nc))
+    A, layout, fixed = solved[0], system4._elasticity_layout, system4.u_bdofs
+    assert np.array_equal(A.indptr, layout.indptr)
+    assert np.array_equal(A.indices, layout.indices)
+    rows = solvers._slot_rows(A)
+    touches = np.isin(rows, fixed) | np.isin(A.indices, fixed)
+    assert np.array_equal(rows[touches], A.indices[touches])
+    assert np.array_equal(rows[touches], fixed)
+    assert np.all(A.data[touches] == 1.0)
+    assert np.any(A.data[~touches] == 0.0)
+
+
+def test_every_solve_gets_its_systems_one_layout(monkeypatch):
+    system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
+    within = []
+
+    def labelled(name, method):
+        def run(*args, **kwargs):
+            within.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                within.pop()
+        return run
+
+    for name, method in (("ch", "solve_ch_subsystem"),
+                         ("elas", "solve_elasticity"), ("flow", "solve_flow"),
+                         ("mono", "monolithic_step")):
+        monkeypatch.setattr(system, method,
+                            labelled(name, getattr(system, method)))
+    solved = {"ch": 0, "elas": 0, "flow": 0, "mono": 0}
+
+    def checked(A, b):
+        layout = {"ch": system._ch_layout[1],
+                  "elas": system._elasticity_layout,
+                  "flow": system._flow_layout[1],
+                  "mono": system._monolithic_layout}[within[-1]]
+        assert np.array_equal(A.indptr, layout.indptr)
+        assert np.array_equal(A.indices, layout.indices)
+        solved[within[-1]] += 1
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(solvers, "solve_linear", checked)
+    _, split = advance_simulation(system, system.initial_state(),
+                                  SolverConfig(strategy="splitting", num_steps=2))
+    _, mono = advance_simulation(system, system.initial_state(),
+                                 SolverConfig(strategy="monolithic", num_steps=2))
+    outer = sum(s.outer_iters for s in split)
+    assert solved == {"ch": sum(s.newton_total for s in split), "elas": outer,
+                      "flow": outer, "mono": sum(s.newton_iters for s in mono)}
 
 
 def test_later_steps_build_no_sparsity(system4, monkeypatch):
