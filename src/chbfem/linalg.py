@@ -19,6 +19,16 @@ setting, also for the monolithic Jacobian, whose pattern is not
 symmetric.  Whenever it breaks down or misses the residual tolerance, the
 matrix is factored again with a COLAMD column ordering and partial
 pivoting.
+
+A matrix filled on a CsrPattern carries that layout.  Unless the layout
+was built with ``keep_ordering=False``, its first successful
+symmetric-mode factorization leaves the ordering (``perm_c``) on the
+layout, together with a gather of the CSR slots into the CSC layout of
+P A P^T.  Every later matrix of the layout is gathered straight into
+that layout and factored in symmetric mode with the natural ordering:
+the same fill, without the minimum-degree pass and the CSR-to-CSC copy.
+Its solution is checked against the original matrix like any other, and
+the COLAMD factorization above is its fallback.
 """
 
 from __future__ import annotations
@@ -56,9 +66,13 @@ class CsrPattern:
     keeps all its slots, exact zeros included, and shares its layout.
     Tables are int32: the first triplet of each slot, and a (slot,
     triplet) pair for each further one, in summation order.
+
+    With ``keep_ordering``, solve_linear stores the ordering of the first
+    successful symmetric-mode factorization of one of its matrices in
+    ``ordering`` and reuses it for every later one.
     """
 
-    def __init__(self, rows, cols, shape, take=None):
+    def __init__(self, rows, cols, shape, take=None, keep_ordering=True):
         nrows, ncols = shape
         rows = np.asarray(rows).ravel()
         cols = np.asarray(cols).ravel()
@@ -98,6 +112,8 @@ class CsrPattern:
         self._tail_src = order[later]
         for table in (self.indptr, self.indices):
             table.flags.writeable = False
+        self.keep_ordering = keep_ordering
+        self.ordering = None
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Slot values: each slot's triplet values added in scipy's order."""
@@ -107,10 +123,47 @@ class CsrPattern:
         return data
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix of slot values on this layout, which every such matrix shares."""
+        """CSR matrix of slot values on this layout, which every such matrix
+        shares; its ``layout`` attribute is this pattern."""
         mat = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         mat.has_canonical_format = True
+        mat.layout = self
         return mat
+
+
+class _StoredOrdering:
+    """A symmetric-mode column ordering kept for one square CsrPattern.
+
+    perm is SuperLU's ``perm_c``: entry (i, k) of A is entry
+    (perm[i], perm[k]) of P A P^T.  gather takes the CSR slot values of A
+    to the CSC data of P A P^T, whose row indices and column pointers are
+    stored alongside.
+    """
+
+    def __init__(self, pattern: CsrPattern, perm: np.ndarray):
+        n = pattern.shape[0]
+        self.perm = perm.astype(np.int32)
+        self.order = np.argsort(self.perm).astype(np.int32)
+        rows = self.perm[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+        cols = self.perm[pattern.indices]
+        self.gather = np.lexsort((rows, cols)).astype(np.int32)
+        self.indices = rows[self.gather]
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+
+    def solve(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve with the matrix of slot values `data`, factored in this order."""
+        permuted = sp.csc_matrix((data[self.gather], self.indices, self.indptr),
+                                 shape=(len(self.perm),) * 2)
+        permuted.has_canonical_format = True
+        return _symmetric_lu(permuted, "NATURAL").solve(b[self.order])[self.perm]
+
+
+def _symmetric_lu(csc, permc_spec):
+    """SuperLU in symmetric mode: one ordering for rows and columns,
+    diagonal pivots preferred."""
+    return spla.splu(csc, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
 
 
 def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,30 +181,40 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for a square scipy sparse matrix, checking the residual.
 
     A is used as it is when it is CSR, as CsrPattern.matrix returns it,
-    and converted otherwise.  Handles nonsymmetric and indefinite
-    (saddle-point) systems.  The matrix is first factored in SuperLU's
-    symmetric mode (MMD on A^T + A, diagonal pivots preferred); if that
-    factorization breaks down or its solution misses the contract below,
-    the solve is repeated with COLAMD and partial pivoting.  The returned
-    x satisfies
+    and converted otherwise; b must be a vector of A's size.  Handles
+    nonsymmetric and indefinite (saddle-point) systems.  The matrix is
+    first factored in SuperLU's symmetric mode: on the stored ordering of
+    its layout when that layout has one (CsrPattern.ordering), else with
+    a fresh MMD ordering of A^T + A, which a layout with keep_ordering
+    then stores if the solve succeeds.  If that factorization breaks down
+    or its solution misses the contract below, the solve is repeated with
+    COLAMD and partial pivoting.  The returned x satisfies
     ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else LinearSolveFailure is
-    raised; singular factorizations raise the same error so callers can
-    tell linear breakdown apart from nonlinear non-convergence.
+    raised; singular factorizations and a b of the wrong shape raise the
+    same error so callers can tell linear breakdown apart from nonlinear
+    non-convergence.
     """
     mat = A.tocsr()
     nrows, ncols = mat.shape
     if nrows != ncols:
         raise LinearSolveFailure(f"matrix is not square: {mat.shape}")
     b = np.asarray(b, dtype=np.float64)
-    csc = mat.tocsc()
+    if b.shape != (nrows,):
+        raise LinearSolveFailure(
+            f"right-hand side of shape {b.shape} for a {nrows}-row matrix")
+    layout = getattr(mat, "layout", None)
     try:
-        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        return _verified(mat, lu.solve(b), b)
+        if layout is not None and layout.ordering is not None:
+            return _verified(mat, layout.ordering.solve(mat.data, b), b)
+        lu = _symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A")
+        x = _verified(mat, lu.solve(b), b)
+        if layout is not None and layout.keep_ordering:
+            layout.ordering = _StoredOrdering(layout, lu.perm_c)
+        return x
     except (RuntimeError, LinearSolveFailure):
         pass  # the pivoting path below decides
     try:
-        lu = spla.splu(csc)
+        lu = spla.splu(mat.tocsc())
         x = lu.solve(b)
     except RuntimeError as exc:  # raised by SuperLU on singular factors
         raise LinearSolveFailure(f"sparse factorization failed: {exc}") from exc

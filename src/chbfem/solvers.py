@@ -18,6 +18,8 @@ for both strategies, so iteration counts are directly comparable.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,12 +102,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.strategy not in ("monolithic", "splitting"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.num_steps < 0:
-            raise ValueError("num_steps must be nonnegative")
+        # bool counts as a number to Python, and range() needs an integer
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not 0 < self.tol < math.inf):
+            raise ValueError("tol must be a positive finite number")
+        for name, low in (("max_iter", 1), ("num_steps", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer of at least {low}")
 
 
 def _scatter_vector(elem, dofs, n):
@@ -142,12 +147,14 @@ def _stacked_indices(blocks):
             np.concatenate([c + co for _, c, _, co in blocks]))
 
 
-def _clamped_pattern(rows, cols, fixed, shape, symmetric=False) -> CsrPattern:
+def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
+                     keep_ordering=True) -> CsrPattern:
     """Pattern of a triplet list whose dofs `fixed` get identity rows.
 
     Leaves out the triplets in a fixed row, and with symmetric=True in a
     fixed column, and adds a unit diagonal triplet per fixed dof; each of
-    these reads one 1.0 appended to the triplet values.
+    these reads one 1.0 appended to the triplet values.  keep_ordering
+    is passed on to CsrPattern.
     """
     clamped = np.zeros(shape[0], dtype=bool)
     clamped[fixed] = True
@@ -157,7 +164,8 @@ def _clamped_pattern(rows, cols, fixed, shape, symmetric=False) -> CsrPattern:
     take = np.concatenate([np.flatnonzero(kept), np.full(len(fixed), len(rows))],
                           dtype=np.int32)
     return CsrPattern(np.concatenate([rows[kept], fixed]),
-                      np.concatenate([cols[kept], fixed]), shape, take=take)
+                      np.concatenate([cols[kept], fixed]), shape, take=take,
+                      keep_ordering=keep_ordering)
 
 
 class PhaseIntegrals(NamedTuple):
@@ -178,6 +186,8 @@ class ChbSystem:
     the phi-dependent terms are assembled on demand through the kernels.
     Each linear system has one CSR layout (a linalg.CsrPattern), built at
     its first assembly; every later matrix of that system only fills it.
+    The CH, elasticity and flow layouts also keep the LU ordering of their
+    first solve (see chbfem.linalg); the monolithic one does not.
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
@@ -623,9 +633,13 @@ class ChbSystem:
             (div_c, div_r, off_q, off_p),
             (*_block_indices(q, cells), off_q, off_phi),
         ])
+        # Every Jacobian is ordered afresh.  Reusing the first one's
+        # ordering changes solutions at roundoff, and that moved swell's
+        # chaotic monolithic run from 29 to 31 Newton iterations, a count
+        # the benchmark pins exactly.
         return _clamped_pattern(rows, cols,
                                 (off_u + self.u_bdofs).astype(np.int32),
-                                (self.ndofs, self.ndofs))
+                                (self.ndofs, self.ndofs), keep_ordering=False)
 
     def monolithic_step(self, state_prev: FieldState, config: SolverConfig):
         """One time step of plain Newton on the full coupled system."""

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from chbfem import MaterialParams, build_unit_square_mesh
 from chbfem.linalg import CsrPattern, LinearSolveFailure, solve_linear
+from chbfem.solvers import ChbSystem, SolverConfig
 
 
 def test_hand_matvec():
@@ -163,3 +169,120 @@ def test_pattern_rejects_out_of_range_triplets():
         CsrPattern([0, 3], [0, 0], (3, 3))
     with pytest.raises(ValueError, match="out of range"):
         CsrPattern([0, 1], [0, -1], (3, 3))
+
+
+def test_right_hand_side_must_match_the_matrix():
+    with pytest.raises(LinearSolveFailure, match="right-hand side"):
+        solve_linear(sp.csr_matrix(np.eye(3)), np.ones(2))
+    # a stored ordering would otherwise read the first rows of a longer b
+    pattern = CsrPattern([0, 1, 2], [0, 1, 2], (3, 3))
+    A = pattern.matrix(pattern.sum(np.ones(3)))
+    solve_linear(A, np.ones(3))
+    assert pattern.ordering is not None
+    for b in (np.ones(4), np.ones((3, 1)), np.float64(1.0)):
+        with pytest.raises(LinearSolveFailure, match="right-hand side"):
+            solve_linear(A, b)
+
+
+NATURAL = "NATURAL"
+
+
+@pytest.fixture()
+def factors(monkeypatch):
+    """(permc_spec, SuperLU object) of every factorization made during a test."""
+    made = []
+    splu = spla.splu
+
+    def recording(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        made.append((kwargs.get("permc_spec"), lu))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return made
+
+
+def _fresh_symmetric_lu(A):
+    # the factorization solve_linear makes on a matrix it has no order for
+    return spla.splu(A.tocsc(), permc_spec=SYMMETRIC, diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def test_pattern_reuses_its_first_ordering(factors):
+    # an unsymmetric pattern with a full diagonal, filled four times
+    rng = np.random.default_rng(3)
+    n = 120
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+    cols = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+    pattern = CsrPattern(rows, cols, (n, n))
+    specs = []
+    for _ in range(4):
+        vals = rng.normal(size=len(rows))
+        vals[:n] += 20.0
+        A = pattern.matrix(pattern.sum(vals))
+        b = rng.normal(size=n)
+        fresh = _fresh_symmetric_lu(A)
+        want = fresh.solve(b)
+        factors.clear()
+        x = solve_linear(A, b)
+        assert len(factors) == 1
+        spec, lu = factors[0]
+        specs.append(spec)
+        assert lu.nnz == fresh.nnz
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert specs == [SYMMETRIC, NATURAL, NATURAL, NATURAL]
+
+
+def test_stored_ordering_falls_back_to_colamd(splu_specs):
+    pattern = CsrPattern([0, 0, 1, 1], [0, 1, 0, 1], (2, 2))
+    b = np.array([1.0, 2.0])
+    for diagonal in (2.0, 1e-20, 3.0):
+        A = pattern.matrix(pattern.sum(np.array([diagonal, 1.0, 1.0, diagonal])))
+        x = solve_linear(A, b)
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+    # the tiny diagonal pivot misses the contract on the stored order; the
+    # ordering survives the fallback
+    assert splu_specs == [SYMMETRIC, NATURAL, None, NATURAL]
+
+
+def test_matrices_without_a_kept_layout_are_ordered_afresh(splu_specs):
+    b = np.array([1.0, 2.0])
+    A = sp.csr_matrix([[2.0, 1.0], [1.0, 3.0]])
+    solve_linear(A, b)
+    solve_linear(A, b)
+    pattern = CsrPattern([0, 0, 1, 1], [0, 1, 0, 1], (2, 2), keep_ordering=False)
+    B = pattern.matrix(pattern.sum(np.array([2.0, 1.0, 1.0, 3.0])))
+    solve_linear(B, b)
+    solve_linear(B, b)
+    # a copy of a kept layout's matrix no longer carries the layout
+    kept = CsrPattern([0, 0, 1, 1], [0, 1, 0, 1], (2, 2))
+    C = kept.matrix(kept.sum(np.array([2.0, 1.0, 1.0, 3.0])))
+    solve_linear(C, b)
+    solve_linear(C.copy(), b)
+    assert splu_specs == [SYMMETRIC] * 6
+    assert pattern.ordering is None and kept.ordering is not None
+
+
+def test_systems_on_one_mesh_never_share_an_ordering(splu_specs):
+    mesh = build_unit_square_mesh(4)
+    first, second = (ChbSystem(mesh, MaterialParams()) for _ in range(2))
+    cfg = SolverConfig()
+    first.splitting_step(first.initial_state(), cfg)
+    assert splu_specs.count(SYMMETRIC) == 3
+    splu_specs.clear()
+    second.splitting_step(second.initial_state(), cfg)
+    # the second system orders each of its layouts itself
+    assert splu_specs.count(SYMMETRIC) == 3
+    layouts = [lambda s: s._ch_layout[1], lambda s: s._elasticity_layout,
+               lambda s: s._flow_layout[1]]
+    for layout in layouts:
+        assert layout(first) is not layout(second)
+        assert layout(first).ordering is not None
+        assert layout(second).ordering is not None
+        assert layout(first).ordering is not layout(second).ordering
+    # an ordering lives on its system's layout and goes away with it
+    stored = weakref.ref(first._ch_layout[1].ordering)
+    del first
+    gc.collect()
+    assert stored() is None
+    assert all(layout(second).ordering is not None for layout in layouts)

@@ -61,6 +61,13 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(num_steps=-1)
+    for bad in (dict(max_iter=2.5), dict(num_steps=1.5), dict(max_iter=True),
+                dict(num_steps=False), dict(tol=np.inf), dict(tol=np.nan),
+                dict(tol=True), dict(tol="1e-6")):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    cfg = SolverConfig(tol=np.float64(1e-3), max_iter=np.int64(3), num_steps=0)
+    assert cfg.max_iter == 3
 
 
 def test_ch_residual_zero_at_homogeneous_state(system4):
@@ -302,11 +309,18 @@ def test_splitting_outer_divergence_is_reported(system4, monkeypatch, pressure):
     assert not exc.last_update_norm <= DIVERGENCE_LIMIT
 
 
-def test_splitting_subsystems_use_symmetric_mode_lu(system4, splu_specs):
-    _, stats = system4.splitting_step(system4.initial_state(), SolverConfig())
-    # one factorization per CH Newton iterate, elasticity and flow solve
-    assert len(splu_specs) == sum(stats.inner_newton) + 2 * stats.outer_iters
-    assert set(splu_specs) == {"MMD_AT_PLUS_A"}
+def test_splitting_subsystems_use_symmetric_mode_lu(splu_specs):
+    system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
+    _, stats = system.splitting_step(system.initial_state(), SolverConfig())
+    # one factorization per CH Newton iterate, elasticity and flow solve;
+    # each layout's first orders A^T + A, every later one reuses that order
+    expected, ordered = [], set()
+    for nit in stats.inner_newton:
+        for sub in ["ch"] * nit + ["elas", "flow"]:
+            expected.append("NATURAL" if sub in ordered else "MMD_AT_PLUS_A")
+            ordered.add(sub)
+    assert splu_specs == expected
+    assert expected.count("NATURAL") > 0
 
 
 def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
@@ -314,6 +328,32 @@ def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
     J = system4.monolithic_jacobian(st0, st0)
     solve_linear(J, -system4.monolithic_residual(st0, st0))
     assert splu_specs == ["MMD_AT_PLUS_A"]
+    # every Newton iterate of a step orders its Jacobian afresh
+    splu_specs.clear()
+    _, stats = system4.monolithic_step(st0, SolverConfig(strategy="monolithic"))
+    assert stats.newton_iters >= 2
+    assert splu_specs == ["MMD_AT_PLUS_A"] * stats.newton_iters
+    assert system4._monolithic_layout.ordering is None
+
+
+def test_stored_orderings_match_fresh_ones_over_two_steps(monkeypatch):
+    mesh = build_unit_square_mesh(8)
+    cfg = SolverConfig(num_steps=2)
+    system = ChbSystem(mesh, MaterialParams())
+    kept_state, kept = advance_simulation(system, system.initial_state(), cfg)
+
+    def fresh(A, b):
+        A.layout.ordering = None
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(solvers, "solve_linear", fresh)
+    system = ChbSystem(mesh, MaterialParams())
+    fresh_state, refs = advance_simulation(system, system.initial_state(), cfg)
+    assert ([(s.outer_iters, s.inner_newton) for s in kept]
+            == [(s.outer_iters, s.inner_newton) for s in refs])
+    for field in ("phi", "mu", "u", "p", "q"):
+        assert np.max(np.abs(getattr(kept_state, field)
+                             - getattr(fresh_state, field))) <= 1e-10
 
 
 def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
