@@ -122,6 +122,9 @@ class SimulationConfig:
         if self.sweep is not None and not isinstance(self.sweep, dict):
             errors.append("sweep must be an object with a param key")
         elif self.sweep is not None:
+            unknown = sorted(map(str, set(self.sweep) - {"param", "values"}))
+            if unknown:
+                errors.append(f"sweep has unknown keys: {', '.join(unknown)}")
             param = self.sweep.get("param")
             if param not in SWEEP_PARAMS:
                 errors.append(f"sweep param must be one of {SWEEP_PARAMS}")

@@ -136,8 +136,8 @@ class _StoredOrdering:
 
     perm is SuperLU's ``perm_c``: entry (i, k) of A is entry
     (perm[i], perm[k]) of P A P^T.  gather takes the CSR slot values of A
-    to the CSC data of P A P^T, whose row indices and column pointers are
-    stored alongside.
+    to the data of ``permuted``, the CSC matrix P A P^T, which every solve
+    on this ordering refills.
     """
 
     def __init__(self, pattern: CsrPattern, perm: np.ndarray):
@@ -147,16 +147,17 @@ class _StoredOrdering:
         rows = self.perm[np.repeat(np.arange(n), np.diff(pattern.indptr))]
         cols = self.perm[pattern.indices]
         self.gather = np.lexsort((rows, cols)).astype(np.int32)
-        self.indices = rows[self.gather]
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        # SuperLU keeps no reference to the matrix it factors
+        self.permuted = sp.csc_matrix(
+            (np.zeros(len(self.gather)), rows[self.gather], indptr), shape=(n, n))
+        self.permuted.has_canonical_format = True
 
     def solve(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve with the matrix of slot values `data`, factored in this order."""
-        permuted = sp.csc_matrix((data[self.gather], self.indices, self.indptr),
-                                 shape=(len(self.perm),) * 2)
-        permuted.has_canonical_format = True
-        return _symmetric_lu(permuted, "NATURAL").solve(b[self.order])[self.perm]
+        np.take(data, self.gather, out=self.permuted.data)
+        return _symmetric_lu(self.permuted, "NATURAL").solve(b[self.order])[self.perm]
 
 
 def _symmetric_lu(csc, permc_spec):

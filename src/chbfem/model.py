@@ -48,9 +48,12 @@ class MaterialParams:
         self.C0 = np.asarray(self.C0, dtype=np.float64)
         self.C1 = np.asarray(self.C1, dtype=np.float64)
         errors = []
-        for name in ("gamma", "ell", "mobility", "M0", "M1",
-                     "kappa0", "kappa1", "tau"):
-            if not getattr(self, name) > 0:
+        for name in ("gamma", "ell", "mobility", "xi", "phi_bar", "M0", "M1",
+                     "kappa0", "kappa1", "alpha0", "alpha1", "tau"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                errors.append(f"{name} must be finite")
+            elif name not in ("xi", "phi_bar", "alpha0", "alpha1") and not value > 0:
                 errors.append(f"{name} must be positive")
         for name in ("C0", "C1"):
             errors += stiffness_errors(name, getattr(self, name))
@@ -81,24 +84,33 @@ def stiffness_errors(name: str, C: np.ndarray) -> list:
     return []
 
 
+def pi_laws(phi):
+    """(pi_interp, pi_prime, pi_double_prime) of phi from one pass.
+
+    phi^2*(3-2*phi) and its two derivatives on [0, 1].  pi and pi' are
+    evaluated at phi clipped to [0, 1], where their end values are
+    exactly 0 and 1, and 0; pi'' jumps at 0 and 1 and vanishes outside.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    c = np.clip(phi, 0.0, 1.0)
+    six = 6.0 * c
+    return (c * c * (3.0 - 2.0 * c), six - six * c,
+            np.where((phi < 0.0) | (phi > 1.0), 0.0, 6.0 - 12.0 * phi))
+
+
 def pi_interp(phi):
     """Phase interpolation weight: 0 below 0, phi^2*(3-2*phi) on [0,1], 1 above."""
-    phi = np.asarray(phi, dtype=np.float64)
-    core = phi * phi * (3.0 - 2.0 * phi)
-    return np.where(phi < 0.0, 0.0, np.where(phi > 1.0, 1.0, core))
+    return pi_laws(phi)[0]
 
 
 def pi_prime(phi):
     """Derivative of pi_interp; vanishes outside (0, 1) and at both ends."""
-    phi = np.asarray(phi, dtype=np.float64)
-    core = 6.0 * phi - 6.0 * phi * phi
-    return np.where((phi < 0.0) | (phi > 1.0), 0.0, core)
+    return pi_laws(phi)[1]
 
 
 def pi_double_prime(phi):
     """Second derivative of pi_interp (jumps at 0 and 1)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    return np.where((phi < 0.0) | (phi > 1.0), 0.0, 6.0 - 12.0 * phi)
+    return pi_laws(phi)[2]
 
 
 def zeta(phi, zeta0, zeta1):

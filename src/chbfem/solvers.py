@@ -169,9 +169,9 @@ def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
 
 
 class PhaseIntegrals(NamedTuple):
-    """phi at the quadrature points and kn.phase_cell_integrals of it."""
+    """The kn.Phase of phi and kn.phase_cell_integrals of it."""
 
-    phi_q: np.ndarray
+    values: kn.Phase
     ibar: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
@@ -188,6 +188,12 @@ class ChbSystem:
     its first assembly; every later matrix of that system only fills it.
     The CH, elasticity and flow layouts also keep the LU ordering of their
     first solve (see chbfem.linalg); the monolithic one does not.
+
+    The layouts, their orderings and the kernels' cells-last tables are
+    the solver workspace: built on first use, dropped by
+    release_workspace().  advance_simulation drops it before and after
+    each run, so a run's result does not depend on what the system solved
+    before, and a finished run leaves only the constant operators behind.
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
@@ -230,8 +236,6 @@ class ChbSystem:
         self.B = B
         self.drow = B[:, 0, :] + B[:, 1, :]
 
-        self.psi_q = rt0_basis(mesh, self.lam)
-
         # cell-to-dof maps: u interleaved per vertex, one p dof per cell
         self.cells = mesh.cells
         udofs = np.empty((self.nc, 6), dtype=np.int64)
@@ -245,8 +249,9 @@ class ChbSystem:
 
         m_elem = (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
         k_elem = self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
-        self._m_trip = (*_block_indices(self.cells, self.cells), m_elem.ravel())
-        self._k_trip = (*_block_indices(self.cells, self.cells), k_elem.ravel())
+        p1_rc = _block_indices(self.cells, self.cells)
+        self._m_trip = (*p1_rc, m_elem.ravel())
+        self._k_trip = (*p1_rc, k_elem.ravel())
         self.M = sp.coo_matrix((self._m_trip[2], self._m_trip[:2]),
                                shape=(self.nv, self.nv)).tocsr()
         self.K = sp.coo_matrix((self._k_trip[2], self._k_trip[:2]),
@@ -264,6 +269,26 @@ class ChbSystem:
         bverts = boundary_dofs(mesh, "vertex")
         self.u_bdofs = np.sort(np.concatenate([2 * bverts, 2 * bverts + 1]))
 
+    def release_workspace(self) -> None:
+        """Drop every table built on first use: the CSR layouts with their
+        stored LU orderings, the CH Jacobian image and the kernels'
+        cells-last tables.  The next use builds each one again."""
+        for name, attr in vars(ChbSystem).items():
+            if isinstance(attr, cached_property):
+                self.__dict__.pop(name, None)
+
+    # -- the kernels' cells-last tables, built on first use -----------------
+
+    @cached_property
+    def wq_last(self) -> np.ndarray:
+        """wq cells last, (nqp, nc)."""
+        return kn.cells_last(self.wq)
+
+    @cached_property
+    def psi_last(self) -> np.ndarray:
+        """Signed RT0 basis at the quadrature points, (nqp, 3, 2, nc)."""
+        return kn.cells_last(rt0_basis(self.mesh, self.lam))
+
     # -- field evaluation helpers ------------------------------------------
 
     def phi_at_qp(self, phi: np.ndarray) -> np.ndarray:
@@ -273,10 +298,14 @@ class ChbSystem:
         return np.ascontiguousarray(
             np.einsum("cil,cl->ci", self.B, u[self.udofs]))
 
+    def phase_values(self, phi) -> kn.Phase:
+        """Kernel values of phi alone, at the quadrature points."""
+        return kn.Phase(self.phi_at_qp(phi), self.params)
+
     def pointwise(self, phi, u, p) -> kn.Pointwise:
         """Kernel pointwise values at the iterate (phi, u, p)."""
-        return kn.Pointwise(self.phi_at_qp(phi), self.strain_per_cell(u),
-                            np.ascontiguousarray(p), self.params)
+        return kn.Pointwise(self.phase_values(phi), self.strain_per_cell(u),
+                            np.ascontiguousarray(p))
 
     def initial_state(self, phi_expr=None) -> FieldState:
         """State at time level 0: half-domain phase split, everything else zero."""
@@ -299,38 +328,49 @@ class ChbSystem:
 
     # -- Cahn-Hilliard subsystem -------------------------------------------
 
-    def ch_residual(self, state_prev, phi_i, mu_i, u_fixed, p_fixed, pw=None):
+    def ch_explicit_load(self, state_prev) -> np.ndarray:
+        """(gamma/ell) M (phi_prev - 1/2): the expansive double-well term,
+        fixed over a time step."""
+        pa = self.params
+        return (pa.gamma / pa.ell) * (self.M @ (state_prev.phi - 0.5))
+
+    def ch_residual(self, state_prev, phi_i, mu_i, u_fixed, p_fixed, pw=None,
+                    explicit=None):
         """Stacked residual of the (phi, mu) block with u, p frozen.
 
-        pw: pointwise(phi_i, u_fixed, p_fixed), when the caller has it.
+        pw: pointwise(phi_i, u_fixed, p_fixed), and explicit:
+        ch_explicit_load(state_prev), when the caller has them.
         """
         pa = self.params
         if pw is None:
             pw = self.pointwise(phi_i, u_fixed, p_fixed)
-        nl = _scatter_vector(kn.ch_load(pw, self.wq, self.lam), self.cells,
-                             self.nv)
+        if explicit is None:
+            explicit = self.ch_explicit_load(state_prev)
+        nl = _scatter_vector(kn.ch_load(pw, self.wq_last, self.lam),
+                             self.cells, self.nv)
         r_phi = self.M @ (phi_i - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu_i)
         r_mu = (self.M @ mu_i - pa.gamma * pa.ell * (self.K @ phi_i) - nl
-                + (pa.gamma / pa.ell) * (self.M @ (state_prev.phi - 0.5)))
+                + explicit)
         return np.concatenate([r_phi, r_mu])
 
-    def ch_residual_and_jacobian(self, state_prev, phi_i, mu_i, u_fixed, p_fixed):
+    def ch_residual_and_jacobian(self, state_prev, phi_i, mu_i, u_fixed, p_fixed,
+                                 pw=None, explicit=None):
         """Residual and Jacobian of the Cahn-Hilliard block at the iterate.
 
         The convex double-well term and the energy couplings are evaluated
         at phi_i (implicit), the expansive term at the previous time step.
+        pw and explicit as for ch_residual.
         """
-        pa = self.params
-        pw = self.pointwise(phi_i, u_fixed, p_fixed)
-        res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw)
-        w_elem = kn.ch_jac(pw, self.wq, self.lam)
+        if pw is None:
+            pw = self.pointwise(phi_i, u_fixed, p_fixed)
+        res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw,
+                               explicit)
+        w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
         p1, pattern = self._ch_layout
-        W = p1.sum(w_elem.ravel())
-        # [[M, tau m K], [-gamma ell K - W, M]]
-        J = pattern.matrix(pattern.sum(np.concatenate([
-            self.M.data, self.K.data * (pa.tau * pa.mobility),
-            self.K.data * (-pa.gamma * pa.ell) - W, self.M.data])))
-        return res, J
+        image, mu_phi, k_mu_phi = self._ch_image
+        data = image.copy()
+        data[mu_phi] = k_mu_phi - p1.sum(w_elem.ravel())
+        return res, pattern.matrix(data)
 
     @cached_property
     def _ch_layout(self):
@@ -340,15 +380,44 @@ class ChbSystem:
         blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
         return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv))
 
+    @cached_property
+    def _ch_image(self):
+        """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] without W.
+
+        Returns its slot values, the slots of its (mu, phi) block, which
+        follow the P1 slot order of W, and -gamma ell K there.  No slot of
+        the stack holds more than one triplet.
+        """
+        pa = self.params
+        _, pattern = self._ch_layout
+        k_mu_phi = self.K.data * (-pa.gamma * pa.ell)
+        image = pattern.sum(np.concatenate([
+            self.M.data, self.K.data * (pa.tau * pa.mobility), k_mu_phi,
+            self.M.data]))
+        mu_phi = np.flatnonzero((_slot_rows(pattern) >= self.nv)
+                                & (pattern.indices < self.nv))
+        return image, mu_phi, k_mu_phi
+
     def solve_ch_subsystem(self, state_prev, u_fixed, p_fixed, config,
-                           phi_init=None, mu_init=None):
-        """Newton iteration on the (phi, mu) block; returns (phi, mu, iters)."""
+                           phi_init=None, mu_init=None, values=None):
+        """Newton iteration on the (phi, mu) block; returns (phi, mu, iters).
+
+        values: phase_values(phi_init), when the caller has it.
+        """
         phi = (state_prev.phi if phi_init is None else phi_init).copy()
         mu = (state_prev.mu if mu_init is None else mu_init).copy()
+        # fixed over the Newton iteration
+        strain = self.strain_per_cell(u_fixed)
+        p_cell = np.ascontiguousarray(p_fixed)
+        explicit = self.ch_explicit_load(state_prev)
         norm = np.inf
         for it in range(1, config.max_iter + 1):
-            res, J = self.ch_residual_and_jacobian(state_prev, phi, mu,
-                                                   u_fixed, p_fixed)
+            if values is None:
+                values = self.phase_values(phi)
+            res, J = self.ch_residual_and_jacobian(
+                state_prev, phi, mu, u_fixed, p_fixed,
+                pw=kn.Pointwise(values, strain, p_cell), explicit=explicit)
+            values = None  # phi moves below
             delta = _newton_solve(J, -res, it)
             phi += delta[:self.nv]
             mu += delta[self.nv:]
@@ -365,15 +434,16 @@ class ChbSystem:
 
     # -- elasticity subsystem ----------------------------------------------
 
-    def phase_integrals(self, phi, phi_q=None) -> PhaseIntegrals:
-        """phi at the quadrature points and its cellwise phase integrals.
+    def phase_integrals(self, phi, values=None) -> PhaseIntegrals:
+        """The kernel values of phi and its cellwise phase integrals.
 
-        phi_q: phi_at_qp(phi), when the caller has it already.
+        values: phase_values(phi), or a pointwise at phi, when the caller
+        has it already.
         """
-        if phi_q is None:
-            phi_q = self.phi_at_qp(phi)
-        return PhaseIntegrals(phi_q,
-                              *kn.phase_cell_integrals(phi_q, self.wq, self.params))
+        if values is None:
+            values = self.phase_values(phi)
+        return PhaseIntegrals(values,
+                              *kn.phase_cell_integrals(values, self.wq_last))
 
     def _elasticity_data(self, phi, phase=None):
         """Integrated stiffness, swelling load and pressure coupling per cell."""
@@ -415,8 +485,8 @@ class ChbSystem:
     def storage_coefficient(self, state: FieldState) -> np.ndarray:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
         pa = self.params
-        phi_q = self.phi_at_qp(state.phi)
-        ibar, _, _, dinv = kn.phase_cell_integrals(phi_q, self.wq, pa)
+        ibar, _, _, dinv = kn.phase_cell_integrals(self.phase_values(state.phi),
+                                                   self.wq_last)
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
         divu = self.strain_per_cell(state.u) @ np.array([1.0, 1.0, 0.0])
         return dinv * state.p + abar * divu
@@ -425,9 +495,9 @@ class ChbSystem:
         pa = self.params
         if phase is None:
             phase = self.phase_integrals(phi)
-        phi_q, ibar, _, _, dinv = phase
+        values, ibar, _, _, dinv = phase
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
-        mq_elem = kn.rt0_weighted_mass(phi_q, self.wq, self.psi_q, pa)
+        mq_elem = kn.rt0_weighted_mass(values, self.wq_last, self.psi_last)
         return dinv, abar, mq_elem
 
     def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None):
@@ -484,10 +554,12 @@ class ChbSystem:
         storage_prev = self.storage_coefficient(state_prev)
         inner = []
         norm = np.inf
+        phase = None
         for it in range(1, config.max_iter + 1):
             try:
                 phi_n, mu_n, nit = self.solve_ch_subsystem(
-                    state_prev, u_o, p_o, config, phi_init=phi_o, mu_init=mu_o)
+                    state_prev, u_o, p_o, config, phi_init=phi_o, mu_init=mu_o,
+                    values=None if phase is None else phase.values)
             except NonConvergence as exc:
                 raise NonConvergence(
                     f"splitting step failed in the phase-field solve: {exc}",
@@ -498,6 +570,8 @@ class ChbSystem:
                 exc.iterations, exc.inner_newton = it - 1, (*inner, exc.iterations)
                 raise
             inner.append(nit)
+            # shared by both subsystems and the next outer iteration's
+            # first Cahn-Hilliard iterate, which starts at phi_n
             phase = self.phase_integrals(phi_n)
             try:
                 u_n = self.solve_elasticity(phi_n, p_o, phase=phase)
@@ -533,8 +607,7 @@ class ChbSystem:
         """(pointwise values, RT0 mass) shared by a monolithic residual and
         Jacobian at the same iterate."""
         pw = self.pointwise(state.phi, state.u, state.p)
-        return pw, kn.rt0_weighted_mass(pw.phi_q, self.wq, self.psi_q,
-                                        self.params)
+        return pw, kn.rt0_weighted_mass(pw, self.wq_last, self.psi_last)
 
     def monolithic_residual(self, state_prev: FieldState,
                             state_iter: FieldState, at=None) -> np.ndarray:
@@ -552,7 +625,7 @@ class ChbSystem:
         res[:2 * self.nv] = self.ch_residual(state_prev, st.phi, st.mu,
                                              st.u, st.p, pw)
         cint, abar, swell, dinv = self._elasticity_data(
-            st.phi, self.phase_integrals(st.phi, pw.phi_q))
+            st.phi, self.phase_integrals(st.phi, pw))
         strain = pw.strain
         sint = np.einsum("cab,cb->ca", cint, strain) - swell
         ru_elem = (np.einsum("cai,ca->ci", self.B, sint)
@@ -578,14 +651,15 @@ class ChbSystem:
         pa = self.params
         st = state_iter
         pw, mq_elem = self.monolithic_iterate(st) if at is None else at
-        qloc = np.ascontiguousarray(st.q[self.qdofs])
+        qloc = st.q[self.qdofs.T]
 
         # values in the block order of _monolithic_layout
-        w_elem = kn.ch_jac(pw, self.wq, self.lam)
+        w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
-            pw, self.wq, self.lam, qloc, self.B, self.psi_q)
+            pw, self.wq_last, self.lam, qloc, kn.cells_last(self.B),
+            self.psi_last)
         cint, abar, _, dinv = self._elasticity_data(
-            st.phi, self.phase_integrals(st.phi, pw.phi_q))
+            st.phi, self.phase_integrals(st.phi, pw))
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=True)
         m, k, div = self._m_trip[2], self._k_trip[2], self._bdiv_trip[2]
@@ -682,22 +756,29 @@ def advance_simulation(system: ChbSystem, initial_state: FieldState,
     Returns (final_state, [IterationStats]).  A failed step aborts the
     run and raises SimulationFailed carrying the stats gathered so far
     (including the partial counts and the wall time of the failing step).
+    The run starts from an empty solver workspace and leaves none behind
+    (ChbSystem.release_workspace).
     """
     stats = []
     state = initial_state
-    for _ in range(config.num_steps):
-        t0 = time.perf_counter()
-        try:
-            state, step_stats = system.step(state, config)
-        except (NonConvergence, LinearSolveFailure) as exc:
-            failed = IterationStats(
-                step=state.n + 1,
-                outer_iters=exc.iterations if config.strategy == "splitting" else 0,
-                inner_newton=exc.inner_newton,
-                newton_iters=exc.iterations if config.strategy == "monolithic" else 0,
-                converged=False, wall_seconds=time.perf_counter() - t0)
-            raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
-        stats.append(step_stats)
-        if on_step is not None:
-            on_step(state, step_stats)
+    system.release_workspace()
+    try:
+        for _ in range(config.num_steps):
+            t0 = time.perf_counter()
+            try:
+                state, step_stats = system.step(state, config)
+            except (NonConvergence, LinearSolveFailure) as exc:
+                split = config.strategy == "splitting"
+                failed = IterationStats(
+                    step=state.n + 1,
+                    outer_iters=exc.iterations if split else 0,
+                    inner_newton=exc.inner_newton,
+                    newton_iters=0 if split else exc.iterations,
+                    converged=False, wall_seconds=time.perf_counter() - t0)
+                raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
+            stats.append(step_stats)
+            if on_step is not None:
+                on_step(state, step_stats)
+    finally:
+        system.release_workspace()
     return state, stats

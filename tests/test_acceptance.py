@@ -229,6 +229,7 @@ def test_criterion_9_zero_data_fixed_point(desk_system):
           f"{stats_m.newton_iters} (<= 2), state drift {drift:.2e} <= 1e-12")
 
 
+@pytest.mark.slow
 def test_criterion_10_full_resolution_smoke():
     t0 = time.perf_counter()
     system = ChbSystem(build_unit_square_mesh(65), MaterialParams())

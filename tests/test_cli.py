@@ -118,6 +118,15 @@ def test_sweep_validation(tmp_path):
     with pytest.raises(ConfigError, match="positive"):
         load_config(write_config(tmp_path, {"sweep": {"param": "gamma",
                                                       "values": [1.0, -2.0]}}))
+    # a misspelt key must not fall back to the default grid
+    misspelt = {"sweep": {"param": "gamma", "valuse": [1, 2]}}
+    with pytest.raises(ConfigError, match="sweep has unknown keys: valuse"):
+        config_from_dict(misspelt)
+    path, out = write_config(tmp_path, misspelt), tmp_path / "out"
+    for flag in ("gamma", "xi"):
+        assert main(["run", "--config", str(path), "--sweep", flag,
+                     "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_config_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import reference_kernels as ref
 from chbfem import _kernels as kn
 from chbfem import model, solvers
+from chbfem.fem import rt0_basis
 from chbfem.linalg import solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
@@ -29,7 +30,7 @@ def setup():
 def test_ch_load_matches_generic_assembly(setup):
     system, params, state = setup
     elem = kn.ch_load(system.pointwise(state.phi, state.u, state.p),
-                      system.wq, system.lam)
+                      system.wq_last, system.lam)
     fast = np.zeros(system.nv)
     np.add.at(fast, system.cells.ravel(), elem.ravel())
 
@@ -52,8 +53,8 @@ def test_ch_load_matches_generic_assembly(setup):
 
 def test_rt0_mass_matches_generic_assembly(setup):
     system, params, state = setup
-    elem = kn.rt0_weighted_mass(system.phi_at_qp(state.phi), system.wq,
-                                system.psi_q, params)
+    elem = kn.rt0_weighted_mass(system.phase_values(state.phi), system.wq_last,
+                                system.psi_last)
     r = np.repeat(system.qdofs[:, :, None], 3, axis=2).ravel()
     c = np.repeat(system.qdofs[:, None, :], 3, axis=1).ravel()
     fast = sp.coo_matrix((elem.ravel(), (r, c)),
@@ -73,7 +74,7 @@ def test_rt0_mass_matches_generic_assembly(setup):
 
 def test_phase_cell_integrals_match_generic_assembly(setup):
     system, params, state = setup
-    fast = kn.phase_cell_integrals(system.phi_at_qp(state.phi), system.wq, params)
+    fast = kn.phase_cell_integrals(system.phase_values(state.phi), system.wq_last)
 
     P = p0_space(system.mesh)
     phi_f = FieldFunction(p1_scalar(system.mesh), state.phi)
@@ -116,37 +117,42 @@ def check_kernels(system, state):
     strain = o.strain_per_cell(state.u)
     p = np.ascontiguousarray(state.p)
     qloc = np.ascontiguousarray(state.q[o.qdofs])
+    psi_q = rt0_basis(o.mesh, o.lam)
+    phase = kn.Phase(phi_q, pa)
     want = {
         "ch_load": ref.ch_load(phi_q, o.wq, o.lam, strain, p, pa),
         "ch_jac": ref.ch_jac(phi_q, o.wq, o.lam, strain, p, pa),
         "coupling_blocks": ref.coupling_blocks(phi_q, o.wq, o.lam, strain, p,
-                                               qloc, o.B, o.psi_q, pa),
+                                               qloc, o.B, psi_q, pa),
     }
 
     def run(name, pw):
         if name == "coupling_blocks":
-            return kn.coupling_blocks(pw, o.wq, o.lam, qloc, o.B, o.psi_q)
-        return getattr(kn, name)(pw, o.wq, o.lam)
+            return kn.coupling_blocks(pw, o.wq_last, o.lam, kn.cells_last(qloc),
+                                      kn.cells_last(o.B), o.psi_last)
+        return getattr(kn, name)(pw, o.wq_last, o.lam)
 
-    shared = kn.Pointwise(phi_q, strain, p, pa)
+    assert_same_bits(kn.rt0_weighted_mass(phase, o.wq_last, o.psi_last),
+                     ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa),
+                     "rt0_weighted_mass")
+    for k, (g, e) in enumerate(zip(kn.phase_cell_integrals(phase, o.wq_last),
+                                   ref.phase_cell_integrals(phi_q, o.wq, pa))):
+        assert_same_bits(g, e, f"phase_cell_integrals[{k}]")
+    # a pointwise that starts from the phase values computed above
+    shared = kn.Pointwise(phase, strain, p)
     for name in want:  # one pass shared by all three, then one pass each
         for path, pw in (("shared", shared),
-                         ("own", kn.Pointwise(phi_q, strain, p, pa))):
+                         ("own", kn.Pointwise(kn.Phase(phi_q, pa), strain, p))):
             got, exp = run(name, pw), want[name]
             if name != "coupling_blocks":
                 got, exp = (got,), (exp,)
             for k, (g, e) in enumerate(zip(got, exp)):
                 assert_same_bits(g, e, f"{name}[{k}] ({path} pass)")
                 assert g.flags.c_contiguous
-    assert_same_bits(kn.rt0_weighted_mass(phi_q, o.wq, o.psi_q, pa),
-                     ref.rt0_weighted_mass(phi_q, o.wq, o.psi_q, pa),
-                     "rt0_weighted_mass")
-    for k, (g, e) in enumerate(zip(kn.phase_cell_integrals(phi_q, o.wq, pa),
-                                   ref.phase_cell_integrals(phi_q, o.wq, pa))):
-        assert_same_bits(g, e, f"phase_cell_integrals[{k}]")
 
 
-@pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (16, 3), (16, 4), (65, 5)])
+@pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (16, 3), (16, 4),
+                                     pytest.param(65, 5, marks=pytest.mark.slow)])
 def test_kernels_match_reference_bit_for_bit(n, seed):
     check_kernels(*kernel_inputs(n, seed))
 
@@ -158,9 +164,54 @@ SHEAR_COUPLED = dict(
     C1=np.array([[1.0, 0.1, 0.03], [0.1, 1.2, -0.07], [0.03, -0.07, 0.8]]))
 
 
-@pytest.mark.parametrize("n, seed", [(4, 11), (16, 12), (65, 13)])
+@pytest.mark.parametrize("n, seed", [(4, 11), (16, 12),
+                                     pytest.param(65, 13, marks=pytest.mark.slow)])
 def test_kernels_match_reference_bit_for_bit_with_shear_couplings(n, seed):
     check_kernels(*kernel_inputs(n, seed, MaterialParams(xi=2.0, **SHEAR_COUPLED)))
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("stiffness", [{}, SHEAR_COUPLED],
+                         ids=["default", "shear_coupled"])
+def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
+    o, state = kernel_inputs(n, 20 + n, MaterialParams(xi=2.0, **stiffness))
+    pa = o.params
+    prev = random_state(o, np.random.default_rng(n), -0.3, 1.3)
+    _, J = o.ch_residual_and_jacobian(prev, state.phi, state.mu, state.u,
+                                      state.p)
+    w_elem = ref.ch_jac(o.phi_at_qp(state.phi), o.wq, o.lam,
+                        o.strain_per_cell(state.u),
+                        np.ascontiguousarray(state.p), pa)
+    r, c = o._m_trip[:2]
+
+    def p1(vals):
+        return sp.coo_matrix((vals, (r, c)), shape=(o.nv, o.nv)).tocsr()
+
+    M, K, W = p1(o._m_trip[2]), p1(o._k_trip[2]), p1(w_elem.ravel())
+    for X in (K, W):
+        assert np.array_equal(X.indptr, M.indptr)
+        assert np.array_equal(X.indices, M.indices)
+    rows = np.repeat(np.arange(o.nv), np.diff(M.indptr))
+    nv = o.nv
+    blocks = [(M.data, 0, 0), (K.data * (pa.tau * pa.mobility), 0, nv),
+              (K.data * (-pa.gamma * pa.ell) - W.data, nv, 0),
+              (M.data, nv, nv)]
+    want = sp.coo_matrix(
+        (np.concatenate([d for d, _, _ in blocks]),
+         (np.concatenate([rows + ro for _, ro, _ in blocks]),
+          np.concatenate([M.indices + co for _, _, co in blocks]))),
+        shape=(2 * nv, 2 * nv)).tocsr()
+    assert np.array_equal(J.indptr, want.indptr)
+    assert np.array_equal(J.indices, want.indices)
+    assert_same_bits(J.data, want.data, "CH Jacobian")
+    # the splitting's path: phase values shared with the phase integrals,
+    # the strain and the explicit load computed beforehand
+    pw = kn.Pointwise(o.phase_integrals(state.phi).values,
+                      o.strain_per_cell(state.u), np.ascontiguousarray(state.p))
+    _, J = o.ch_residual_and_jacobian(prev, state.phi, state.mu, state.u,
+                                      state.p, pw=pw,
+                                      explicit=o.ch_explicit_load(prev))
+    assert_same_bits(J.data, want.data, "CH Jacobian from shared values")
 
 
 def test_kernels_match_reference_at_the_unit_interval_ends():

@@ -233,6 +233,34 @@ def test_pattern_reuses_its_first_ordering(factors):
     assert specs == [SYMMETRIC, NATURAL, NATURAL, NATURAL]
 
 
+def test_stored_solves_refill_one_container_bit_for_bit():
+    # every stored-ordering solve of a layout refills the same CSC
+    # container; each must give the bits of a freshly built one
+    rng = np.random.default_rng(4)
+    n = 80
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, 4 * n)])
+    cols = np.concatenate([np.arange(n), rng.integers(0, n, 4 * n)])
+    pattern = CsrPattern(rows, cols, (n, n))
+
+    def filled():
+        vals = rng.normal(size=len(rows))
+        vals[:n] += 20.0
+        return pattern.matrix(pattern.sum(vals)), rng.normal(size=n)
+
+    solve_linear(*filled())  # stores the ordering
+    stored = pattern.ordering
+    container = stored.permuted
+    for _ in range(2):
+        A, b = filled()
+        x = solve_linear(A, b)
+        assert stored.permuted is container
+        fresh = sp.csc_matrix((A.data[stored.gather], container.indices.copy(),
+                               container.indptr.copy()), shape=(n, n))
+        want = spla.splu(fresh, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True)).solve(b[stored.order])
+        assert np.array_equal(x, want[stored.perm])
+
+
 def test_stored_ordering_falls_back_to_colamd(splu_specs):
     pattern = CsrPattern([0, 0, 1, 1], [0, 1, 0, 1], (2, 2))
     b = np.array([1.0, 2.0])

@@ -38,6 +38,14 @@ def test_params_validation_names_offender():
         MaterialParams(C0=-np.eye(3))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("xi", np.nan), ("phi_bar", np.nan), ("alpha0", np.inf),
+    ("gamma", np.inf), ("tau", -np.inf), ("alpha1", np.nan)])
+def test_params_reject_non_finite_scalars_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        MaterialParams(**{name: value})
+
+
 def test_stiffness_stored_exactly_symmetric():
     C0 = model.DEFAULT_C0.copy()
     C0[0, 1] += 1e-14  # within the symmetry check's tolerance

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import reference_kernels as ref
 from chbfem import _kernels as kn
 from chbfem import solvers
+from chbfem.fem import rt0_basis
 from chbfem.linalg import LinearSolveFailure, solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
@@ -523,7 +524,8 @@ def reference_elasticity_system(o, phi, p):
 
 def reference_flow_matrix(o, phi):
     dinv, _, _ = o._flow_data(phi)
-    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq, o.psi_q, o.params)
+    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
+                                    rt0_basis(o.mesh, o.lam), o.params)
     Mq = _coo(mq_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
     return sp.bmat([[sp.diags(dinv), o.params.tau * o.Bdiv],
                     [-o.BdivT, Mq]], format="csr")
@@ -534,13 +536,14 @@ def reference_monolithic_jacobian(o, st):
     phi_q = o.phi_at_qp(st.phi)
     strain = o.strain_per_cell(st.u)
     p_cell = np.ascontiguousarray(st.p)
+    psi_q = rt0_basis(o.mesh, o.lam)
     w_elem = ref.ch_jac(phi_q, o.wq, o.lam, strain, p_cell, pa)
     mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
         phi_q, o.wq, o.lam, strain, p_cell,
-        np.ascontiguousarray(st.q[o.qdofs]), o.B, o.psi_q, pa)
+        np.ascontiguousarray(st.q[o.qdofs]), o.B, psi_q, pa)
     cint, abar, _, dinv = o._elasticity_data(st.phi)
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
-    mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, o.psi_q, pa)
+    mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa)
     cells, u, pd, q = o.cells, o.udofs, o.pdofs, o.qdofs
     m, k = o._m_trip[2].reshape(-1, 3, 3), o._k_trip[2].reshape(-1, 3, 3)
     div = o._bdiv_trip[2].reshape(-1, 3, 1)
@@ -685,17 +688,35 @@ def test_later_steps_build_no_sparsity(system4, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sparsity rebuilt after the first step")
 
-    states = {}
+    def forbid_after_first(_state, _stats):
+        monkeypatch.setattr(solvers.sp, "coo_matrix", forbidden)
+        monkeypatch.setattr(solvers.sp, "bmat", forbidden)
+
     for strategy in ("splitting", "monolithic"):
-        cfg = SolverConfig(strategy=strategy, num_steps=1)
-        states[strategy], _ = advance_simulation(system4, system4.initial_state(),
-                                                 cfg)
-    monkeypatch.setattr(solvers.sp, "coo_matrix", forbidden)
-    monkeypatch.setattr(solvers.sp, "bmat", forbidden)
-    for strategy, state in states.items():
-        cfg = SolverConfig(strategy=strategy, num_steps=1)
-        _, stats = advance_simulation(system4, state, cfg)
-        assert stats[0].converged
+        cfg = SolverConfig(strategy=strategy, num_steps=2)
+        _, stats = advance_simulation(system4, system4.initial_state(), cfg,
+                                      on_step=forbid_after_first)
+        assert [s.converged for s in stats] == [True, True]
+        monkeypatch.undo()
+
+
+def test_runs_on_a_reused_system_match_a_fresh_one():
+    mesh = build_unit_square_mesh(8)
+    params = MaterialParams()
+    reused = ChbSystem(mesh, params)
+    for strategy in ("splitting", "monolithic"):
+        cfg = SolverConfig(strategy=strategy, num_steps=2)
+        fresh = ChbSystem(mesh, params)
+        want, _ = advance_simulation(fresh, fresh.initial_state(), cfg)
+        # a stored LU ordering from an earlier solve would change bits
+        reused.splitting_step(reused.initial_state(), SolverConfig())
+        assert reused._ch_layout[1].ordering is not None
+        for _ in range(2):
+            got, _ = advance_simulation(reused, reused.initial_state(), cfg)
+            assert np.array_equal(reused.pack(got), reused.pack(want))
+            # a finished run keeps no workspace
+            assert not {"_ch_layout", "_monolithic_layout", "wq_last",
+                        "psi_last"} & set(vars(reused))
 
 
 def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
