@@ -1,10 +1,13 @@
 """Experiment configuration, orchestration and output writers.
 
 A single flat JSON document configures one experiment; missing keys fall
-back to the baseline parameter set.  Sweeps over the surface tension
-(gamma) or the swelling parameter (xi) run one simulation per value and
-per strategy, record iteration counts and wall time per run, and never
-let a non-converged run abort the sweep.
+back to the baseline parameter set.  SimulationConfig takes its material
+and solver fields, with their defaults and checks, from MaterialParams
+and SolverConfig and validates them with the same model.check_fields,
+so a bad value gets the same ConfigError from either.  Sweeps over the
+surface tension (gamma) or the swelling parameter (xi) run one
+simulation per value and per strategy, record iteration counts and wall
+time per run, and never let a non-converged run abort the sweep.
 
 Outputs: a metrics CSV with the fixed header
 
@@ -18,9 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,8 @@ import numpy as np
 from .fem import rt0_basis
 from .linalg import LinearSolveFailure
 from .mesh import StructuredTriMesh, build_unit_square_mesh
-from .model import DEFAULT_C0, DEFAULT_C1, MaterialParams, stiffness_errors
+from .model import (ConfigError, MaterialParams, check_fields, choice, integer,
+                    is_number)
 from .solvers import (ChbSystem, FieldState, SimulationFailed, SolverConfig,
                       advance_simulation)
 
@@ -43,119 +46,68 @@ DESK_N = 16
 DESK_NUM_STEPS = 20
 
 
-class ConfigError(ValueError):
-    """Unreadable, unparsable or invalid configuration."""
+def _sweep_check(sweep):
+    if sweep is None:
+        return None
+    if not isinstance(sweep, dict):
+        return "must be an object with a param key"
+    unknown = sorted(map(str, set(sweep) - {"param", "values"}))
+    if unknown:
+        return f"has unknown keys: {', '.join(unknown)}"
+    param, values = sweep.get("param"), sweep.get("values")
+    if param not in SWEEP_PARAMS:
+        return f"param must be one of {SWEEP_PARAMS}"
+    if values is None:
+        return None
+    if (not isinstance(values, (list, tuple)) or not values
+            or not all(is_number(v) for v in values)):
+        return "values must be a nonempty list of numbers"
+    if param == "gamma" and any(v <= 0 for v in values):
+        return "values must be positive for gamma"
 
 
-def _is_number(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int; json also
-    # reads NaN, Infinity and integers beyond float range, which no field accepts
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+def _string_check(value):
+    if not isinstance(value, str):
+        return "must be a string"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _voigt_errors(name, value) -> list:
-    """Why a configured C0/C1 is not a 3x3 SPD matrix of numbers, if it isn't."""
-    rows = value.tolist() if isinstance(value, np.ndarray) else value
-    if not (isinstance(rows, (list, tuple)) and len(rows) == 3
-            and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rows)):
-        return [f"{name} must be a 3x3 Voigt matrix"]
-    if not all(_is_number(x) for r in rows for x in r):
-        return [f"{name} must have finite entries, each a number"]
-    return stiffness_errors(name, np.asarray(rows, dtype=float))
+_SOLVER_FIELDS = tuple(f for f in fields(SolverConfig) if f.name != "strategy")
+# the material and solver fields of a run, with the defaults and checks
+# MaterialParams and SolverConfig declare
+_SharedFields = make_dataclass("_SharedFields", [
+    (f.name, f.type, field(default=f.default, default_factory=f.default_factory,
+                           metadata=f.metadata))
+    for f in fields(MaterialParams) + _SOLVER_FIELDS])
 
 
 @dataclass
-class SimulationConfig:
-    """Effective configuration of one experiment (all fields resolved)."""
+class SimulationConfig(_SharedFields):
+    """Effective configuration of one experiment (all fields resolved).
 
-    gamma: float = 5.0
-    ell: float = 2.0e-2
-    mobility: float = 1.0
-    xi: float = 0.5
-    phi_bar: float = 0.5
-    C0: list = field(default_factory=lambda: DEFAULT_C0.tolist())
-    C1: list = field(default_factory=lambda: DEFAULT_C1.tolist())
-    M0: float = 1.0
-    M1: float = 0.1
-    kappa0: float = 1.0
-    kappa1: float = 0.1
-    alpha0: float = 1.0
-    alpha1: float = 0.5
-    tau: float = 1.0e-5
-    tol: float = 1.0e-6
-    max_iter: int = 100
-    n: int = 65
-    num_steps: int = 20
-    strategy: str = "both"
-    sweep: dict | None = None
-    out_dir: str = "out"
-    vtk_every: int = 0
+    Every MaterialParams field and every SolverConfig field but strategy
+    comes first, with the same default and check; the fields below belong
+    to the run alone.
+    """
+
+    n: int = integer(65, low=1)
+    strategy: str = choice("both", "monolithic", "splitting", "both")
+    sweep: dict | None = field(default=None, metadata={"check": _sweep_check})
+    out_dir: str = field(default="out", metadata={"check": _string_check})
+    vtk_every: int = integer(0, low=0)
 
     def validate(self) -> None:
-        errors = []
-        for name in ("gamma", "ell", "mobility", "M0", "M1", "kappa0",
-                     "kappa1", "tau", "tol"):
-            if not _is_number(getattr(self, name)) or not getattr(self, name) > 0:
-                errors.append(f"{name} must be a positive number")
-        for name in ("xi", "phi_bar", "alpha0", "alpha1"):
-            if not _is_number(getattr(self, name)):
-                errors.append(f"{name} must be a number")
-        for name, low in (("max_iter", 1), ("n", 1), ("num_steps", 0),
-                          ("vtk_every", 0)):
-            if not _is_int(getattr(self, name)) or getattr(self, name) < low:
-                errors.append(f"{name} must be an integer of at least {low}")
-        if self.strategy not in ("monolithic", "splitting", "both"):
-            errors.append("strategy must be monolithic, splitting or both")
-        if not isinstance(self.out_dir, str):
-            errors.append("out_dir must be a string")
-        for name in ("C0", "C1"):
-            errors += _voigt_errors(name, getattr(self, name))
-        if self.sweep is not None and not isinstance(self.sweep, dict):
-            errors.append("sweep must be an object with a param key")
-        elif self.sweep is not None:
-            unknown = sorted(map(str, set(self.sweep) - {"param", "values"}))
-            if unknown:
-                errors.append(f"sweep has unknown keys: {', '.join(unknown)}")
-            param = self.sweep.get("param")
-            if param not in SWEEP_PARAMS:
-                errors.append(f"sweep param must be one of {SWEEP_PARAMS}")
-            values = self.sweep.get("values", None)
-            if values is not None:
-                if (not isinstance(values, (list, tuple)) or not values
-                        or not all(_is_number(v) for v in values)):
-                    errors.append("sweep values must be a nonempty list of numbers")
-                elif param == "gamma" and any(v <= 0 for v in values):
-                    errors.append("gamma sweep values must be positive")
-        if errors:
-            raise ConfigError("invalid configuration: " + "; ".join(errors))
+        check_fields(self, "configuration")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def material_params(self, **overrides) -> MaterialParams:
-        return MaterialParams(
-            gamma=overrides.get("gamma", self.gamma),
-            ell=self.ell, mobility=self.mobility,
-            xi=overrides.get("xi", self.xi),
-            phi_bar=self.phi_bar,
-            C0=np.asarray(self.C0, dtype=float),
-            C1=np.asarray(self.C1, dtype=float),
-            M0=self.M0, M1=self.M1, kappa0=self.kappa0, kappa1=self.kappa1,
-            alpha0=self.alpha0, alpha1=self.alpha1,
-            tau=self.tau)
+        values = {f.name: getattr(self, f.name) for f in fields(MaterialParams)}
+        return MaterialParams(**{**values, **overrides})
 
     def solver_config(self, strategy: str) -> SolverConfig:
-        return SolverConfig(strategy=strategy, tol=self.tol,
-                            max_iter=self.max_iter, num_steps=self.num_steps)
+        return SolverConfig(strategy=strategy,
+                            **{f.name: getattr(self, f.name) for f in _SOLVER_FIELDS})
 
     def sweep_plan(self):
         """(param_name, values) of the sweep, or ("none", [None]) for a base run."""

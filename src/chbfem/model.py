@@ -5,11 +5,17 @@ code serves scalar spot checks and per-quadrature-point arrays.  Symmetric
 2-tensors use Voigt form: strains as (e_xx, e_yy, 2*e_xy), stresses as
 (s_xx, s_yy, s_xy), so the double contraction of a strain-type vector with
 a stress-type vector is a plain dot product.
+
+MaterialParams declares each parameter's default and check once, with
+the field helpers and the one validator, check_fields, that SolverConfig
+and the experiment config share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,40 +31,115 @@ DEFAULT_C1 = np.array([[1.0, 0.1, 0.0],
 VOIGT_ID = np.array([1.0, 1.0, 0.0])
 
 
+class ConfigError(ValueError):
+    """Unreadable, unparsable or invalid configuration."""
+
+
+# Each configurable field declares its default and its check once, through
+# the helpers below; a check returns why a value fails, or None.
+
+def is_number(value) -> bool:
+    """A finite real number; bool (an int to Python) and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond float range
+        return False
+
+
+def real(default, positive=False, paired_with=None):
+    """A finite number; `paired_with` names an earlier field z0 that this
+    one, z1, is interpolated from as z0 + pi*(z1 - z0)."""
+    kind = "a positive number" if positive else "a number"
+
+    def check(value):
+        if not is_number(value) or (positive and not value > 0):
+            return f"must be {kind}"
+    return field(default=default,
+                 metadata={"check": check, "paired_with": paired_with})
+
+
+def integer(default, low):
+    def check(value):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < low):
+            return f"must be an integer of at least {low}"
+    return field(default=default, metadata={"check": check})
+
+
+def choice(default, *choices):
+    def check(value):
+        if not (isinstance(value, str) and value in choices):
+            return f"must be {', '.join(choices[:-1])} or {choices[-1]}"
+    return field(default=default, metadata={"check": check})
+
+
+def _voigt_check(value):
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 3
+            and all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rows)):
+        return "must be a 3x3 Voigt matrix"
+    if not all(is_number(x) for r in rows for x in r):
+        return "must have finite entries, each a number"
+    C = np.array(rows, dtype=np.float64)
+    if not np.allclose(C, C.T):
+        return "must be symmetric"
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return "must be positive definite"
+
+
+def voigt(default: np.ndarray):
+    """A symmetric positive definite 3x3 Voigt matrix, as nested lists or an array."""
+    return field(default_factory=default.tolist, metadata={"check": _voigt_check})
+
+
+def check_fields(obj, what: str) -> None:
+    """Raise a ConfigError naming every field of `obj` that fails its check.
+
+    A paired field z1 must also survive z0 + (z1 - z0) to 1e-8 relative,
+    else its interpolated coefficient can round to zero at pi = 1.
+    """
+    errors = {}
+    for f in fields(obj):
+        value, z0_name = getattr(obj, f.name), f.metadata.get("paired_with")
+        reason = f.metadata["check"](value)
+        if not reason and z0_name and z0_name not in errors:
+            z0, z1 = float(getattr(obj, z0_name)), float(value)
+            if abs(z0 + (z1 - z0) - z1) > 1e-8 * abs(z1):
+                reason = f"is lost in {z0_name} + pi*({f.name} - {z0_name}) at pi = 1"
+        if reason:
+            errors[f.name] = f"{f.name} {reason}"
+    if errors:
+        raise ConfigError(f"invalid {what}: " + "; ".join(errors.values()))
+
+
 @dataclass
 class MaterialParams:
     """Material and discretization parameters of the baseline setup."""
 
-    gamma: float = 5.0          # surface tension
-    ell: float = 2.0e-2         # interface regularization width
-    mobility: float = 1.0
-    xi: float = 0.5             # swelling parameter
-    phi_bar: float = 0.5        # reference phase-field
-    C0: np.ndarray = field(default_factory=lambda: DEFAULT_C0.copy())
-    C1: np.ndarray = field(default_factory=lambda: DEFAULT_C1.copy())
-    M0: float = 1.0             # compressibilities of the pure phases
-    M1: float = 0.1
-    kappa0: float = 1.0         # permeabilities
-    kappa1: float = 0.1
-    alpha0: float = 1.0         # Biot-Willis coefficients
-    alpha1: float = 0.5
-    tau: float = 1.0e-5         # time step size
+    gamma: float = real(5.0, positive=True)      # surface tension
+    ell: float = real(2.0e-2, positive=True)     # interface regularization width
+    mobility: float = real(1.0, positive=True)
+    xi: float = real(0.5)                        # swelling parameter
+    phi_bar: float = real(0.5)                   # reference phase-field
+    C0: np.ndarray = voigt(DEFAULT_C0)
+    C1: np.ndarray = voigt(DEFAULT_C1)
+    # compressibilities and permeabilities of the pure phases
+    M0: float = real(1.0, positive=True)
+    M1: float = real(0.1, positive=True, paired_with="M0")
+    kappa0: float = real(1.0, positive=True)
+    kappa1: float = real(0.1, positive=True, paired_with="kappa0")
+    alpha0: float = real(1.0)                    # Biot-Willis coefficients
+    alpha1: float = real(0.5)
+    tau: float = real(1.0e-5, positive=True)     # time step size
 
     def __post_init__(self):
+        check_fields(self, "material parameters")
         self.C0 = np.asarray(self.C0, dtype=np.float64)
         self.C1 = np.asarray(self.C1, dtype=np.float64)
-        errors = []
-        for name in ("gamma", "ell", "mobility", "xi", "phi_bar", "M0", "M1",
-                     "kappa0", "kappa1", "alpha0", "alpha1", "tau"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                errors.append(f"{name} must be finite")
-            elif name not in ("xi", "phi_bar", "alpha0", "alpha1") and not value > 0:
-                errors.append(f"{name} must be positive")
-        for name in ("C0", "C1"):
-            errors += stiffness_errors(name, getattr(self, name))
-        if errors:
-            raise ValueError("invalid material parameters: " + "; ".join(errors))
         # exactly symmetric, as the kernels assume; the same bits for a
         # matrix that is symmetric already
         self.C0 = 0.5 * (self.C0 + self.C0.T)
@@ -67,21 +148,6 @@ class MaterialParams:
     @property
     def dC(self) -> np.ndarray:
         return self.C1 - self.C0
-
-
-def stiffness_errors(name: str, C: np.ndarray) -> list:
-    """Why C is not a symmetric positive definite 3x3 Voigt matrix, if it isn't."""
-    if C.shape != (3, 3):
-        return [f"{name} must be a 3x3 Voigt matrix"]
-    if not np.all(np.isfinite(C)):
-        return [f"{name} must have finite entries"]
-    if not np.allclose(C, C.T):
-        return [f"{name} must be symmetric"]
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        return [f"{name} must be positive definite"]
-    return []
 
 
 def pi_laws(phi):

@@ -18,8 +18,6 @@ for both strategies, so iteration counts are directly comparable.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +30,7 @@ from . import _kernels as kn
 from .fem import default_rule, rt0_basis
 from .linalg import CsrPattern, LinearSolveFailure, solve_linear
 from .mesh import StructuredTriMesh, boundary_dofs
-from .model import MaterialParams
+from .model import MaterialParams, check_fields, choice, integer, real
 
 DIVERGENCE_LIMIT = 1.0e6
 
@@ -94,23 +92,13 @@ class IterationStats:
 
 @dataclass
 class SolverConfig:
-    strategy: str = "splitting"
-    tol: float = 1.0e-6
-    max_iter: int = 100
-    num_steps: int = 20
+    strategy: str = choice("splitting", "monolithic", "splitting")
+    tol: float = real(1.0e-6, positive=True)
+    max_iter: int = integer(100, low=1)
+    num_steps: int = integer(20, low=0)
 
     def __post_init__(self):
-        if self.strategy not in ("monolithic", "splitting"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        # bool counts as a number to Python, and range() needs an integer
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                or not 0 < self.tol < math.inf):
-            raise ValueError("tol must be a positive finite number")
-        for name, low in (("max_iter", 1), ("num_steps", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < low):
-                raise ValueError(f"{name} must be an integer of at least {low}")
+        check_fields(self, "solver configuration")
 
 
 def _scatter_vector(elem, dofs, n):

@@ -13,7 +13,7 @@ from chbfem.cli import (CSV_HEADER, ConfigError, SimulationConfig,
 from chbfem.linalg import LinearSolveFailure
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
-from chbfem.solvers import ChbSystem
+from chbfem.solvers import ChbSystem, SolverConfig
 
 from conftest import random_state
 
@@ -76,9 +76,13 @@ def test_negative_tau_rejected_by_name(tmp_path):
      "C0 must have finite entries, each a number"),
     ({"C1": [["100", "20", "0"], ["20", "100", "0"], ["0", "0", "100"]]},
      "C1 must have finite entries, each a number"),
+    ({"gamma": True}, "gamma must be a positive number"),
+    ({"M0": 200, "M1": 1e-20}, "M1 is lost in M0"),
+    ({"kappa0": 200, "kappa1": 1e-20}, "kappa1 is lost in kappa0"),
 ], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0",
         "nan_xi", "inf_phi_bar", "nan_sweep_value", "huge_int_gamma", "inf_C1",
-        "bool_C0", "string_C1"])
+        "bool_C0", "string_C1", "bool_gamma", "M1_lost_in_M0",
+        "kappa1_lost_in_kappa0"])
 def test_invalid_field_rejected_by_name(tmp_path, data, message):
     path = write_config(tmp_path, data)
     with pytest.raises(ConfigError, match=message):
@@ -86,6 +90,32 @@ def test_invalid_field_rejected_by_name(tmp_path, data, message):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--desk", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_shared_fields_are_declared_once():
+    params, defaults = config_from_dict({}).material_params(), MaterialParams()
+    for f in dataclasses.fields(MaterialParams):
+        got, want = getattr(params, f.name), getattr(defaults, f.name)
+        assert np.array_equal(got, want) if f.name in ("C0", "C1") else got == want
+    for strategy in ("monolithic", "splitting"):
+        assert (config_from_dict({}).solver_config(strategy)
+                == SolverConfig(strategy=strategy))
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (MaterialParams, "ell", 0.0),
+    (MaterialParams, "alpha1", "0.5"),
+    (SolverConfig, "max_iter", 0),
+    (MaterialParams, "C1", [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+], ids=["positive_real", "real", "integer", "voigt"])
+def test_shared_fields_are_checked_one_way(cls, name, value):
+    with pytest.raises(ConfigError) as direct:
+        cls(**{name: value})
+    with pytest.raises(ConfigError) as configured:
+        config_from_dict({name: value})
+    reason = str(direct.value).split(": ", 1)[1]
+    assert reason.startswith(f"{name} must be")
+    assert reason == str(configured.value).split(": ", 1)[1]
 
 
 def test_all_violations_listed(tmp_path):

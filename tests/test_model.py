@@ -36,13 +36,16 @@ def test_params_validation_names_offender():
         MaterialParams(gamma=0.0)
     with pytest.raises(ValueError, match="C0"):
         MaterialParams(C0=-np.eye(3))
+    with pytest.raises(ValueError, match="C0 must have finite entries, each a number"):
+        MaterialParams(C0=np.eye(3, dtype=bool))
 
 
 @pytest.mark.parametrize("name, value", [
     ("xi", np.nan), ("phi_bar", np.nan), ("alpha0", np.inf),
-    ("gamma", np.inf), ("tau", -np.inf), ("alpha1", np.nan)])
+    ("gamma", np.inf), ("tau", -np.inf), ("alpha1", np.nan),
+    ("gamma", True), ("gamma", 10 ** 400), ("gamma", "5")])
 def test_params_reject_non_finite_scalars_by_name(name, value):
-    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+    with pytest.raises(ValueError, match=rf"\b{name} must be a (positive )?number"):
         MaterialParams(**{name: value})
 
 

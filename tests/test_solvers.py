@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import reference_kernels as ref
 from chbfem import _kernels as kn
 from chbfem import solvers
+from chbfem.cli import config_from_dict
 from chbfem.fem import rt0_basis
 from chbfem.linalg import LinearSolveFailure, solve_linear
 from chbfem.mesh import build_unit_square_mesh
@@ -64,11 +65,13 @@ def test_solver_config_validation():
         SolverConfig(num_steps=-1)
     for bad in (dict(max_iter=2.5), dict(num_steps=1.5), dict(max_iter=True),
                 dict(num_steps=False), dict(tol=np.inf), dict(tol=np.nan),
-                dict(tol=True), dict(tol="1e-6")):
-        with pytest.raises(ValueError):
+                dict(tol=True), dict(tol="1e-6"), dict(strategy=True)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
     cfg = SolverConfig(tol=np.float64(1e-3), max_iter=np.int64(3), num_steps=0)
     assert cfg.max_iter == 3
+    assert config_from_dict({"max_iter": np.int64(3)}).solver_config("splitting") \
+        == SolverConfig(max_iter=3)
 
 
 def test_ch_residual_zero_at_homogeneous_state(system4):
