@@ -1,4 +1,4 @@
-"""Fixed CSR layouts and verified direct linear solves.
+"""Fixed CSR layouts and verified linear solves.
 
 Matrices are scipy.sparse CSR matrices throughout; this module pins down
 the contracts the rest of the code relies on: duplicate triplets sum in
@@ -29,6 +29,17 @@ that layout and factored in symmetric mode with the natural ordering:
 the same fill, without the minimum-degree pass and the CSR-to-CSC copy.
 Its solution is checked against the original matrix like any other, and
 the COLAMD factorization above is its fallback.
+
+A matrix may also carry its diagonal blocks (``blocks``), each a matrix
+filled on a layout that keeps its ordering.  It is then solved first by
+one restart cycle of GMRES (Saad & Schultz 1986) of at most
+KRYLOV_MAX_ITERS iterations, preconditioned by lower block Gauss-Seidel
+over those blocks: each is factored once, on its layout's stored
+ordering, and serves every iteration.  The matrix itself only multiplies
+vectors.  GMRES stops at KRYLOV_RTOL, a hundredth of the contract.  If a
+block's factorization breaks down, or GMRES ends without meeting the
+contract, the matrix is solved by the direct path above, as if it
+carried no blocks.
 """
 
 from __future__ import annotations
@@ -39,6 +50,11 @@ import scipy.sparse.linalg as spla
 
 # relative residual every successful solve must satisfy
 SOLVE_RTOL = 1e-10
+# GMRES on a matrix with diagonal blocks: the length of its one restart
+# cycle, and the relative residual it stops at, below SOLVE_RTOL so that
+# its solution keeps close to the direct one
+KRYLOV_MAX_ITERS = 60
+KRYLOV_RTOL = 1e-2 * SOLVE_RTOL
 
 
 class LinearSolveFailure(Exception):
@@ -154,10 +170,12 @@ class _StoredOrdering:
             (np.zeros(len(self.gather)), rows[self.gather], indptr), shape=(n, n))
         self.permuted.has_canonical_format = True
 
-    def solve(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve with the matrix of slot values `data`, factored in this order."""
+    def factor(self, data: np.ndarray):
+        """Solver b -> x of the matrix of slot values `data`, factored once
+        in this order; it serves any number of right-hand sides."""
         np.take(data, self.gather, out=self.permuted.data)
-        return _symmetric_lu(self.permuted, "NATURAL").solve(b[self.order])[self.perm]
+        lu = _symmetric_lu(self.permuted, "NATURAL")
+        return lambda b: lu.solve(b[self.order])[self.perm]
 
 
 def _symmetric_lu(csc, permc_spec):
@@ -167,11 +185,54 @@ def _symmetric_lu(csc, permc_spec):
                      options=dict(SymmetricMode=True))
 
 
+def _block_solver(block):
+    """Solver b -> x of one diagonal block, factored in symmetric mode on
+    its layout's stored ordering, which its first factorization stores."""
+    layout = block.layout
+    if layout.ordering is not None:
+        return layout.ordering.factor(block.data)
+    lu = _symmetric_lu(block.tocsc(), "MMD_AT_PLUS_A")
+    if layout.keep_ordering:
+        layout.ordering = _StoredOrdering(layout, lu.perm_c)
+    return lu.solve
+
+
+def _block_gmres(mat, blocks, b: np.ndarray) -> np.ndarray:
+    """One restart cycle of GMRES on mat, preconditioned by lower block
+    Gauss-Seidel over its diagonal `blocks`; its iterate at KRYLOV_RTOL or
+    after KRYLOV_MAX_ITERS iterations, whichever comes first."""
+    solvers = [_block_solver(block) for block in blocks]
+    ends = np.cumsum([block.shape[0] for block in blocks])
+    spans = [(end - block.shape[0], end) for block, end in zip(blocks, ends)]
+    # mat's rows of every later block; applied to the parts solved so far
+    # (zeros elsewhere) they give its entries left of the diagonal block
+    lower = [mat[lo:hi] for lo, hi in spans[1:]]
+
+    def precondition(r):
+        z = np.zeros(len(r))
+        lo, hi = spans[0]
+        z[lo:hi] = solvers[0](r[lo:hi])
+        for (lo, hi), rows, solve in zip(spans[1:], lower, solvers[1:]):
+            z[lo:hi] = solve(r[lo:hi] - rows @ z)
+        return z
+
+    # a miss of KRYLOV_RTOL alone is no failure: SOLVE_RTOL decides
+    return spla.gmres(
+        mat, b, rtol=0.0, atol=KRYLOV_RTOL * max(np.linalg.norm(b), 1.0),
+        restart=KRYLOV_MAX_ITERS, maxiter=1,
+        M=spla.LinearOperator(mat.shape, precondition))[0]
+
+
 def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return x if it is finite and meets SOLVE_RTOL, else raise."""
+    """Return x if it is finite and meets SOLVE_RTOL, else raise; a residual
+    too large to measure in double precision misses the contract."""
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("solve produced non-finite entries")
-    residual = np.linalg.norm(b - mat @ x) / max(np.linalg.norm(b), 1.0)
+    try:
+        with np.errstate(over="raise"):
+            residual = np.linalg.norm(b - mat @ x) / max(np.linalg.norm(b), 1.0)
+    except FloatingPointError as exc:
+        raise LinearSolveFailure(f"residual norm overflows: {exc}") from exc
     if residual > SOLVE_RTOL:
         raise LinearSolveFailure(
             f"relative residual {residual:.3e} exceeds {SOLVE_RTOL:.1e}")
@@ -183,13 +244,20 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
 
     A is used as it is when it is CSR, as CsrPattern.matrix returns it,
     and converted otherwise; b must be a vector of A's size.  Handles
-    nonsymmetric and indefinite (saddle-point) systems.  The matrix is
-    first factored in SuperLU's symmetric mode: on the stored ordering of
-    its layout when that layout has one (CsrPattern.ordering), else with
-    a fresh MMD ordering of A^T + A, which a layout with keep_ordering
-    then stores if the solve succeeds.  If that factorization breaks down
-    or its solution misses the contract below, the solve is repeated with
-    COLAMD and partial pivoting.  The returned x satisfies
+    nonsymmetric and indefinite (saddle-point) systems.  When A carries
+    its diagonal blocks (``A.blocks``, matrices on kept CsrPattern
+    layouts whose sizes add up to A's), it is first solved by GMRES,
+    preconditioned by lower block Gauss-Seidel over them, in at most
+    KRYLOV_MAX_ITERS iterations; each block is factored once, on its
+    layout's stored ordering.  If a block's factorization breaks down or
+    GMRES ends without meeting the contract below, A is solved as if it
+    carried no blocks.  The matrix is then first factored in SuperLU's
+    symmetric mode: on the stored ordering of its layout when that layout
+    has one (CsrPattern.ordering), else with a fresh MMD ordering of
+    A^T + A, which a layout with keep_ordering then stores if the solve
+    succeeds.  If that factorization breaks down or its solution misses
+    the contract below, the solve is repeated with COLAMD and partial
+    pivoting.  The returned x satisfies
     ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else LinearSolveFailure is
     raised; singular factorizations and a b of the wrong shape raise the
     same error so callers can tell linear breakdown apart from nonlinear
@@ -203,10 +271,16 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     if b.shape != (nrows,):
         raise LinearSolveFailure(
             f"right-hand side of shape {b.shape} for a {nrows}-row matrix")
+    blocks = getattr(mat, "blocks", None)
+    if blocks is not None:
+        try:
+            return _verified(mat, _block_gmres(mat, blocks, b), b)
+        except (RuntimeError, LinearSolveFailure):
+            pass  # the direct path below decides
     layout = getattr(mat, "layout", None)
     try:
         if layout is not None and layout.ordering is not None:
-            return _verified(mat, layout.ordering.solve(mat.data, b), b)
+            return _verified(mat, layout.ordering.factor(mat.data)(b), b)
         lu = _symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A")
         x = _verified(mat, lu.solve(b), b)
         if layout is not None and layout.keep_ordering:

@@ -38,6 +38,13 @@ class ConfigError(ValueError):
 # Each configurable field declares its default and its check once, through
 # the helpers below; a check returns why a value fails, or None.
 
+# The model is nondimensional.  Every real field, and every eigenvalue of
+# a stiffness, stays within this magnitude (a positive one also above its
+# reciprocal), so that products of a few coefficients, and the squares a
+# residual norm adds, stay finite in double precision.
+SCALE_LIMIT = 1e20
+
+
 def is_number(value) -> bool:
     """A finite real number; bool (an int to Python) and strings are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -52,10 +59,13 @@ def real(default, positive=False, paired_with=None):
     """A finite number; `paired_with` names an earlier field z0 that this
     one, z1, is interpolated from as z0 + pi*(z1 - z0)."""
     kind = "a positive number" if positive else "a number"
+    low = 1 / SCALE_LIMIT if positive else -SCALE_LIMIT
 
     def check(value):
         if not is_number(value) or (positive and not value > 0):
             return f"must be {kind}"
+        if not low <= value <= SCALE_LIMIT:
+            return f"must lie within [{low:g}, {SCALE_LIMIT:g}]"
     return field(default=default,
                  metadata={"check": check, "paired_with": paired_with})
 
@@ -89,6 +99,9 @@ def _voigt_check(value):
         np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         return "must be positive definite"
+    eig = np.linalg.eigvalsh(C)
+    if eig[0] < 1 / SCALE_LIMIT or eig[-1] > SCALE_LIMIT:
+        return f"must have eigenvalues within [{1 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]"
 
 
 def voigt(default: np.ndarray):

@@ -33,6 +33,12 @@ from .mesh import StructuredTriMesh, boundary_dofs
 from .model import MaterialParams, check_fields, choice, integer, real
 
 DIVERGENCE_LIMIT = 1.0e6
+# Monolithic Jacobians of at least this many rows carry their diagonal
+# blocks, so solve_linear solves them by block-preconditioned GMRES.  On
+# a converging step that is cheaper than a direct LU from n=8 up, but on
+# a diverging one GMRES needs tens of iterations per solve: on swell's
+# n=16 run (2,468 rows), 15-60 of them, 3.6 times the direct path's time.
+KRYLOV_MIN_ROWS = 5000
 
 
 class NonConvergence(Exception):
@@ -175,7 +181,10 @@ class ChbSystem:
     Each linear system has one CSR layout (a linalg.CsrPattern), built at
     its first assembly; every later matrix of that system only fills it.
     The CH, elasticity and flow layouts also keep the LU ordering of their
-    first solve (see chbfem.linalg); the monolithic one does not.
+    first solve (see chbfem.linalg); the monolithic one does not.  A
+    monolithic Jacobian of at least KRYLOV_MIN_ROWS rows carries its
+    three diagonal blocks, filled on those layouts, as ``blocks``:
+    solve_linear factors them to precondition GMRES on the Jacobian.
 
     The layouts, their orderings and the kernels' cells-last tables are
     the solver workspace: built on first use, dropped by
@@ -277,6 +286,11 @@ class ChbSystem:
         """Signed RT0 basis at the quadrature points, (nqp, 3, 2, nc)."""
         return kn.cells_last(rt0_basis(self.mesh, self.lam))
 
+    @cached_property
+    def B_last(self) -> np.ndarray:
+        """B cells last, (3, 6, nc)."""
+        return kn.cells_last(self.B)
+
     # -- field evaluation helpers ------------------------------------------
 
     def phi_at_qp(self, phi: np.ndarray) -> np.ndarray:
@@ -353,12 +367,16 @@ class ChbSystem:
             pw = self.pointwise(phi_i, u_fixed, p_fixed)
         res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw,
                                explicit)
-        w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
+        return res, self._ch_matrix(kn.ch_jac(pw, self.wq_last, self.lam))
+
+    def _ch_matrix(self, w_elem) -> sp.csr_matrix:
+        """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] for the
+        element blocks of W."""
         p1, pattern = self._ch_layout
         image, mu_phi, k_mu_phi = self._ch_image
         data = image.copy()
         data[mu_phi] = k_mu_phi - p1.sum(w_elem.ravel())
-        return res, pattern.matrix(data)
+        return pattern.matrix(data)
 
     @cached_property
     def _ch_layout(self):
@@ -455,11 +473,15 @@ class ChbSystem:
                            optimize=True)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
                     + (abar * p_fixed)[:, None] * self.drow)
-        pattern = self._elasticity_layout
-        A = pattern.matrix(pattern.sum(np.append(a_elem.ravel(), 1.0)))
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
-        return solve_linear(A, b)
+        return solve_linear(self._elasticity_matrix(a_elem), b)
+
+    def _elasticity_matrix(self, a_elem) -> sp.csr_matrix:
+        """Stiffness matrix of the element blocks a_elem, Dirichlet rows
+        and columns set to identity."""
+        pattern = self._elasticity_layout
+        return pattern.matrix(pattern.sum(np.append(a_elem.ravel(), 1.0)))
 
     @cached_property
     def _elasticity_layout(self) -> CsrPattern:
@@ -493,19 +515,21 @@ class ChbSystem:
 
         phase: phase_integrals(phi), when the caller has it already.
         """
-        pa = self.params
         dinv, abar, mq_elem = self._flow_data(phi, phase)
         if storage_prev is None:
             storage_prev = self.storage_coefficient(state_prev)
         divu = self.strain_per_cell(u) @ np.array([1.0, 1.0, 0.0])
         rhs = np.concatenate([storage_prev - abar * divu, np.zeros(self.ne)])
-        mq, pattern = self._flow_layout
-        # [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]]
-        A = pattern.matrix(pattern.sum(np.concatenate([
-            dinv, self.Bdiv.data * pa.tau, -self.BdivT.data,
-            mq.sum(mq_elem.ravel())])))
-        x = solve_linear(A, rhs)
+        x = solve_linear(self._flow_matrix(dinv, mq_elem), rhs)
         return x[:self.nc], x[self.nc:]
+
+    def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
+        """The flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]] for the
+        element blocks of Mq."""
+        mq, pattern = self._flow_layout
+        return pattern.matrix(pattern.sum(np.concatenate([
+            dinv, self.Bdiv.data * self.params.tau, -self.BdivT.data,
+            mq.sum(mq_elem.ravel())])))
 
     @cached_property
     def _flow_layout(self):
@@ -644,8 +668,7 @@ class ChbSystem:
         # values in the block order of _monolithic_layout
         w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
-            pw, self.wq_last, self.lam, qloc, kn.cells_last(self.B),
-            self.psi_last)
+            pw, self.wq_last, self.lam, qloc, self.B_last, self.psi_last)
         cint, abar, _, dinv = self._elasticity_data(
             st.phi, self.phase_integrals(st.phi, pw))
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
@@ -658,7 +681,16 @@ class ChbSystem:
             p_phi.ravel(), (abar[:, None] * self.drow).ravel(), dinv,
             pa.tau * div, mq_elem.ravel(), -div, q_phi.ravel(), [1.0]])
         pattern = self._monolithic_layout
-        return pattern.matrix(pattern.sum(vals))
+        J = pattern.matrix(pattern.sum(vals))
+        if self.ndofs >= KRYLOV_MIN_ROWS:
+            # The (u, u) block of J keeps the columns of the clamped dofs,
+            # which the elasticity matrix sets to identity.  Both agree on
+            # every vector that is zero at the clamped dofs, as every
+            # Newton right-hand side is, and the preconditioned Krylov
+            # space stays among those vectors.
+            J.blocks = (self._ch_matrix(w_elem), self._elasticity_matrix(a_elem),
+                        self._flow_matrix(dinv, mq_elem))
+        return J
 
     @cached_property
     def _monolithic_layout(self) -> CsrPattern:
@@ -695,10 +727,13 @@ class ChbSystem:
             (div_c, div_r, off_q, off_p),
             (*_block_indices(q, cells), off_q, off_phi),
         ])
-        # Every Jacobian is ordered afresh.  Reusing the first one's
-        # ordering changes solutions at roundoff, and that moved swell's
-        # chaotic monolithic run from 29 to 31 Newton iterations, a count
-        # the benchmark pins exactly.
+        # A Jacobian below KRYLOV_MIN_ROWS is solved directly and ordered
+        # afresh.  Reusing the first one's ordering, like a Krylov solve,
+        # changes solutions at roundoff, and that moved swell's chaotic
+        # monolithic run (n=16) from 29 to 31 Newton iterations, a count
+        # the benchmark pins exactly.  A larger Jacobian serves the Krylov
+        # path's products and residual check, and the direct solve it
+        # falls back to.
         return _clamped_pattern(rows, cols,
                                 (off_u + self.u_bdofs).astype(np.int32),
                                 (self.ndofs, self.ndofs), keep_ordering=False)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chbfem import cli
 from chbfem.cli import (CSV_HEADER, ConfigError, SimulationConfig,
@@ -79,10 +79,16 @@ def test_negative_tau_rejected_by_name(tmp_path):
     ({"gamma": True}, "gamma must be a positive number"),
     ({"M0": 200, "M1": 1e-20}, "M1 is lost in M0"),
     ({"kappa0": 200, "kappa1": 1e-20}, "kappa1 is lost in kappa0"),
+    # beyond these scales a run overflows or divides zero by zero
+    ({"ell": 1.57e-205}, r"ell must lie within \[1e-20, 1e\+20\]"),
+    ({"M0": 1.57e-205}, r"M0 must lie within \[1e-20, 1e\+20\]"),
+    ({"xi": -1e300}, r"xi must lie within \[-1e\+20, 1e\+20\]"),
+    ({"C1": [[1e-300, 0, 0], [0, 1e-300, 0], [0, 0, 1e-300]]},
+     "C1 must have eigenvalues within"),
 ], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0",
         "nan_xi", "inf_phi_bar", "nan_sweep_value", "huge_int_gamma", "inf_C1",
         "bool_C0", "string_C1", "bool_gamma", "M1_lost_in_M0",
-        "kappa1_lost_in_kappa0"])
+        "kappa1_lost_in_kappa0", "tiny_ell", "tiny_M0", "huge_xi", "tiny_C1"])
 def test_invalid_field_rejected_by_name(tmp_path, data, message):
     path = write_config(tmp_path, data)
     with pytest.raises(ConfigError, match=message):
@@ -220,8 +226,13 @@ def test_config_fuzz_builds_parameters_or_names_a_key(data):
         cfg.solver_config(strategy)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(_CONFIGS)
+@example({"ell": 1.57e-205})   # overflowed a residual norm
+@example({"M0": 1.57e-205})    # divided 0 by 0 in the phase-field load
+@example({"ell": 1e-20, "gamma": 1e20, "xi": -1e20, "tau": 1e20,
+          "C0": [[1e20, 0, 0], [0, 1e20, 0], [0, 0, 1e20]]})   # overflows a residual norm
 def test_accepted_configs_run_one_step(tmp_path_factory, data):
     try:
         cfg = config_from_dict(data)

@@ -6,9 +6,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chbfem import MaterialParams, build_unit_square_mesh
+from chbfem import MaterialParams, build_unit_square_mesh, linalg
 from chbfem.linalg import CsrPattern, LinearSolveFailure, solve_linear
-from chbfem.solvers import ChbSystem, SolverConfig
+from chbfem.solvers import ChbSystem, SolverConfig, _slot_rows
 
 
 def test_hand_matvec():
@@ -314,3 +314,77 @@ def test_systems_on_one_mesh_never_share_an_ordering(splu_specs):
     gc.collect()
     assert stored() is None
     assert all(layout(second).ordering is not None for layout in layouts)
+
+
+def _block_system(rng, sizes=(30, 20, 25), singular=None):
+    """A matrix with couplings on both sides of its diagonal blocks, and
+    those blocks filled on kept layouts; the block numbered `singular` is
+    attached with a zero row, while the matrix keeps it regular."""
+    diagonal, attached = [], []
+    for k, n in enumerate(sizes):
+        rows = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
+        cols = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
+        vals = rng.normal(size=len(rows))
+        vals[:n] += 8.0
+        pattern = CsrPattern(rows, cols, (n, n))
+        block = pattern.matrix(pattern.sum(vals))
+        diagonal.append(block)
+        if k == singular:
+            block = pattern.matrix(np.where(_slot_rows(block) == 0, 0.0,
+                                            block.data))
+        attached.append(block)
+    grid = [[diagonal[i] if i == j
+             else sp.random(m, n, density=0.1, random_state=rng) * 0.5
+             for j, n in enumerate(sizes)] for i, m in enumerate(sizes)]
+    A = sp.bmat(grid, format="csr")
+    A.blocks = tuple(attached)
+    return A, rng.normal(size=A.shape[0])
+
+
+def _direct(A, b):
+    """solve_linear's result for A without its blocks."""
+    return solve_linear(A.copy(), b)
+
+
+def test_block_path_meets_the_contract_and_matches_the_direct_solve(factors):
+    rng = np.random.default_rng(11)
+    A, b = _block_system(rng)
+    want = _direct(A, b)
+    factors.clear()
+    for _ in range(2):
+        x = solve_linear(A, b)
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+        assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    # one factorization per block and solve, never of A itself; the
+    # second solve reuses the orderings the first stored on the layouts
+    assert [lu.shape for _, lu in factors] == [blk.shape for blk in A.blocks] * 2
+    assert [spec for spec, _ in factors] == [SYMMETRIC] * 3 + [NATURAL] * 3
+    assert all(blk.layout.ordering is not None for blk in A.blocks)
+
+
+@pytest.mark.parametrize("miss", ["singular_block", "capped_gmres"])
+def test_block_path_falls_back_to_the_direct_solve(miss, factors, monkeypatch):
+    rng = np.random.default_rng(12)
+    A, b = _block_system(rng, singular=1 if miss == "singular_block" else None)
+    want = _direct(A, b)
+    if miss == "capped_gmres":
+        monkeypatch.setattr(linalg, "KRYLOV_MAX_ITERS", 1)
+    factors.clear()
+    x = solve_linear(A, b)
+    assert np.array_equal(x, want)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+    # the blocks factored before the miss, then A as if it carried none
+    factored = 1 if miss == "singular_block" else 3
+    assert [lu.shape for _, lu in factors] == (
+        [blk.shape for blk in A.blocks[:factored]] + [A.shape])
+    assert [spec for spec, _ in factors] == [SYMMETRIC] * (factored + 1)
+
+
+def test_matrix_without_blocks_is_solved_as_before(factors, monkeypatch):
+    monkeypatch.setattr(spla, "gmres", None)   # never reached
+    rng = np.random.default_rng(13)
+    A, b = _block_system(rng)
+    del A.blocks
+    x = solve_linear(A, b)
+    assert [spec for spec, _ in factors] == [SYMMETRIC]
+    assert np.array_equal(x, _fresh_symmetric_lu(A).solve(b))

@@ -373,6 +373,50 @@ def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
             <= 1e-10 * max(np.linalg.norm(b), 1.0))
 
 
+def test_krylov_path_keeps_the_direct_paths_newton_counts(monkeypatch,
+                                                          splu_specs):
+    mesh = build_unit_square_mesh(8)
+    cfg = SolverConfig(strategy="monolithic", num_steps=2)
+    runs = []
+    for min_rows in (solvers.KRYLOV_MIN_ROWS, 0):
+        monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", min_rows)
+        system = ChbSystem(mesh, MaterialParams())
+        splu_specs.clear()
+        state, stats = advance_simulation(system, system.initial_state(), cfg)
+        runs.append((system.pack(state), [s.newton_iters for s in stats],
+                     list(splu_specs)))
+    (direct, direct_iters, _), (krylov, krylov_iters, specs) = runs
+    assert krylov_iters == direct_iters
+    assert np.max(np.abs(krylov - direct)) <= 1e-8
+    # three block factorizations per Newton iterate, no fallback; the
+    # first iterate orders the CH, elasticity and flow layouts for the run
+    assert specs == (["MMD_AT_PLUS_A"] * 3
+                     + ["NATURAL"] * (3 * sum(krylov_iters) - 3))
+
+
+def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
+    system = ChbSystem(build_unit_square_mesh(16), MaterialParams())
+    st0 = system.initial_state()
+    J = system.monolithic_jacobian(st0, st0)
+    assert J.shape[0] == 2468 < solvers.KRYLOV_MIN_ROWS
+    assert not hasattr(J, "blocks")
+    monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
+    o = ChbSystem(build_unit_square_mesh(4), MaterialParams())
+    rng = np.random.default_rng(41)
+    prev, st = random_state(o, rng), random_state(o, rng, n=1)
+    J = o.monolithic_jacobian(prev, st)
+    ch, elas, flow = J.blocks
+    np.testing.assert_allclose(ch.toarray(), J[:o.off_u, :o.off_u].toarray(),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(flow.toarray(),
+                                  J[o.off_p:, o.off_p:].toarray())
+    # the (u, u) block differs only in the columns of the clamped dofs
+    free = np.setdiff1d(np.arange(2 * o.nv), o.u_bdofs)
+    uu = J[o.off_u:o.off_p, o.off_u:o.off_p].toarray()
+    np.testing.assert_allclose(elas.toarray()[:, free], uu[:, free],
+                               rtol=1e-14, atol=0)
+
+
 def test_advance_simulation_zero_steps(system4):
     st0 = system4.initial_state()
     fin, stats = advance_simulation(system4, st0, SolverConfig(num_steps=0))
@@ -719,7 +763,7 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
             assert np.array_equal(reused.pack(got), reused.pack(want))
             # a finished run keeps no workspace
             assert not {"_ch_layout", "_monolithic_layout", "wq_last",
-                        "psi_last"} & set(vars(reused))
+                        "psi_last", "B_last"} & set(vars(reused))
 
 
 def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
