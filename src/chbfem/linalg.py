@@ -30,16 +30,34 @@ the same fill, without the minimum-degree pass and the CSR-to-CSC copy.
 Its solution is checked against the original matrix like any other, and
 the COLAMD factorization above is its fallback.
 
+A layout built with ``keep_factor`` also keeps the last LU it factored,
+its first (MMD) one included, on its stored ordering.  Each later matrix
+of the layout is then first solved against that kept factor by iterative
+refinement with a lagged factor (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 12): x <- x + LU^-1 (b - A x), until
+||b - A x|| <= KRYLOV_RTOL max(||b||, 1), a hundredth of the contract.
+Refinement gives up after REFINE_MAX_STEPS steps, or at the first step
+that fails to halve the residual.  The kept factor is then dropped, the
+matrix is factored afresh on the stored ordering, and that factor is
+kept; COLAMD stays the last fallback, after which the layout keeps no
+factor.  Refinement pays only for matrices that change little from one
+solve to the next, and its solutions differ from a fresh factor's at
+roundoff.  So chbfem.solvers sets keep_factor on the splitting's CH,
+elasticity and flow layouts only for a system of at least
+KRYLOV_MIN_ROWS (5,000) dofs; a smaller one factors every matrix, with
+the same bits as before.
+
 A matrix may also carry its diagonal blocks (``blocks``), each a matrix
 filled on a layout that keeps its ordering.  It is then solved first by
 one restart cycle of GMRES (Saad & Schultz 1986) of at most
 KRYLOV_MAX_ITERS iterations, preconditioned by lower block Gauss-Seidel
 over those blocks: each is factored once, on its layout's stored
-ordering, and serves every iteration.  The matrix itself only multiplies
-vectors.  GMRES stops at KRYLOV_RTOL, a hundredth of the contract.  If a
-block's factorization breaks down, or GMRES ends without meeting the
-contract, the matrix is solved by the direct path above, as if it
-carried no blocks.
+ordering, and serves every iteration of that one solve; none is kept.
+The matrix itself only multiplies vectors.  GMRES stops at KRYLOV_RTOL;
+a right-hand side that zero already meets is solved by zero before any
+block is factored.  If a block's factorization breaks down, or GMRES
+ends without meeting the contract, the matrix is solved by the direct
+path above, as if it carried no blocks.
 """
 
 from __future__ import annotations
@@ -51,10 +69,14 @@ import scipy.sparse.linalg as spla
 # relative residual every successful solve must satisfy
 SOLVE_RTOL = 1e-10
 # GMRES on a matrix with diagonal blocks: the length of its one restart
-# cycle, and the relative residual it stops at, below SOLVE_RTOL so that
-# its solution keeps close to the direct one
+# cycle, and the relative residual it and refinement against a kept
+# factor stop at, below SOLVE_RTOL so that their solutions keep close to
+# the direct one
 KRYLOV_MAX_ITERS = 60
 KRYLOV_RTOL = 1e-2 * SOLVE_RTOL
+# the most steps of refinement against a kept factor before the matrix
+# is factored afresh
+REFINE_MAX_STEPS = 15
 
 
 class LinearSolveFailure(Exception):
@@ -85,10 +107,13 @@ class CsrPattern:
 
     With ``keep_ordering``, solve_linear stores the ordering of the first
     successful symmetric-mode factorization of one of its matrices in
-    ``ordering`` and reuses it for every later one.
+    ``ordering`` and reuses it for every later one.  With ``keep_factor``
+    (which implies it), that ordering also keeps the last factor, and
+    later matrices are first solved by refinement against it.
     """
 
-    def __init__(self, rows, cols, shape, take=None, keep_ordering=True):
+    def __init__(self, rows, cols, shape, take=None, keep_ordering=True,
+                 keep_factor=False):
         nrows, ncols = shape
         rows = np.asarray(rows).ravel()
         cols = np.asarray(cols).ravel()
@@ -128,7 +153,8 @@ class CsrPattern:
         self._tail_src = order[later]
         for table in (self.indptr, self.indices):
             table.flags.writeable = False
-        self.keep_ordering = keep_ordering
+        self.keep_ordering = keep_ordering or keep_factor
+        self.keep_factor = keep_factor
         self.ordering = None
 
     def sum(self, values: np.ndarray) -> np.ndarray:
@@ -147,13 +173,31 @@ class CsrPattern:
         return mat
 
 
+class _Factor:
+    """Solver b -> x of one SuperLU factor, which serves any number of
+    right-hand sides.  With (order, perm), the factor is of P A P^T, and
+    b and x are permuted to and from it.  It holds only the factor and
+    those arrays, so dropping the last reference frees it at once."""
+
+    __slots__ = ("lu", "order", "perm", "__weakref__")
+
+    def __init__(self, lu, order=None, perm=None):
+        self.lu, self.order, self.perm = lu, order, perm
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        if self.order is None:
+            return self.lu.solve(b)
+        return self.lu.solve(b[self.order])[self.perm]
+
+
 class _StoredOrdering:
     """A symmetric-mode column ordering kept for one square CsrPattern.
 
     perm is SuperLU's ``perm_c``: entry (i, k) of A is entry
     (perm[i], perm[k]) of P A P^T.  gather takes the CSR slot values of A
     to the data of ``permuted``, the CSC matrix P A P^T, which every solve
-    on this ordering refills.
+    on this ordering refills.  ``kept`` is the factor a layout with
+    keep_factor solves its next matrix against, or None.
     """
 
     def __init__(self, pattern: CsrPattern, perm: np.ndarray):
@@ -169,13 +213,13 @@ class _StoredOrdering:
         self.permuted = sp.csc_matrix(
             (np.zeros(len(self.gather)), rows[self.gather], indptr), shape=(n, n))
         self.permuted.has_canonical_format = True
+        self.kept = None
 
-    def factor(self, data: np.ndarray):
-        """Solver b -> x of the matrix of slot values `data`, factored once
-        in this order; it serves any number of right-hand sides."""
+    def factor(self, data: np.ndarray) -> _Factor:
+        """Factor of the matrix of slot values `data`, in this order."""
         np.take(data, self.gather, out=self.permuted.data)
-        lu = _symmetric_lu(self.permuted, "NATURAL")
-        return lambda b: lu.solve(b[self.order])[self.perm]
+        return _Factor(_symmetric_lu(self.permuted, "NATURAL"),
+                       self.order, self.perm)
 
 
 def _symmetric_lu(csc, permc_spec):
@@ -185,28 +229,42 @@ def _symmetric_lu(csc, permc_spec):
                      options=dict(SymmetricMode=True))
 
 
-def _block_solver(block):
-    """Solver b -> x of one diagonal block, factored in symmetric mode on
-    its layout's stored ordering, which its first factorization stores."""
+def _block_solver(block) -> _Factor:
+    """Factor of one diagonal block in symmetric mode, on its layout's
+    stored ordering, which its first factorization stores.  The layout
+    keeps no factor of it."""
     layout = block.layout
     if layout.ordering is not None:
         return layout.ordering.factor(block.data)
     lu = _symmetric_lu(block.tocsc(), "MMD_AT_PLUS_A")
     if layout.keep_ordering:
         layout.ordering = _StoredOrdering(layout, lu.perm_c)
-    return lu.solve
+    return _Factor(lu)
+
+
+def _rows(mat, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo:hi of a CSR matrix as a view of its data and indices."""
+    start, end = mat.indptr[lo], mat.indptr[hi]
+    rows = sp.csr_matrix((hi - lo, mat.shape[1]))
+    rows.indptr = mat.indptr[lo:hi + 1] - start
+    rows.indices, rows.data = mat.indices[start:end], mat.data[start:end]
+    return rows
 
 
 def _block_gmres(mat, blocks, b: np.ndarray) -> np.ndarray:
     """One restart cycle of GMRES on mat, preconditioned by lower block
     Gauss-Seidel over its diagonal `blocks`; its iterate at KRYLOV_RTOL or
     after KRYLOV_MAX_ITERS iterations, whichever comes first."""
+    norm = np.linalg.norm(b)
+    atol = KRYLOV_RTOL * max(norm, 1.0)
+    if norm <= atol:
+        return np.zeros(len(b))   # GMRES would stop at its zero start
     solvers = [_block_solver(block) for block in blocks]
     ends = np.cumsum([block.shape[0] for block in blocks])
     spans = [(end - block.shape[0], end) for block, end in zip(blocks, ends)]
     # mat's rows of every later block; applied to the parts solved so far
     # (zeros elsewhere) they give its entries left of the diagonal block
-    lower = [mat[lo:hi] for lo, hi in spans[1:]]
+    lower = [_rows(mat, lo, hi) for lo, hi in spans[1:]]
 
     def precondition(r):
         z = np.zeros(len(r))
@@ -218,9 +276,28 @@ def _block_gmres(mat, blocks, b: np.ndarray) -> np.ndarray:
 
     # a miss of KRYLOV_RTOL alone is no failure: SOLVE_RTOL decides
     return spla.gmres(
-        mat, b, rtol=0.0, atol=KRYLOV_RTOL * max(np.linalg.norm(b), 1.0),
-        restart=KRYLOV_MAX_ITERS, maxiter=1,
+        mat, b, rtol=0.0, atol=atol, restart=KRYLOV_MAX_ITERS, maxiter=1,
         M=spla.LinearOperator(mat.shape, precondition))[0]
+
+
+def _refined(mat, solve: _Factor, b: np.ndarray):
+    """Iterative refinement of A x = b against the factor of an earlier
+    matrix: x at KRYLOV_RTOL, or None once a step fails to halve the
+    residual or REFINE_MAX_STEPS steps have not reached it."""
+    last = np.linalg.norm(b)
+    atol = KRYLOV_RTOL * max(last, 1.0)
+    x, r = np.zeros(len(b)), b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(REFINE_MAX_STEPS):
+            x += solve(r)
+            r = b - mat @ x
+            norm = np.linalg.norm(r)
+            if norm <= atol:
+                return x
+            if not norm <= 0.5 * last:
+                return None
+            last = norm
+    return None
 
 
 def _verified(mat, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,17 +328,20 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     KRYLOV_MAX_ITERS iterations; each block is factored once, on its
     layout's stored ordering.  If a block's factorization breaks down or
     GMRES ends without meeting the contract below, A is solved as if it
-    carried no blocks.  The matrix is then first factored in SuperLU's
+    carried no blocks.  When A's layout keeps a factor (keep_factor), A
+    is first solved by iterative refinement against it, at most
+    REFINE_MAX_STEPS steps that each halve the residual; on a miss the
+    kept factor is dropped.  The matrix is then factored in SuperLU's
     symmetric mode: on the stored ordering of its layout when that layout
     has one (CsrPattern.ordering), else with a fresh MMD ordering of
     A^T + A, which a layout with keep_ordering then stores if the solve
-    succeeds.  If that factorization breaks down or its solution misses
-    the contract below, the solve is repeated with COLAMD and partial
-    pivoting.  The returned x satisfies
-    ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else LinearSolveFailure is
-    raised; singular factorizations and a b of the wrong shape raise the
-    same error so callers can tell linear breakdown apart from nonlinear
-    non-convergence.
+    succeeds, and a layout with keep_factor keeps the factor.  If that
+    factorization breaks down or its solution misses the contract below,
+    the solve is repeated with COLAMD and partial pivoting.  The returned
+    x satisfies ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else
+    LinearSolveFailure is raised; singular factorizations and a b of the
+    wrong shape raise the same error so callers can tell linear breakdown
+    apart from nonlinear non-convergence.
     """
     mat = A.tocsr()
     nrows, ncols = mat.shape
@@ -278,13 +358,24 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
         except (RuntimeError, LinearSolveFailure):
             pass  # the direct path below decides
     layout = getattr(mat, "layout", None)
+    stored = None if layout is None else layout.ordering
     try:
-        if layout is not None and layout.ordering is not None:
-            return _verified(mat, layout.ordering.factor(mat.data)(b), b)
-        lu = _symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A")
-        x = _verified(mat, lu.solve(b), b)
-        if layout is not None and layout.keep_ordering:
-            layout.ordering = _StoredOrdering(layout, lu.perm_c)
+        if stored is not None and stored.kept is not None:
+            x = _refined(mat, stored.kept, b)
+            if x is not None:
+                return _verified(mat, x, b)
+            stored.kept = None   # freed before the next factor is made
+        if stored is not None:
+            solve = stored.factor(mat.data)
+            x = _verified(mat, solve(b), b)
+        else:
+            lu = _symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A")
+            solve = _Factor(lu)
+            x = _verified(mat, solve(b), b)
+            if layout is not None and layout.keep_ordering:
+                stored = layout.ordering = _StoredOrdering(layout, lu.perm_c)
+        if layout is not None and layout.keep_factor:
+            stored.kept = solve
         return x
     except (RuntimeError, LinearSolveFailure):
         pass  # the pivoting path below decides

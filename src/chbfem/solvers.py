@@ -38,6 +38,10 @@ DIVERGENCE_LIMIT = 1.0e6
 # a converging step that is cheaper than a direct LU from n=8 up, but on
 # a diverging one GMRES needs tens of iterations per solve: on swell's
 # n=16 run (2,468 rows), 15-60 of them, 3.6 times the direct path's time.
+# A system of at least this many dofs also keeps the last factor of each
+# splitting layout and refines against it.  Below it every solve factors
+# afresh, so that the small runs' solutions stay bit for bit those of a
+# direct LU.
 KRYLOV_MIN_ROWS = 5000
 
 
@@ -142,13 +146,13 @@ def _stacked_indices(blocks):
 
 
 def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
-                     keep_ordering=True) -> CsrPattern:
+                     keep_ordering=True, keep_factor=False) -> CsrPattern:
     """Pattern of a triplet list whose dofs `fixed` get identity rows.
 
     Leaves out the triplets in a fixed row, and with symmetric=True in a
     fixed column, and adds a unit diagonal triplet per fixed dof; each of
     these reads one 1.0 appended to the triplet values.  keep_ordering
-    is passed on to CsrPattern.
+    and keep_factor are passed on to CsrPattern.
     """
     clamped = np.zeros(shape[0], dtype=bool)
     clamped[fixed] = True
@@ -159,7 +163,7 @@ def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
                           dtype=np.int32)
     return CsrPattern(np.concatenate([rows[kept], fixed]),
                       np.concatenate([cols[kept], fixed]), shape, take=take,
-                      keep_ordering=keep_ordering)
+                      keep_ordering=keep_ordering, keep_factor=keep_factor)
 
 
 class PhaseIntegrals(NamedTuple):
@@ -181,16 +185,20 @@ class ChbSystem:
     Each linear system has one CSR layout (a linalg.CsrPattern), built at
     its first assembly; every later matrix of that system only fills it.
     The CH, elasticity and flow layouts also keep the LU ordering of their
-    first solve (see chbfem.linalg); the monolithic one does not.  A
-    monolithic Jacobian of at least KRYLOV_MIN_ROWS rows carries its
-    three diagonal blocks, filled on those layouts, as ``blocks``:
-    solve_linear factors them to precondition GMRES on the Jacobian.
+    first solve (see chbfem.linalg); the monolithic one does not.  On a
+    system of at least KRYLOV_MIN_ROWS dofs they keep their last factor
+    too, and solve_linear refines each later matrix against it before it
+    factors afresh.  A monolithic Jacobian of at least KRYLOV_MIN_ROWS
+    rows carries its three diagonal blocks, filled on those layouts, as
+    ``blocks``: solve_linear factors them to precondition GMRES on the
+    Jacobian, for that solve only.
 
-    The layouts, their orderings and the kernels' cells-last tables are
-    the solver workspace: built on first use, dropped by
-    release_workspace().  advance_simulation drops it before and after
-    each run, so a run's result does not depend on what the system solved
-    before, and a finished run leaves only the constant operators behind.
+    The layouts, their orderings and factors, the element triplets and the
+    kernels' cells-last tables are the solver workspace: built on first
+    use, dropped by release_workspace().  advance_simulation drops it
+    before and after each run, so a run's result does not depend on what
+    the system solved before, and a finished run leaves only the constant
+    operators behind.
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
@@ -231,7 +239,6 @@ class ChbSystem:
         B[:, 2, 0::2] = grads[:, :, 1]
         B[:, 2, 1::2] = grads[:, :, 0]
         self.B = B
-        self.drow = B[:, 0, :] + B[:, 1, :]
 
         # cell-to-dof maps: u interleaved per vertex, one p dof per cell
         self.cells = mesh.cells
@@ -244,21 +251,10 @@ class ChbSystem:
         for dofs in (self.udofs, self.pdofs):
             dofs.setflags(write=False)
 
-        m_elem = (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        k_elem = self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
-        p1_rc = _block_indices(self.cells, self.cells)
-        self._m_trip = (*p1_rc, m_elem.ravel())
-        self._k_trip = (*p1_rc, k_elem.ravel())
         self.M = sp.coo_matrix((self._m_trip[2], self._m_trip[:2]),
                                shape=(self.nv, self.nv)).tocsr()
         self.K = sp.coo_matrix((self._k_trip[2], self._k_trip[:2]),
                                shape=(self.nv, self.nv)).tocsr()
-
-        edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-        elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
-        div_vals = (mesh.cell_signs * elen_loc).astype(np.float64)
-        rows = np.repeat(np.arange(self.nc), 3)
-        self._bdiv_trip = (rows, mesh.cell_edges.ravel(), div_vals.ravel())
         self.Bdiv = sp.coo_matrix((self._bdiv_trip[2], self._bdiv_trip[:2]),
                                   shape=(self.nc, self.ne)).tocsr()
         self.BdivT = self.Bdiv.T.tocsr()
@@ -268,11 +264,47 @@ class ChbSystem:
 
     def release_workspace(self) -> None:
         """Drop every table built on first use: the CSR layouts with their
-        stored LU orderings, the CH Jacobian image and the kernels'
-        cells-last tables.  The next use builds each one again."""
+        stored LU orderings and factors, the CH Jacobian image, the element
+        triplets and the kernels' cells-last tables.  The next use builds
+        each one again."""
         for name, attr in vars(ChbSystem).items():
             if isinstance(attr, cached_property):
                 self.__dict__.pop(name, None)
+
+    @property
+    def _keeps_factors(self) -> bool:
+        """Whether the splitting's layouts keep their last factor."""
+        return self.ndofs >= KRYLOV_MIN_ROWS
+
+    # -- element triplets, built on first use ---------------------------------
+
+    @cached_property
+    def _m_trip(self):
+        """Rows, columns and values of the P1 mass matrix's element blocks."""
+        m_elem = (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+        return (*_block_indices(self.cells, self.cells), m_elem.ravel())
+
+    @cached_property
+    def _k_trip(self):
+        """Those of the P1 stiffness matrix, on the rows and columns of M's."""
+        grads = self.grads
+        k_elem = self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
+        return (*self._m_trip[:2], k_elem.ravel())
+
+    @cached_property
+    def _bdiv_trip(self):
+        """Rows, columns and values of the RT0 divergence matrix."""
+        mesh = self.mesh
+        edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+        elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
+        div_vals = (mesh.cell_signs * elen_loc).astype(np.float64)
+        rows = np.repeat(np.arange(self.nc), 3)
+        return rows, mesh.cell_edges.ravel(), div_vals.ravel()
+
+    @cached_property
+    def drow(self) -> np.ndarray:
+        """Divergence row of B per cell: rows 0 and 1 added, (nc, 6)."""
+        return self.B[:, 0, :] + self.B[:, 1, :]
 
     # -- the kernels' cells-last tables, built on first use -----------------
 
@@ -384,7 +416,8 @@ class ChbSystem:
         p1 = CsrPattern(self._m_trip[0], self._m_trip[1], (self.nv, self.nv))
         r, c, nv = _slot_rows(p1), p1.indices, self.nv
         blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
-        return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv))
+        return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv),
+                              keep_factor=self._keeps_factors)
 
     @cached_property
     def _ch_image(self):
@@ -488,7 +521,7 @@ class ChbSystem:
         """Stiffness pattern, Dirichlet rows and columns set to identity."""
         return _clamped_pattern(*_block_indices(self.udofs, self.udofs),
                                 self.u_bdofs, (2 * self.nv, 2 * self.nv),
-                                symmetric=True)
+                                symmetric=True, keep_factor=self._keeps_factors)
 
     # -- flow subsystem ------------------------------------------------------
 
@@ -542,7 +575,8 @@ class ChbSystem:
                   (_slot_rows(self.BdivT), self.BdivT.indices, nc, 0),
                   (_slot_rows(mq), mq.indices, nc, nc)]
         return mq, CsrPattern(*_stacked_indices(blocks),
-                              (nc + self.ne, nc + self.ne))
+                              (nc + self.ne, nc + self.ne),
+                              keep_factor=self._keeps_factors)
 
     def flow_cell_residual(self, state_prev, state: FieldState) -> np.ndarray:
         """Per-cell mass balance residual of the flow equation at a state."""

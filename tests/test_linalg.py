@@ -316,6 +316,67 @@ def test_systems_on_one_mesh_never_share_an_ordering(splu_specs):
     assert all(layout(second).ordering is not None for layout in layouts)
 
 
+def _kept_layout(rng, n=120):
+    """An unsymmetric pattern with a full diagonal that keeps its factor,
+    and a filler of its slots with diagonal `diagonal` plus noise."""
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+    cols = np.concatenate([np.arange(n), rng.integers(0, n, 5 * n)])
+    pattern = CsrPattern(rows, cols, (n, n), keep_factor=True)
+
+    def filled(diagonal, vals=None):
+        vals = rng.normal(size=len(rows)) if vals is None else vals.copy()
+        vals[:n] += diagonal
+        return pattern.matrix(pattern.sum(vals))
+    return pattern, filled
+
+
+def test_kept_factor_serves_slowly_varying_matrices(splu_specs):
+    rng = np.random.default_rng(5)
+    pattern, filled = _kept_layout(rng)
+    base, drift = rng.normal(size=(2, 720))
+    made = []
+    for k in range(6):
+        A = filled(20.0, base + 1e-3 * k * drift)
+        b = rng.normal(size=A.shape[0])
+        before = len(splu_specs)
+        x = solve_linear(A, b)
+        made.append(splu_specs[before:])
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+        want = _fresh_symmetric_lu(A).solve(b)
+        assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    # the first factor, ordered by MMD, serves every later matrix
+    assert made == [[SYMMETRIC]] + [[]] * 5
+    assert pattern.ordering.kept is not None
+
+
+@pytest.mark.parametrize("new", ["different", "singular"])
+def test_kept_factor_falls_back_to_fresh_factors(new, splu_specs):
+    rng = np.random.default_rng(6)
+    pattern, filled = _kept_layout(rng)
+    first = filled(20.0)
+    b = rng.normal(size=first.shape[0])
+    solve_linear(first, b)
+    if new == "different":
+        # refinement with the old factor doubles the residual
+        A = filled(-20.0)
+        x = solve_linear(A, b)
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+        # the fresh factor on the stored ordering is kept and serves A again
+        solve_linear(A, rng.normal(size=A.shape[0]))
+        assert splu_specs == [SYMMETRIC, NATURAL]
+    else:
+        # the residual of a zero row stays: refinement gives up, and both
+        # factorizations break down
+        A = pattern.matrix(np.where(_slot_rows(first) == 0, 0.0, first.data))
+        with pytest.raises(LinearSolveFailure):
+            solve_linear(A, b)
+        assert pattern.ordering.kept is None
+        # the next matrix is factored afresh on the stored ordering
+        solve_linear(first, b)
+        assert splu_specs == [SYMMETRIC, NATURAL, None, NATURAL]
+    assert pattern.ordering.kept is not None
+
+
 def _block_system(rng, sizes=(30, 20, 25), singular=None):
     """A matrix with couplings on both sides of its diagonal blocks, and
     those blocks filled on kept layouts; the block numbered `singular` is
@@ -378,6 +439,26 @@ def test_block_path_falls_back_to_the_direct_solve(miss, factors, monkeypatch):
     assert [lu.shape for _, lu in factors] == (
         [blk.shape for blk in A.blocks[:factored]] + [A.shape])
     assert [spec for spec, _ in factors] == [SYMMETRIC] * (factored + 1)
+
+
+def test_block_path_factors_nothing_when_zero_meets_the_tolerance(factors):
+    rng = np.random.default_rng(14)
+    A, b = _block_system(rng)
+    x = solve_linear(A, 1e-13 * b / np.linalg.norm(b))
+    assert factors == [] and np.array_equal(x, np.zeros(len(b)))
+    # a larger right-hand side is solved by GMRES as before
+    solve_linear(A, 1e-11 * b / np.linalg.norm(b))
+    assert len(factors) == 3
+
+
+def test_block_rows_are_views_of_the_matrix():
+    rng = np.random.default_rng(15)
+    A, _ = _block_system(rng)
+    z = rng.normal(size=A.shape[0])
+    rows = linalg._rows(A, 30, 50)
+    assert np.shares_memory(rows.data, A.data)
+    assert np.shares_memory(rows.indices, A.indices)
+    assert np.array_equal(rows @ z, A[30:50] @ z)
 
 
 def test_matrix_without_blocks_is_solved_as_before(factors, monkeypatch):

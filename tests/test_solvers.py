@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -417,6 +419,70 @@ def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
                                rtol=1e-14, atol=0)
 
 
+def test_kept_factors_keep_the_direct_paths_splitting_counts(monkeypatch,
+                                                             splu_specs):
+    mesh = build_unit_square_mesh(8)
+    cfg = SolverConfig(num_steps=2)
+    runs = []
+    for min_rows in (solvers.KRYLOV_MIN_ROWS, 0):
+        monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", min_rows)
+        system = ChbSystem(mesh, MaterialParams())
+        splu_specs.clear()
+        state, stats = advance_simulation(system, system.initial_state(), cfg)
+        runs.append((system.pack(state),
+                     [(s.outer_iters, s.inner_newton) for s in stats],
+                     len(splu_specs)))
+    (direct, direct_counts, direct_lus), (kept, kept_counts, kept_lus) = runs
+    assert kept_counts == direct_counts
+    assert np.max(np.abs(kept - direct)) <= 1e-8
+    solves = sum(sum(inner) + 2 * outer for outer, inner in direct_counts)
+    assert direct_lus == solves
+    assert kept_lus < solves
+
+
+def test_only_large_systems_keep_factors():
+    system = ChbSystem(build_unit_square_mesh(16), MaterialParams())
+    assert system.ndofs < solvers.KRYLOV_MIN_ROWS
+    system.splitting_step(system.initial_state(), SolverConfig())
+    for layout in (system._ch_layout[1], system._elasticity_layout,
+                   system._flow_layout[1]):
+        assert not layout.keep_factor
+        assert layout.ordering is not None and layout.ordering.kept is None
+
+
+def test_kept_factors_go_with_the_run(monkeypatch):
+    monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
+    system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
+    layouts = (lambda: system._ch_layout[1], lambda: system._elasticity_layout,
+               lambda: system._flow_layout[1])
+    refs, monolithic_steps = [], []
+
+    def splitting_step(_state, _stats):
+        for layout in layouts:
+            ordering = layout().ordering
+            assert ordering.kept is not None
+            refs.extend([weakref.ref(ordering), weakref.ref(ordering.kept)])
+
+    def monolithic_step(_state, _stats):
+        # the block factors of a monolithic solve serve that solve only
+        assert all(layout().ordering.kept is None for layout in layouts)
+        monolithic_steps.append(_stats)
+
+    enabled = gc.isenabled()
+    gc.disable()   # a reference cycle would keep the factors alive
+    try:
+        advance_simulation(system, system.initial_state(),
+                           SolverConfig(num_steps=2), on_step=splitting_step)
+        assert len(refs) == 12 and all(ref() is None for ref in refs)
+        advance_simulation(system, system.initial_state(),
+                           SolverConfig(strategy="monolithic", num_steps=2),
+                           on_step=monolithic_step)
+        assert len(monolithic_steps) == 2
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_advance_simulation_zero_steps(system4):
     st0 = system4.initial_state()
     fin, stats = advance_simulation(system4, st0, SolverConfig(num_steps=0))
@@ -763,7 +829,8 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
             assert np.array_equal(reused.pack(got), reused.pack(want))
             # a finished run keeps no workspace
             assert not {"_ch_layout", "_monolithic_layout", "wq_last",
-                        "psi_last", "B_last"} & set(vars(reused))
+                        "psi_last", "B_last", "_m_trip", "_k_trip",
+                        "_bdiv_trip", "drow"} & set(vars(reused))
 
 
 def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
