@@ -62,8 +62,12 @@ def _sweep_check(sweep):
     if (not isinstance(values, (list, tuple)) or not values
             or not all(is_number(v) for v in values)):
         return "values must be a nonempty list of numbers"
-    if param == "gamma" and any(v <= 0 for v in values):
-        return "values must be positive for gamma"
+    # each value must pass the check of the field it overrides
+    check = next(f for f in fields(MaterialParams) if f.name == param).metadata["check"]
+    for value in values:
+        reason = check(value)
+        if reason:
+            return f"value {value!r} {reason}"
 
 
 def _string_check(value):

@@ -36,16 +36,17 @@ of the layout is then first solved against that kept factor by iterative
 refinement with a lagged factor (Higham, *Accuracy and Stability of
 Numerical Algorithms*, ch. 12): x <- x + LU^-1 (b - A x), until
 ||b - A x|| <= KRYLOV_RTOL max(||b||, 1), a hundredth of the contract.
-Refinement gives up after REFINE_MAX_STEPS steps, or at the first step
-that fails to halve the residual.  The kept factor is then dropped, the
-matrix is factored afresh on the stored ordering, and that factor is
+Refinement gives up at the first step whose contraction rate, kept up
+for the steps left of REFINE_MAX_STEPS, would not reach that target; a
+rate of 1 or more gives up at once.  The kept factor is then dropped,
+the matrix is factored afresh on the stored ordering, and that factor is
 kept; COLAMD stays the last fallback, after which the layout keeps no
-factor.  Refinement pays only for matrices that change little from one
-solve to the next, and its solutions differ from a fresh factor's at
-roundoff.  So chbfem.solvers sets keep_factor on the splitting's CH,
-elasticity and flow layouts only for a system of at least
-KRYLOV_MIN_ROWS (5,000) dofs; a smaller one factors every matrix, with
-the same bits as before.
+factor.  Refinement pays only where a solve against the kept factor
+costs well below a factorization, and its solutions differ from a fresh
+factor's at roundoff.  So chbfem.solvers sets keep_factor on the
+splitting's CH, elasticity and flow layouts only for a system of at
+least KEEP_FACTOR_MIN_DOFS dofs; a smaller one factors every matrix,
+with the same bits as before.
 
 A matrix may also carry its diagonal blocks (``blocks``), each a matrix
 filled on a layout that keeps its ordering.  It is then solved first by
@@ -75,8 +76,9 @@ SOLVE_RTOL = 1e-10
 KRYLOV_MAX_ITERS = 60
 KRYLOV_RTOL = 1e-2 * SOLVE_RTOL
 # the most steps of refinement against a kept factor before the matrix
-# is factored afresh
-REFINE_MAX_STEPS = 15
+# is factored afresh; refinement stops early once its rate shows that
+# these steps will not reach KRYLOV_RTOL
+REFINE_MAX_STEPS = 6
 
 
 class LinearSolveFailure(Exception):
@@ -123,16 +125,19 @@ class CsrPattern:
                           or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("triplet index out of range")
         self.shape = (nrows, ncols)
+        rows = rows.astype(np.int32, copy=False)
+        cols = cols.astype(np.int32, copy=False)
         # the row pass of scipy's coo_tocsr is a stable counting sort
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        order = np.argsort(rows, kind="stable").astype(np.int32)
+        indptr = np.zeros(nrows + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        csr = sp.csr_matrix((order.astype(np.float64), cols[order], indptr),
-                            shape=self.shape)
-        del order
+        del rows
+        # scipy sorts the triplet numbers in place; its sort moves entries
+        # by their columns alone, so the numbers' type does not matter
+        csr = sp.csr_matrix((order, cols[order], indptr), shape=self.shape)
+        del cols
         csr.sort_indices()
-        order = csr.data.astype(np.int32)
-        sorted_cols = csr.indices.astype(np.int32, copy=False)
+        order, sorted_cols = csr.data, csr.indices
         del csr
         if take is not None:
             order = np.asarray(take, dtype=np.int32)[order]
@@ -147,10 +152,12 @@ class CsrPattern:
         self.indices = sorted_cols[starts]
         del sorted_cols
         self._head = order[starts]
-        later = np.flatnonzero(~starts)
+        later = ~starts
         del starts
-        self._tail_slot = slot_ends[later + 1] - 1
         self._tail_src = order[later]
+        del order
+        self._tail_slot = slot_ends[1:][later]
+        self._tail_slot -= 1
         for table in (self.indptr, self.indices):
             table.flags.writeable = False
         self.keep_ordering = keep_ordering or keep_factor
@@ -282,19 +289,19 @@ def _block_gmres(mat, blocks, b: np.ndarray) -> np.ndarray:
 
 def _refined(mat, solve: _Factor, b: np.ndarray):
     """Iterative refinement of A x = b against the factor of an earlier
-    matrix: x at KRYLOV_RTOL, or None once a step fails to halve the
-    residual or REFINE_MAX_STEPS steps have not reached it."""
+    matrix: x at KRYLOV_RTOL, or None at the first step whose contraction
+    rate, kept up, would not reach it within REFINE_MAX_STEPS steps."""
     last = np.linalg.norm(b)
     atol = KRYLOV_RTOL * max(last, 1.0)
     x, r = np.zeros(len(b)), b
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(REFINE_MAX_STEPS):
+        for left in range(REFINE_MAX_STEPS - 1, -1, -1):
             x += solve(r)
             r = b - mat @ x
             norm = np.linalg.norm(r)
             if norm <= atol:
                 return x
-            if not norm <= 0.5 * last:
+            if not norm * (norm / last) ** left <= atol:
                 return None
             last = norm
     return None
@@ -329,9 +336,10 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     layout's stored ordering.  If a block's factorization breaks down or
     GMRES ends without meeting the contract below, A is solved as if it
     carried no blocks.  When A's layout keeps a factor (keep_factor), A
-    is first solved by iterative refinement against it, at most
-    REFINE_MAX_STEPS steps that each halve the residual; on a miss the
-    kept factor is dropped.  The matrix is then factored in SuperLU's
+    is first solved by iterative refinement against it, in at most
+    REFINE_MAX_STEPS steps, given up as soon as the rate of a step shows
+    they will not reach KRYLOV_RTOL; on a miss the kept factor is
+    dropped.  The matrix is then factored in SuperLU's
     symmetric mode: on the stored ordering of its layout when that layout
     has one (CsrPattern.ordering), else with a fresh MMD ordering of
     A^T + A, which a layout with keep_ordering then stores if the solve

@@ -37,12 +37,16 @@ DIVERGENCE_LIMIT = 1.0e6
 # blocks, so solve_linear solves them by block-preconditioned GMRES.  On
 # a converging step that is cheaper than a direct LU from n=8 up, but on
 # a diverging one GMRES needs tens of iterations per solve: on swell's
-# n=16 run (2,468 rows), 15-60 of them, 3.6 times the direct path's time.
-# A system of at least this many dofs also keeps the last factor of each
-# splitting layout and refines against it.  Below it every solve factors
-# afresh, so that the small runs' solutions stay bit for bit those of a
-# direct LU.
+# n=16 run (2,468 rows), 15-60 of them, 3.6 times the direct path's time,
+# and it diverged after 44 Newton iterations instead of 29.
 KRYLOV_MIN_ROWS = 5000
+# A system of at least this many dofs keeps the last factor of each
+# splitting layout and refines against it.  Below it every solve factors
+# afresh, bit for bit as a direct LU.  Over 20 splitting steps refinement
+# was faster at every size measured, down to n=4 (188 dofs, by 7%); the
+# threshold stays just above n=4, where the benchmark's smoke run checks
+# one factorization per solve.
+KEEP_FACTOR_MIN_DOFS = 250
 
 
 class NonConvergence(Exception):
@@ -186,12 +190,12 @@ class ChbSystem:
     its first assembly; every later matrix of that system only fills it.
     The CH, elasticity and flow layouts also keep the LU ordering of their
     first solve (see chbfem.linalg); the monolithic one does not.  On a
-    system of at least KRYLOV_MIN_ROWS dofs they keep their last factor
-    too, and solve_linear refines each later matrix against it before it
-    factors afresh.  A monolithic Jacobian of at least KRYLOV_MIN_ROWS
-    rows carries its three diagonal blocks, filled on those layouts, as
-    ``blocks``: solve_linear factors them to precondition GMRES on the
-    Jacobian, for that solve only.
+    system of at least KEEP_FACTOR_MIN_DOFS dofs they keep their last
+    factor too, and solve_linear refines each later matrix against it
+    before it factors afresh.  A monolithic Jacobian of at least
+    KRYLOV_MIN_ROWS rows carries its three diagonal blocks, filled on
+    those layouts, as ``blocks``: solve_linear factors them to
+    precondition GMRES on the Jacobian, for that solve only.
 
     The layouts, their orderings and factors, the element triplets and the
     kernels' cells-last tables are the solver workspace: built on first
@@ -274,7 +278,7 @@ class ChbSystem:
     @property
     def _keeps_factors(self) -> bool:
         """Whether the splitting's layouts keep their last factor."""
-        return self.ndofs >= KRYLOV_MIN_ROWS
+        return self.ndofs >= KEEP_FACTOR_MIN_DOFS
 
     # -- element triplets, built on first use ---------------------------------
 

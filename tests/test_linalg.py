@@ -377,6 +377,43 @@ def test_kept_factor_falls_back_to_fresh_factors(new, splu_specs):
     assert pattern.ordering.kept is not None
 
 
+@pytest.mark.parametrize("max_steps", [linalg.REFINE_MAX_STEPS, 40])
+def test_refinement_gives_up_once_its_rate_cannot_reach_the_target(
+        max_steps, splu_specs, monkeypatch):
+    monkeypatch.setattr(linalg, "REFINE_MAX_STEPS", max_steps)
+    rng = np.random.default_rng(8)
+    pattern, filled = _kept_layout(rng)
+    first = filled(20.0)
+    b = rng.normal(size=first.shape[0])
+    solve_linear(first, b)
+    kept, steps = pattern.ordering.kept, []
+
+    def counted(r):
+        steps.append(np.linalg.norm(r))
+        return kept(r)
+
+    pattern.ordering.kept = counted
+    # against the factor of `first`, each step leaves 0.3 of the residual:
+    # KRYLOV_RTOL takes 23 steps
+    A = pattern.matrix(1.3 * first.data)
+    x = solve_linear(A, b)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+    rates = np.array(steps[1:]) / steps[:-1]
+    np.testing.assert_allclose(rates, 0.3, rtol=1e-6)
+    if max_steps < 23:
+        # the first step's rate shows that the cap is too short
+        assert len(steps) == 1
+        assert splu_specs == [SYMMETRIC, NATURAL]
+        # the fresh factor is kept and serves A again
+        assert pattern.ordering.kept is not counted
+        solve_linear(A, rng.normal(size=A.shape[0]))
+        assert splu_specs == [SYMMETRIC, NATURAL]
+    else:
+        assert len(steps) == 23
+        assert splu_specs == [SYMMETRIC]
+        assert pattern.ordering.kept is counted
+
+
 def _block_system(rng, sizes=(30, 20, 25), singular=None):
     """A matrix with couplings on both sides of its diagonal blocks, and
     those blocks filled on kept layouts; the block numbered `singular` is

@@ -419,14 +419,17 @@ def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
                                rtol=1e-14, atol=0)
 
 
-def test_kept_factors_keep_the_direct_paths_splitting_counts(monkeypatch,
-                                                             splu_specs):
-    mesh = build_unit_square_mesh(8)
+def _check_kept_factors_keep_the_direct_paths_counts(n, xi, monkeypatch,
+                                                     splu_specs):
+    """Two splitting steps, with every solve factored afresh and with kept
+    factors, make the same iterations, with states within 1e-8, and the
+    kept factors make fewer LUs than solves."""
+    mesh = build_unit_square_mesh(n)
     cfg = SolverConfig(num_steps=2)
     runs = []
-    for min_rows in (solvers.KRYLOV_MIN_ROWS, 0):
-        monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", min_rows)
-        system = ChbSystem(mesh, MaterialParams())
+    for min_dofs in (ChbSystem(mesh, MaterialParams()).ndofs + 1, 0):
+        monkeypatch.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", min_dofs)
+        system = ChbSystem(mesh, MaterialParams(xi=xi))
         splu_specs.clear()
         state, stats = advance_simulation(system, system.initial_state(), cfg)
         runs.append((system.pack(state),
@@ -440,17 +443,39 @@ def test_kept_factors_keep_the_direct_paths_splitting_counts(monkeypatch,
     assert kept_lus < solves
 
 
-def test_only_large_systems_keep_factors():
-    system = ChbSystem(build_unit_square_mesh(16), MaterialParams())
-    assert system.ndofs < solvers.KRYLOV_MIN_ROWS
-    system.splitting_step(system.initial_state(), SolverConfig())
-    for layout in (system._ch_layout[1], system._elasticity_layout,
-                   system._flow_layout[1]):
-        assert not layout.keep_factor
-        assert layout.ordering is not None and layout.ordering.kept is None
+def test_kept_factors_keep_the_direct_paths_splitting_counts(monkeypatch,
+                                                             splu_specs):
+    _check_kept_factors_keep_the_direct_paths_counts(8, 0.5, monkeypatch,
+                                                     splu_specs)
+
+
+def test_kept_factors_keep_the_direct_paths_counts_on_swell(monkeypatch,
+                                                            splu_specs):
+    # the swell workload's mesh and swelling
+    _check_kept_factors_keep_the_direct_paths_counts(16, 2.0, monkeypatch,
+                                                     splu_specs)
+
+
+def test_kept_factors_start_at_the_measured_crossover(splu_specs):
+    for n, keeps in ((4, False), (8, True), (16, True)):
+        system = ChbSystem(build_unit_square_mesh(n), MaterialParams())
+        assert (system.ndofs >= solvers.KEEP_FACTOR_MIN_DOFS) == keeps
+        splu_specs.clear()
+        _, stats = system.splitting_step(system.initial_state(), SolverConfig())
+        solves = sum(stats.inner_newton) + 2 * stats.outer_iters
+        for layout in (system._ch_layout[1], system._elasticity_layout,
+                       system._flow_layout[1]):
+            assert layout.keep_factor == keeps
+            assert (layout.ordering.kept is not None) == keeps
+        if keeps:
+            assert len(splu_specs) < solves
+        else:
+            assert len(splu_specs) == solves
 
 
 def test_kept_factors_go_with_the_run(monkeypatch):
+    monkeypatch.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", 0)
+    # the monolithic steps factor the same layouts' blocks for GMRES
     monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
     system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
     layouts = (lambda: system._ch_layout[1], lambda: system._elasticity_layout,
