@@ -125,15 +125,3 @@ def build_unit_square_mesh(n: int) -> StructuredTriMesh:
         boundary_edge_flags=boundary_edge_flags,
     )
 
-
-def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:
-    """Indices of boundary entities for vertex- or edge-based spaces.
-
-    space_kind is "vertex" for spaces with one dof set per vertex and
-    "edge" for edge-based spaces.
-    """
-    if space_kind == "vertex":
-        return np.flatnonzero(mesh.boundary_vertex_flags)
-    if space_kind == "edge":
-        return np.flatnonzero(mesh.boundary_edge_flags)
-    raise ValueError(f"unknown space kind {space_kind!r}, expected 'vertex' or 'edge'")

@@ -1,10 +1,25 @@
-"""Constitutive laws for the coupled phase-field / poroelastic model.
+"""The constitutive laws of the coupled phase-field / poroelastic model,
+and its parameters.
 
-All functions are plain numpy and broadcast over leading axes, so the same
-code serves scalar spot checks and per-quadrature-point arrays.  Symmetric
+Each law is written once, here, as the solver runs it: at the quadrature
+points of every cell at once, cells last (one contiguous (nqp, nc) array
+per component).  Phase holds the laws of phi alone: the interpolation
+pi and its derivatives, the split double well, the interpolated
+coefficients M, alpha' and kappa.  Pointwise adds those of one iterate's
+strain and pressure: the swelling strain, the stiffness, and the
+phi-derivatives of the elastic and fluid energies with the derivatives
+the Jacobians need.  chbfem._kernels only integrates these values;
+ChbSystem turns the cell integrals of Phase.cell_integrands into the
+integrated stiffness, Biot-Willis coefficient and swelling load.  Symmetric
 2-tensors use Voigt form: strains as (e_xx, e_yy, 2*e_xy), stresses as
-(s_xx, s_yy, s_xy), so the double contraction of a strain-type vector with
-a stress-type vector is a plain dot product.
+(s_xx, s_yy, s_xy), so the double contraction of a strain-type vector
+with a stress-type vector is a plain dot product.
+
+Each law performs the operations of its twin in tests/reference_kernels.py
+in the same order, as the kernels' bit-exact contract asks (see
+chbfem._kernels): products left to right in the operand order of the
+einsum they replace, and a sum over a Voigt index as (t0 + t2) + t1, the
+order of numpy 2.4's two-operand einsum on an x86-64 baseline build.
 
 MaterialParams declares each parameter's default and check once, with
 the field helpers and the one validator, check_fields, that SolverConfig
@@ -16,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -177,6 +193,9 @@ def pi_laws(phi):
             np.where((phi < 0.0) | (phi > 1.0), 0.0, 6.0 - 12.0 * phi))
 
 
+# the three parts of pi_laws one at a time, as tests/reference_kernels.py
+# reads them
+
 def pi_interp(phi):
     """Phase interpolation weight: 0 below 0, phi^2*(3-2*phi) on [0,1], 1 above."""
     return pi_laws(phi)[0]
@@ -192,128 +211,201 @@ def pi_double_prime(phi):
     return pi_laws(phi)[2]
 
 
-def zeta(phi, zeta0, zeta1):
-    """Interpolated material coefficient zeta0 + pi(phi)*(zeta1 - zeta0)."""
-    return zeta0 + pi_interp(phi) * (zeta1 - zeta0)
+class Phase:
+    """The laws of phi alone at the quadrature points, cells last.
 
-
-def zeta_prime(phi, zeta0, zeta1):
-    return pi_prime(phi) * (zeta1 - zeta0)
-
-
-def psi_split(phi):
-    """Convex-concave split of the double well phi^2*(1-phi)^2.
-
-    Returns (psi_c, psi_e, psi_c', psi_e', psi_c'') with
-    psi_c = (phi - 1/2)^4 + 1/16 and psi_e = (phi - 1/2)^2 / 2, both convex.
+    phi_q is phi at the quadrature points, (nc, nqp), as
+    ChbSystem.phi_at_qp returns it; every value is (nqp, nc).  A value
+    that several kernels read is computed on first use and kept; a
+    kernel's integrand is computed when that kernel reads it.
     """
-    s = np.asarray(phi, dtype=np.float64) - 0.5
-    psi_c = s ** 4 + 1.0 / 16.0
-    psi_e = 0.5 * s ** 2
-    return psi_c, psi_e, 4.0 * s ** 3, s, 12.0 * s ** 2
+
+    def __init__(self, phi_q, params: MaterialParams):
+        self.phi = phi_q.T.copy()
+        self.params = params
+
+    @cached_property
+    def pi(self):
+        """(pi, pi', pi'') of phi."""
+        return pi_laws(self.phi)
+
+    @cached_property
+    def dphi(self):
+        """phi - phi_bar: the swelling strain is T(phi) = xi dphi I."""
+        return self.phi - self.params.phi_bar
+
+    @cached_property
+    def shifted(self):
+        """phi - 1/2 = psi_e'(phi), of the double well's split into
+        psi_c = (phi - 1/2)^4 + 1/16 and psi_e = (phi - 1/2)^2 / 2."""
+        return self.phi - 0.5
+
+    @cached_property
+    def M(self):
+        """Compressibility M0 + pi (M1 - M0)."""
+        pa = self.params
+        return pa.M0 + self.pi[0] * (pa.M1 - pa.M0)
+
+    @cached_property
+    def Mp(self):
+        return self.pi[1] * (self.params.M1 - self.params.M0)
+
+    @cached_property
+    def ap(self):
+        """alpha' of the Biot-Willis coefficient alpha0 + pi (alpha1 - alpha0)."""
+        return self.pi[1] * (self.params.alpha1 - self.params.alpha0)
+
+    @cached_property
+    def kappa(self):
+        """Permeability kappa0 + pi (kappa1 - kappa0)."""
+        pa = self.params
+        return pa.kappa0 + self.pi[0] * (pa.kappa1 - pa.kappa0)
+
+    # Numpy's vectorized power sends every lane with a negative base down
+    # a slow scalar path, about 0.26 ms of each Cahn-Hilliard iterate at
+    # n=16, but neither s * s * s nor a power of |s| with the sign copied
+    # back gives the bits of ** 3 in every lane.
+    @property
+    def well_prime(self):
+        """(gamma/ell) psi_c'(phi) = (gamma/ell) 4 (phi - 1/2)^3."""
+        pa = self.params
+        return (pa.gamma / pa.ell) * 4.0 * self.shifted ** 3
+
+    @property
+    def well_second(self):
+        """(gamma/ell) psi_c''(phi) = (gamma/ell) 12 (phi - 1/2)^2."""
+        pa = self.params
+        return (pa.gamma / pa.ell) * 12.0 * self.shifted ** 2
+
+    @property
+    def cell_integrands(self):
+        """(pi, phi - phi_bar, pi (phi - phi_bar), 1/M): integrated over a
+        cell they give its stiffness C0 + pi dC and Biot-Willis coefficient,
+        its swelling load C(phi) T(phi) and its pressure storage 1/M."""
+        piv, dphi = self.pi[0], self.dphi
+        return piv, dphi, piv * dphi, 1.0 / self.M
+
+    @property
+    def kinv(self):
+        """1/kappa, the weight of the flux mass matrix."""
+        return 1.0 / self.kappa
+
+    @property
+    def dkinv(self):
+        """d(1/kappa)/dphi."""
+        pa = self.params
+        return -self.pi[1] * (pa.kappa1 - pa.kappa0) / (self.kappa * self.kappa)
 
 
-def swelling_T(phi, xi, phi_bar):
-    """Swelling eigenstrain xi*(phi - phi_bar)*I as a Voigt strain vector."""
-    scale = xi * (np.asarray(phi, dtype=np.float64) - phi_bar)
-    return np.multiply.outer(scale, VOIGT_ID)
+class Pointwise(Phase):
+    """The laws of phi plus those of one iterate's strain and pressure.
 
-
-def swelling_T_prime(xi):
-    """d(swelling_T)/d(phi); constant because the eigenstrain is affine in phi."""
-    return xi * VOIGT_ID
-
-
-def stiffness_C(phi, params: MaterialParams):
-    """Interpolated Voigt stiffness C0 + pi(phi)*(C1 - C0), shape (..., 3, 3)."""
-    w = pi_interp(phi)
-    return params.C0 + np.multiply.outer(w, params.dC)
-
-
-def stress(phi, eps, p, params: MaterialParams):
-    """Total Voigt stress C(phi)*(eps - T(phi)) - alpha(phi)*p*I."""
-    eps = np.asarray(eps, dtype=np.float64)
-    em = eps - swelling_T(phi, params.xi, params.phi_bar)
-    sig = np.einsum("...ij,...j->...i", stiffness_C(phi, params), em)
-    a = zeta(phi, params.alpha0, params.alpha1)
-    return sig - np.multiply.outer(np.asarray(a) * np.asarray(p), VOIGT_ID)
-
-
-def dphi_E_elastic(phi, eps, params: MaterialParams):
-    """Variational derivative of the elastic energy with respect to phi.
-
-    -T'(phi):C(phi)(eps - T) + (eps - T):C'(phi)(eps - T)/2, with all
-    contractions in Voigt form.
+    Built from the Phase of phi, whose values computed so far it shares.
+    strain is the Voigt strain per cell, (nc, 3), and p the cellwise
+    pressure, (nc,).  The energies whose phi-derivatives enter the
+    chemical potential are E_el = (eps - T):C(phi)(eps - T)/2, with
+    C(phi) = C0 + pi dC, and E_fl = M(phi) (theta - alpha(phi) div u)^2/2
+    at fixed fluid content theta, whose dual is p.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    em = eps - swelling_T(phi, params.xi, params.phi_bar)
-    Cem = np.einsum("...ij,...j->...i", stiffness_C(phi, params), em)
-    term1 = -params.xi * (Cem[..., 0] + Cem[..., 1])
-    dCem = np.einsum("ij,...j->...i", params.dC, em)
-    term2 = 0.5 * pi_prime(phi) * np.einsum("...i,...i->...", em, dCem)
-    return term1 + term2
 
+    def __init__(self, phase: Phase, strain, p):
+        self.__dict__.update(phase.__dict__)
+        self.strain = strain
+        self.p = p
 
-def d2phi_E_elastic(phi, eps, params: MaterialParams):
-    """phi-derivative of dphi_E_elastic at fixed strain."""
-    eps = np.asarray(eps, dtype=np.float64)
-    em = eps - swelling_T(phi, params.xi, params.phi_bar)
-    dCem = np.einsum("ij,...j->...i", params.dC, em)
-    tr_dCem = dCem[..., 0] + dCem[..., 1]
-    # T' : C(phi) T' = xi^2 * (C00 + C01 + C10 + C11)
-    Csum = (stiffness_C(phi, params)[..., :2, :2]).sum(axis=(-2, -1))
-    return (-2.0 * params.xi * pi_prime(phi) * tr_dCem
-            + params.xi ** 2 * Csum
-            + 0.5 * pi_double_prime(phi) * np.einsum("...i,...i->...", em, dCem))
+    @cached_property
+    def em(self):
+        """Strain minus the swelling strain, eps - T(phi), (3, nqp, nc)."""
+        t = self.params.xi * self.dphi
+        return self.strain.T[:, None, :] - t * VOIGT_ID[:, None, None]
 
+    @cached_property
+    def C(self):
+        """Rows 0 and 1 of the stiffness C0 + pi(phi) dC, (2, 3, nqp, nc)."""
+        pa = self.params
+        return self.pi[0] * pa.dC[:2, :, None, None] + pa.C0[:2, :, None, None]
 
-def deps_dphi_E_elastic(phi, eps, params: MaterialParams):
-    """Strain-direction derivative of dphi_E_elastic, shape (..., 3).
+    @cached_property
+    def dCem(self):
+        """dC em, (3, nqp, nc)."""
+        dC, em = self.params.dC[:, :, None, None], self.em
+        return (dC[:, 0] * em[0] + dC[:, 2] * em[2]) + dC[:, 1] * em[1]
 
-    Dotting the result with a Voigt strain perturbation gives the change
-    of dphi_E_elastic.
-    """
-    eps = np.asarray(eps, dtype=np.float64)
-    em = eps - swelling_T(phi, params.xi, params.phi_bar)
-    row = -params.xi * (stiffness_C(phi, params)[..., 0, :]
-                        + stiffness_C(phi, params)[..., 1, :])
-    row = row + pi_prime(phi)[..., None] * np.einsum("ij,...j->...i", params.dC, em)
-    return row
+    @cached_property
+    def em_dCem(self):
+        em, dCem = self.em, self.dCem
+        return (em[0] * dCem[0] + em[2] * dCem[2]) + em[1] * dCem[1]
 
+    @cached_property
+    def divu(self):
+        return self.strain[:, 0] + self.strain[:, 1]
 
-def dphi_E_fluid(phi, div_u, p, params: MaterialParams):
-    """Variational derivative of the fluid energy with respect to phi.
+    @property
+    def Cem(self):
+        """Rows 0 and 1 of the elastic stress C(phi) em, (2, nqp, nc)."""
+        C, em = self.C, self.em
+        return (C[:, 0] * em[0] + C[:, 2] * em[2]) + C[:, 1] * em[1]
 
-    M'(phi)*p^2 / (2*M(phi)^2) - p*alpha'(phi)*div(u).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    M = zeta(phi, params.M0, params.M1)
-    Mp = zeta_prime(phi, params.M0, params.M1)
-    ap = zeta_prime(phi, params.alpha0, params.alpha1)
-    return Mp * p * p / (2.0 * M * M) - p * ap * np.asarray(div_u)
+    @property
+    def dphi_E_elastic(self):
+        """The two terms of the phi-derivative of E_el:
+        -T'(phi):C(phi) em and em:C'(phi) em / 2."""
+        Cem = self.Cem
+        return (-self.params.xi * (Cem[0] + Cem[1]),
+                0.5 * self.pi[1] * self.em_dCem)
 
+    @property
+    def dphi_E_fluid(self):
+        """phi-derivative of E_fl: M' p^2 / (2 M^2) - p alpha' div u."""
+        p = self.p
+        return self.Mp * p ** 2 / (2.0 * self.M * self.M) - p * self.ap * self.divu
 
-def d2phi_E_fluid(phi, div_u, p, params: MaterialParams):
-    """phi-derivative of dphi_E_fluid at fixed div(u) and p."""
-    p = np.asarray(p, dtype=np.float64)
-    dM = params.M1 - params.M0
-    da = params.alpha1 - params.alpha0
-    M = zeta(phi, params.M0, params.M1)
-    Mp = pi_prime(phi) * dM
-    Mpp = pi_double_prime(phi) * dM
-    app = pi_double_prime(phi) * da
-    return (p * p * (Mpp * M - 2.0 * Mp * Mp) / (2.0 * M ** 3)
-            - p * app * np.asarray(div_u))
+    @property
+    def mu_nonlinear(self):
+        """(gamma/ell) psi_c'(phi) + dphi E_el + dphi E_fl, the part of the
+        chemical potential that ch_load integrates; added left to right."""
+        swelling, stiffening = self.dphi_E_elastic
+        return self.well_prime + swelling + stiffening + self.dphi_E_fluid
 
+    @property
+    def d2phi_E_elastic(self):
+        """phi-derivative of dphi_E_elastic at fixed strain."""
+        xi, C = self.params.xi, self.C
+        _, pip, pipp = self.pi
+        tr_dCem = self.dCem[0] + self.dCem[1]
+        # T':C(phi) T' = xi^2 (C00 + C01 + C10 + C11)
+        Csum = ((C[0, 0] + C[0, 1]) + C[1, 0]) + C[1, 1]
+        return (-2.0 * xi * pip * tr_dCem + xi * xi * Csum
+                + 0.5 * pipp * self.em_dCem)
 
-def dp_dphi_E_fluid(phi, div_u, p, params: MaterialParams):
-    """p-derivative of dphi_E_fluid."""
-    M = zeta(phi, params.M0, params.M1)
-    Mp = zeta_prime(phi, params.M0, params.M1)
-    ap = zeta_prime(phi, params.alpha0, params.alpha1)
-    return Mp * np.asarray(p) / (M * M) - ap * np.asarray(div_u)
+    @property
+    def d2phi_E_fluid(self):
+        """phi-derivative of dphi_E_fluid at fixed div u and p."""
+        pa, p, M, Mp = self.params, self.p, self.M, self.Mp
+        pipp = self.pi[2]
+        Mpp = pipp * (pa.M1 - pa.M0)
+        app = pipp * (pa.alpha1 - pa.alpha0)
+        return (p ** 2 * (Mpp * M - 2.0 * Mp * Mp) / (2.0 * M ** 3)
+                - p * app * self.divu)
 
+    @property
+    def dmu_nonlinear(self):
+        """phi-derivative of mu_nonlinear, which ch_jac integrates."""
+        return self.well_second + self.d2phi_E_elastic + self.d2phi_E_fluid
 
-def ddivu_dphi_E_fluid(phi, p, params: MaterialParams):
-    """div(u)-derivative of dphi_E_fluid."""
-    return -np.asarray(p) * zeta_prime(phi, params.alpha0, params.alpha1)
+    @property
+    def deps_dphi_E_elastic(self):
+        """Derivative of the sum of dphi_E_elastic along the Voigt strain,
+        (3, nqp, nc).  C0 and C1 are stored exactly symmetric, so it is
+        also, bit for bit, the phi-derivative of the stress C(phi) em."""
+        return -self.params.xi * (self.C[0] + self.C[1]) + self.pi[1] * self.dCem
+
+    @property
+    def dp_dphi_E_fluid(self):
+        """p-derivative of dphi_E_fluid; its div u-derivative is -p alpha'."""
+        return self.Mp * self.p / (self.M * self.M) - self.ap * self.divu
+
+    @property
+    def dphi_storage(self):
+        """phi-derivative of the storage p/M(phi) + alpha(phi) div u."""
+        return -self.p * self.Mp / (self.M * self.M) + self.divu * self.ap

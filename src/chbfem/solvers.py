@@ -29,8 +29,9 @@ import scipy.sparse as sp
 from . import _kernels as kn
 from .fem import default_rule, rt0_basis
 from .linalg import CsrPattern, LinearSolveFailure, solve_linear
-from .mesh import StructuredTriMesh, boundary_dofs
-from .model import MaterialParams, check_fields, choice, integer, real
+from .mesh import StructuredTriMesh
+from .model import (VOIGT_ID, MaterialParams, Phase, Pointwise, check_fields,
+                    choice, integer, real)
 
 DIVERGENCE_LIMIT = 1.0e6
 # Monolithic Jacobians of at least this many rows carry their diagonal
@@ -171,13 +172,16 @@ def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
 
 
 class PhaseIntegrals(NamedTuple):
-    """The kn.Phase of phi and kn.phase_cell_integrals of it."""
+    """The model.Phase of phi, the cellwise integrals that
+    kn.phase_cell_integrals takes of its cell_integrands, and the
+    integrated Biot-Willis coefficient abar."""
 
-    values: kn.Phase
+    values: Phase
     ibar: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
     dinv: np.ndarray
+    abar: np.ndarray
 
 
 class ChbSystem:
@@ -263,7 +267,7 @@ class ChbSystem:
                                   shape=(self.nc, self.ne)).tocsr()
         self.BdivT = self.Bdiv.T.tocsr()
 
-        bverts = boundary_dofs(mesh, "vertex")
+        bverts = np.flatnonzero(mesh.boundary_vertex_flags)
         self.u_bdofs = np.sort(np.concatenate([2 * bverts, 2 * bverts + 1]))
 
     def release_workspace(self) -> None:
@@ -336,14 +340,14 @@ class ChbSystem:
         return np.ascontiguousarray(
             np.einsum("cil,cl->ci", self.B, u[self.udofs]))
 
-    def phase_values(self, phi) -> kn.Phase:
-        """Kernel values of phi alone, at the quadrature points."""
-        return kn.Phase(self.phi_at_qp(phi), self.params)
+    def phase_values(self, phi) -> Phase:
+        """The laws of phi alone, at the quadrature points."""
+        return Phase(self.phi_at_qp(phi), self.params)
 
-    def pointwise(self, phi, u, p) -> kn.Pointwise:
-        """Kernel pointwise values at the iterate (phi, u, p)."""
-        return kn.Pointwise(self.phase_values(phi), self.strain_per_cell(u),
-                            np.ascontiguousarray(p))
+    def pointwise(self, phi, u, p) -> Pointwise:
+        """The laws at the iterate (phi, u, p), at the quadrature points."""
+        return Pointwise(self.phase_values(phi), self.strain_per_cell(u),
+                         np.ascontiguousarray(p))
 
     def initial_state(self, phi_expr=None) -> FieldState:
         """State at time level 0: half-domain phase split, everything else zero."""
@@ -459,7 +463,7 @@ class ChbSystem:
                 values = self.phase_values(phi)
             res, J = self.ch_residual_and_jacobian(
                 state_prev, phi, mu, u_fixed, p_fixed,
-                pw=kn.Pointwise(values, strain, p_cell), explicit=explicit)
+                pw=Pointwise(values, strain, p_cell), explicit=explicit)
             values = None  # phi moves below
             delta = _newton_solve(J, -res, it)
             phi += delta[:self.nv]
@@ -478,27 +482,28 @@ class ChbSystem:
     # -- elasticity subsystem ----------------------------------------------
 
     def phase_integrals(self, phi, values=None) -> PhaseIntegrals:
-        """The kernel values of phi and its cellwise phase integrals.
+        """The laws of phi and their cellwise integrals.
 
         values: phase_values(phi), or a pointwise at phi, when the caller
         has it already.
         """
+        pa = self.params
         if values is None:
             values = self.phase_values(phi)
-        return PhaseIntegrals(values,
-                              *kn.phase_cell_integrals(values, self.wq_last))
+        ibar, s1, s2, dinv = kn.phase_cell_integrals(values, self.wq_last)
+        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
+        return PhaseIntegrals(values, ibar, s1, s2, dinv, abar)
 
     def _elasticity_data(self, phi, phase=None):
         """Integrated stiffness, swelling load and pressure coupling per cell."""
         pa = self.params
         if phase is None:
             phase = self.phase_integrals(phi)
-        _, ibar, s1, s2, dinv = phase
-        cint = self.areas[:, None, None] * pa.C0 + ibar[:, None, None] * pa.dC
-        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
-        v = np.array([1.0, 1.0, 0.0])
-        swell = pa.xi * (np.outer(s1, pa.C0 @ v) + np.outer(s2, pa.dC @ v))
-        return cint, abar, swell, dinv
+        cint = (self.areas[:, None, None] * pa.C0
+                + phase.ibar[:, None, None] * pa.dC)
+        swell = pa.xi * (np.outer(phase.s1, pa.C0 @ VOIGT_ID)
+                         + np.outer(phase.s2, pa.dC @ VOIGT_ID))
+        return cint, phase.abar, swell, phase.dinv
 
     def solve_elasticity(self, phi, p_fixed, phase=None):
         """Solve the linear elasticity subsystem at the given phase field.
@@ -531,21 +536,15 @@ class ChbSystem:
 
     def storage_coefficient(self, state: FieldState) -> np.ndarray:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
-        pa = self.params
-        ibar, _, _, dinv = kn.phase_cell_integrals(self.phase_values(state.phi),
-                                                   self.wq_last)
-        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
-        divu = self.strain_per_cell(state.u) @ np.array([1.0, 1.0, 0.0])
-        return dinv * state.p + abar * divu
+        phase = self.phase_integrals(state.phi)
+        divu = self.strain_per_cell(state.u) @ VOIGT_ID
+        return phase.dinv * state.p + phase.abar * divu
 
     def _flow_data(self, phi, phase=None):
-        pa = self.params
         if phase is None:
             phase = self.phase_integrals(phi)
-        values, ibar, _, _, dinv = phase
-        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
-        mq_elem = kn.rt0_weighted_mass(values, self.wq_last, self.psi_last)
-        return dinv, abar, mq_elem
+        mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
+        return phase.dinv, phase.abar, mq_elem
 
     def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None):
         """Solve the mixed pressure/flux subsystem; returns (p, q).
@@ -555,7 +554,7 @@ class ChbSystem:
         dinv, abar, mq_elem = self._flow_data(phi, phase)
         if storage_prev is None:
             storage_prev = self.storage_coefficient(state_prev)
-        divu = self.strain_per_cell(u) @ np.array([1.0, 1.0, 0.0])
+        divu = self.strain_per_cell(u) @ VOIGT_ID
         rhs = np.concatenate([storage_prev - abar * divu, np.zeros(self.ne)])
         x = solve_linear(self._flow_matrix(dinv, mq_elem), rhs)
         return x[:self.nc], x[self.nc:]
@@ -683,7 +682,7 @@ class ChbSystem:
         r_u = _scatter_vector(ru_elem, self.udofs, 2 * self.nv)
         r_u[self.u_bdofs] = st.u[self.u_bdofs]
         res[self.off_u:self.off_p] = r_u
-        divu = strain @ np.array([1.0, 1.0, 0.0])
+        divu = strain @ VOIGT_ID
         storage_prev = self.storage_coefficient(state_prev)
         res[self.off_p:self.off_q] = (dinv * st.p + abar * divu - storage_prev
                                       + pa.tau * (self.Bdiv @ st.q))

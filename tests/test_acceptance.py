@@ -151,12 +151,14 @@ def test_criterion_4_conservation(desk_system):
 
 
 def test_criterion_5_convex_split():
+    # the derivatives the solver evaluates: psi_c', psi_c'' and psi_e'
     phi = np.linspace(-1.0, 2.0, 10_000)
-    psi_c, psi_e, _, _, ddc = model.psi_split(phi)
-    defect = np.max(np.abs(psi_c - psi_e - phi ** 2 * (1.0 - phi) ** 2))
-    convex = bool(np.all(ddc >= 0.0))  # psi_e'' = 1 >= 0 identically
+    ph = model.Phase(phi[:, None], MaterialParams(gamma=1.0, ell=1.0))
+    double_well_prime = 2.0 * phi * (1.0 - phi) * (1.0 - 2.0 * phi)
+    defect = np.max(np.abs(ph.well_prime[0] - ph.shifted[0] - double_well_prime))
+    convex = bool(np.all(ph.well_second >= 0.0))  # psi_e'' = 1 >= 0 identically
     check(5, "convex split identity", defect <= 1e-12 and convex,
-          f"max identity defect {defect:.3e} <= 1e-12, both parts convex")
+          f"max derivative identity defect {defect:.3e} <= 1e-12, both parts convex")
 
 
 def test_criterion_6_gamma_trend():

@@ -2,7 +2,7 @@
 modules the solver runs on no longer hold."""
 
 import chbfem
-from chbfem import fem, linalg, mesh
+from chbfem import fem, linalg, mesh, model
 
 PUBLIC = {
     "ChbSystem", "ConfigError", "FieldState", "LinearSolveFailure",
@@ -20,6 +20,13 @@ MOVED_FROM_FEM = (
     "integrate_scalar", "p1_scalar", "p1_vector", "p0_space", "rt0_space",
 )
 DELETED_FROM_LINALG = ("SparseMatrix", "TripletBuffer", "compress", "norms")
+# the tensor-form laws; model.Phase and Pointwise hold those the solver runs
+DELETED_FROM_MODEL = (
+    "zeta", "zeta_prime", "psi_split", "swelling_T", "swelling_T_prime",
+    "stiffness_C", "stress", "dphi_E_elastic", "d2phi_E_elastic",
+    "deps_dphi_E_elastic", "dphi_E_fluid", "d2phi_E_fluid", "dp_dphi_E_fluid",
+    "ddivu_dphi_E_fluid",
+)
 
 
 def test_top_level_exports_are_pinned_and_resolve():
@@ -38,4 +45,7 @@ def test_solver_modules_hold_only_what_the_solver_runs():
         assert not hasattr(fem, name), f"chbfem.fem.{name}"
     for name in DELETED_FROM_LINALG:
         assert not hasattr(linalg, name), f"chbfem.linalg.{name}"
+    for name in DELETED_FROM_MODEL:
+        assert not hasattr(model, name), f"chbfem.model.{name}"
     assert not hasattr(mesh, "cell_geometry")
+    assert not hasattr(mesh, "boundary_dofs")

@@ -35,17 +35,14 @@ def test_ch_load_matches_generic_assembly(setup):
     np.add.at(fast, system.cells.ravel(), elem.ravel())
 
     strain = system.strain_per_cell(state.u)
-    divu = strain[:, 0] + strain[:, 1]
     V = p1_scalar(system.mesh)
     phi_f = FieldFunction(V, state.phi)
 
     def kernel(ctx):
-        phi_q = ctx.coeffs[0]
-        _, _, dc, _, _ = model.psi_split(phi_q)
-        vals = (params.gamma / params.ell * dc
-                + model.dphi_E_elastic(phi_q, strain[ctx.cell], params)
-                + model.dphi_E_fluid(phi_q, divu[ctx.cell], state.p[ctx.cell], params))
-        return np.einsum("q,q,iq->i", ctx.w, vals, ctx.test.vals)
+        c = ctx.cell
+        pw = model.Pointwise(model.Phase(ctx.coeffs[0][None], params),
+                             strain[c:c + 1], state.p[c:c + 1])
+        return np.einsum("q,q,iq->i", ctx.w, pw.mu_nonlinear[:, 0], ctx.test.vals)
 
     slow = assemble_form(V, None, kernel, coefficients=(phi_f,))
     assert np.allclose(fast, slow, rtol=0, atol=1e-12 * max(np.abs(slow).max(), 1.0))
@@ -65,7 +62,7 @@ def test_rt0_mass_matches_generic_assembly(setup):
     phi_f = FieldFunction(V, state.phi)
 
     def kernel(ctx):
-        kinv = 1.0 / model.zeta(ctx.coeffs[0], params.kappa0, params.kappa1)
+        kinv = model.Phase(ctx.coeffs[0][None], params).kinv[:, 0]
         return np.einsum("q,iqa,jqa->ij", ctx.w * kinv, ctx.test.vals, ctx.trial.vals)
 
     slow = assemble_form(Q, Q, kernel, coefficients=(phi_f,)).toarray()
@@ -78,15 +75,10 @@ def test_phase_cell_integrals_match_generic_assembly(setup):
 
     P = p0_space(system.mesh)
     phi_f = FieldFunction(p1_scalar(system.mesh), state.phi)
-    integrands = (
-        lambda phi: model.pi_interp(phi),
-        lambda phi: phi - params.phi_bar,
-        lambda phi: model.pi_interp(phi) * (phi - params.phi_bar),
-        lambda phi: 1.0 / model.zeta(phi, params.M0, params.M1),
-    )
-    for got, f in zip(fast, integrands):
+    for k, got in enumerate(fast):
         def kernel(ctx):
-            return np.einsum("q,q,iq->i", ctx.w, f(ctx.coeffs[0]), ctx.test.vals)
+            f = model.Phase(ctx.coeffs[0][None], params).cell_integrands[k]
+            return np.einsum("q,q,iq->i", ctx.w, f[:, 0], ctx.test.vals)
 
         slow = assemble_form(P, None, kernel, coefficients=(phi_f,))
         assert np.allclose(got, slow, rtol=0,

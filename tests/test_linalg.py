@@ -349,16 +349,21 @@ def test_kept_factor_serves_slowly_varying_matrices(splu_specs):
     assert pattern.ordering.kept is not None
 
 
-@pytest.mark.parametrize("new", ["different", "singular"])
+@pytest.mark.parametrize("new", ["different", "singular", np.nan, np.inf])
 def test_kept_factor_falls_back_to_fresh_factors(new, splu_specs):
     rng = np.random.default_rng(6)
     pattern, filled = _kept_layout(rng)
     first = filled(20.0)
     b = rng.normal(size=first.shape[0])
     solve_linear(first, b)
-    if new == "different":
-        # refinement with the old factor doubles the residual
-        A = filled(-20.0)
+    if new != "singular":
+        if new == "different":
+            # refinement with the old factor doubles the residual
+            A = filled(-20.0)
+        else:
+            # a kept factor that returns non-finite values
+            A = first
+            pattern.ordering.kept = lambda r: np.full_like(r, new)
         x = solve_linear(A, b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
         # the fresh factor on the stored ordering is kept and serves A again
@@ -412,6 +417,7 @@ def test_refinement_gives_up_once_its_rate_cannot_reach_the_target(
         assert len(steps) == 23
         assert splu_specs == [SYMMETRIC]
         assert pattern.ordering.kept is counted
+
 
 
 def _block_system(rng, sizes=(30, 20, 25), singular=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chbfem.mesh import boundary_dofs, build_unit_square_mesh
+from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem
 from reference_fem import cell_geometry
@@ -121,12 +121,12 @@ def test_edges_oriented_low_to_high():
 
 
 def test_boundary_dofs_vertex():
-    assert len(boundary_dofs(build_unit_square_mesh(1), "vertex")) == 4
-    assert len(boundary_dofs(build_unit_square_mesh(2), "vertex")) == 8
+    assert np.count_nonzero(build_unit_square_mesh(1).boundary_vertex_flags) == 4
+    assert np.count_nonzero(build_unit_square_mesh(2).boundary_vertex_flags) == 8
 
 
 def test_boundary_dofs_edge():
-    assert len(boundary_dofs(build_unit_square_mesh(2), "edge")) == 8
+    assert np.count_nonzero(build_unit_square_mesh(2).boundary_edge_flags) == 8
 
 
 def test_rejects_zero_cells():
@@ -138,11 +138,6 @@ def test_cell_geometry_out_of_range():
     mesh = build_unit_square_mesh(2)
     with pytest.raises(IndexError):
         cell_geometry(mesh, mesh.num_cells)
-
-
-def test_boundary_dofs_unknown_kind():
-    with pytest.raises(ValueError):
-        boundary_dofs(build_unit_square_mesh(2), "face")
 
 
 def test_mesh_arrays_immutable():
