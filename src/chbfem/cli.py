@@ -22,7 +22,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +101,6 @@ class SimulationConfig(_SharedFields):
 
     def validate(self) -> None:
         check_fields(self, "configuration")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def material_params(self, **overrides) -> MaterialParams:
         values = {f.name: getattr(self, f.name) for f in fields(MaterialParams)}

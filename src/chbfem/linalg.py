@@ -20,15 +20,18 @@ symmetric.  Whenever it breaks down or misses the residual tolerance, the
 matrix is factored again with a COLAMD column ordering and partial
 pivoting.
 
-A matrix filled on a CsrPattern carries that layout.  Unless the layout
-was built with ``keep_ordering=False``, its first successful
-symmetric-mode factorization leaves the ordering (``perm_c``) on the
-layout, together with a gather of the CSR slots into the CSC layout of
-P A P^T.  Every later matrix of the layout is gathered straight into
-that layout and factored in symmetric mode with the natural ordering:
-the same fill, without the minimum-degree pass and the CSR-to-CSC copy.
-Its solution is checked against the original matrix like any other, and
-the COLAMD factorization above is its fallback.
+A matrix filled on a CsrPattern carries that layout.  Its first
+successful symmetric-mode factorization leaves the ordering (``perm_c``)
+on the layout, together with a gather of the CSR slots into the CSC
+layout of P A P^T.  Every later matrix of the layout is gathered straight
+into that layout and factored in symmetric mode with the natural
+ordering, without the minimum-degree pass and the CSR-to-CSC copy.  Each
+column of that CSC matrix lists its rows by their number in A, not in
+P A P^T: SuperLU's depth-first search visits a column's rows in the
+order they are stored, and a fresh factorization of A stores them by
+A's row number.  So a factor on a stored ordering equals the fresh MMD
+one bit for bit.  Its solution is checked against the original matrix
+like any other, and the COLAMD factorization above is its fallback.
 
 A layout built with ``keep_factor`` also keeps the last LU it factored,
 its first (MMD) one included, on its stored ordering.  Each later matrix
@@ -44,15 +47,15 @@ kept; COLAMD stays the last fallback, after which the layout keeps no
 factor.  Refinement pays only where a solve against the kept factor
 costs well below a factorization, and its solutions differ from a fresh
 factor's at roundoff.  So chbfem.solvers sets keep_factor on the
-splitting's CH, elasticity and flow layouts only for a system of at
-least KEEP_FACTOR_MIN_DOFS dofs; a smaller one factors every matrix,
-with the same bits as before.
+splitting's CH, elasticity and flow layouts, and on the monolithic
+Jacobian's below KRYLOV_MIN_ROWS rows, only for a system of at least
+KEEP_FACTOR_MIN_DOFS dofs; a smaller one factors every matrix, with the
+bits of a fresh MMD factorization.
 
 A matrix may also carry its diagonal blocks (``blocks``), each a matrix
-filled on a layout that keeps its ordering.  It is then solved first by
-one restart cycle of GMRES (Saad & Schultz 1986) of at most
-KRYLOV_MAX_ITERS iterations, preconditioned by lower block Gauss-Seidel
-over those blocks: each is factored once, on its layout's stored
+filled on its own layout.  It is then solved first by one restart cycle
+of GMRES (Saad & Schultz 1986) of at most KRYLOV_MAX_ITERS iterations,
+preconditioned by lower block Gauss-Seidel over those blocks: each is factored once, on its layout's stored
 ordering, and serves every iteration of that one solve; none is kept.
 The matrix itself only multiplies vectors.  GMRES stops at KRYLOV_RTOL;
 a right-hand side that zero already meets is solved by zero before any
@@ -107,15 +110,14 @@ class CsrPattern:
     Tables are int32: the first triplet of each slot, and a (slot,
     triplet) pair for each further one, in summation order.
 
-    With ``keep_ordering``, solve_linear stores the ordering of the first
-    successful symmetric-mode factorization of one of its matrices in
-    ``ordering`` and reuses it for every later one.  With ``keep_factor``
-    (which implies it), that ordering also keeps the last factor, and
-    later matrices are first solved by refinement against it.
+    solve_linear stores the ordering of the first successful
+    symmetric-mode factorization of one of its matrices in ``ordering``
+    and reuses it, with the same bits, for every later one.  With
+    ``keep_factor``, that ordering also keeps the last factor, and later
+    matrices are first solved by refinement against it.
     """
 
-    def __init__(self, rows, cols, shape, take=None, keep_ordering=True,
-                 keep_factor=False):
+    def __init__(self, rows, cols, shape, take=None, keep_factor=False):
         nrows, ncols = shape
         rows = np.asarray(rows).ravel()
         cols = np.asarray(cols).ravel()
@@ -160,7 +162,6 @@ class CsrPattern:
         self._tail_slot -= 1
         for table in (self.indptr, self.indices):
             table.flags.writeable = False
-        self.keep_ordering = keep_ordering or keep_factor
         self.keep_factor = keep_factor
         self.ordering = None
 
@@ -203,17 +204,21 @@ class _StoredOrdering:
     perm is SuperLU's ``perm_c``: entry (i, k) of A is entry
     (perm[i], perm[k]) of P A P^T.  gather takes the CSR slot values of A
     to the data of ``permuted``, the CSC matrix P A P^T, which every solve
-    on this ordering refills.  ``kept`` is the factor a layout with
-    keep_factor solves its next matrix against, or None.
+    on this ordering refills.  Its columns list their rows in A's row
+    order (see the module docstring), unsorted; scipy's splu hands a
+    matrix marked canonical to SuperLU as it is.  ``kept`` is the factor
+    a layout with keep_factor solves its next matrix against, or None.
     """
 
     def __init__(self, pattern: CsrPattern, perm: np.ndarray):
         n = pattern.shape[0]
         self.perm = perm.astype(np.int32)
         self.order = np.argsort(self.perm).astype(np.int32)
-        rows = self.perm[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(pattern.indptr))
         cols = self.perm[pattern.indices]
+        # each column lists its rows by A's row number, not by P A P^T's
         self.gather = np.lexsort((rows, cols)).astype(np.int32)
+        rows = self.perm[rows]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         # SuperLU keeps no reference to the matrix it factors
@@ -244,8 +249,7 @@ def _block_solver(block) -> _Factor:
     if layout.ordering is not None:
         return layout.ordering.factor(block.data)
     lu = _symmetric_lu(block.tocsc(), "MMD_AT_PLUS_A")
-    if layout.keep_ordering:
-        layout.ordering = _StoredOrdering(layout, lu.perm_c)
+    layout.ordering = _StoredOrdering(layout, lu.perm_c)
     return _Factor(lu)
 
 
@@ -346,13 +350,14 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     is first solved by iterative refinement against it, in at most
     REFINE_MAX_STEPS steps, given up as soon as the rate of a step shows
     they will not reach KRYLOV_RTOL; on a miss the kept factor is
-    dropped.  The matrix is then factored in SuperLU's
-    symmetric mode: on the stored ordering of its layout when that layout
-    has one (CsrPattern.ordering), else with a fresh MMD ordering of
-    A^T + A, which a layout with keep_ordering then stores if the solve
-    succeeds, and a layout with keep_factor keeps the factor.  If that
-    factorization breaks down or its solution misses the contract below,
-    the solve is repeated with COLAMD and partial pivoting.  The returned
+    dropped.  The matrix is then factored in SuperLU's symmetric mode: on
+    the stored ordering of its layout when that layout has one
+    (CsrPattern.ordering), which gives the bits of a fresh MMD factor,
+    else with a fresh MMD ordering of A^T + A, which A's layout then
+    stores if the solve succeeds, and a layout with keep_factor keeps the
+    factor.  If that factorization breaks down or its solution misses the
+    contract below, the solve is repeated with COLAMD and partial
+    pivoting.  The returned
     x satisfies ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else
     LinearSolveFailure is raised; singular factorizations and a b of the
     wrong shape raise the same error so callers can tell linear breakdown
@@ -387,7 +392,7 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
             lu = _symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A")
             solve = _Factor(lu)
             x = _verified(mat, solve(b), b)
-            if layout is not None and layout.keep_ordering:
+            if layout is not None:
                 stored = layout.ordering = _StoredOrdering(layout, lu.perm_c)
         if layout is not None and layout.keep_factor:
             stored.kept = solve

@@ -34,7 +34,6 @@ class StructuredTriMesh:
         +1 if the cell's outward normal on that edge matches the global
         edge orientation, else -1.
     boundary_vertex_flags : (nv,) bool array
-    boundary_edge_flags : (ne,) bool array
     """
 
     n: int
@@ -44,7 +43,6 @@ class StructuredTriMesh:
     cell_edges: np.ndarray
     cell_signs: np.ndarray
     boundary_vertex_flags: np.ndarray
-    boundary_edge_flags: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -105,13 +103,12 @@ def build_unit_square_mesh(n: int) -> StructuredTriMesh:
     cell_edges = inverse.reshape(-1, 3).astype(np.int64)
     cell_signs = np.where(nxt < prv, 1, -1).astype(np.int64)
 
-    boundary_edge_flags = np.bincount(cell_edges.ravel(), minlength=len(edges)) == 1
     on_x = (ix.ravel() == 0) | (ix.ravel() == n)
     on_y = (iy.ravel() == 0) | (iy.ravel() == n)
     boundary_vertex_flags = on_x | on_y
 
     for arr in (vertices, cells, edges, cell_edges, cell_signs,
-                boundary_edge_flags, boundary_vertex_flags):
+                boundary_vertex_flags):
         arr.setflags(write=False)
 
     return StructuredTriMesh(
@@ -122,6 +119,5 @@ def build_unit_square_mesh(n: int) -> StructuredTriMesh:
         cell_edges=cell_edges,
         cell_signs=cell_signs,
         boundary_vertex_flags=boundary_vertex_flags,
-        boundary_edge_flags=boundary_edge_flags,
     )
 

@@ -42,12 +42,17 @@ DIVERGENCE_LIMIT = 1.0e6
 # and it diverged after 44 Newton iterations instead of 29.
 KRYLOV_MIN_ROWS = 5000
 # A system of at least this many dofs keeps the last factor of each
-# splitting layout and refines against it.  Below it every solve factors
-# afresh, bit for bit as a direct LU.  Over 20 splitting steps refinement
-# was faster at every size measured, down to n=4 (188 dofs, by 7%); the
-# threshold stays just above n=4, where the benchmark's smoke run checks
-# one factorization per solve.
+# splitting layout, and of a monolithic Jacobian below KRYLOV_MIN_ROWS,
+# and refines against it.  Below it every solve factors afresh, bit for
+# bit as a direct LU.  Over 20 splitting steps refinement was faster at
+# every size measured, down to n=4 (188 dofs, by 7%); the threshold stays
+# just above n=4, where the benchmark's smoke run checks one
+# factorization per solve.
 KEEP_FACTOR_MIN_DOFS = 250
+# The contraction order numpy's greedy einsum_path picks for the element
+# stiffness B^T C B at every mesh size (B with C first, then with B),
+# given up front so that no call searches for it.
+STIFFNESS_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 class NonConvergence(Exception):
@@ -151,13 +156,13 @@ def _stacked_indices(blocks):
 
 
 def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
-                     keep_ordering=True, keep_factor=False) -> CsrPattern:
+                     keep_factor=False) -> CsrPattern:
     """Pattern of a triplet list whose dofs `fixed` get identity rows.
 
     Leaves out the triplets in a fixed row, and with symmetric=True in a
     fixed column, and adds a unit diagonal triplet per fixed dof; each of
-    these reads one 1.0 appended to the triplet values.  keep_ordering
-    and keep_factor are passed on to CsrPattern.
+    these reads one 1.0 appended to the triplet values.  keep_factor is
+    passed on to CsrPattern.
     """
     clamped = np.zeros(shape[0], dtype=bool)
     clamped[fixed] = True
@@ -168,7 +173,7 @@ def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
                           dtype=np.int32)
     return CsrPattern(np.concatenate([rows[kept], fixed]),
                       np.concatenate([cols[kept], fixed]), shape, take=take,
-                      keep_ordering=keep_ordering, keep_factor=keep_factor)
+                      keep_factor=keep_factor)
 
 
 class PhaseIntegrals(NamedTuple):
@@ -192,14 +197,16 @@ class ChbSystem:
     the phi-dependent terms are assembled on demand through the kernels.
     Each linear system has one CSR layout (a linalg.CsrPattern), built at
     its first assembly; every later matrix of that system only fills it.
-    The CH, elasticity and flow layouts also keep the LU ordering of their
-    first solve (see chbfem.linalg); the monolithic one does not.  On a
-    system of at least KEEP_FACTOR_MIN_DOFS dofs they keep their last
-    factor too, and solve_linear refines each later matrix against it
-    before it factors afresh.  A monolithic Jacobian of at least
-    KRYLOV_MIN_ROWS rows carries its three diagonal blocks, filled on
-    those layouts, as ``blocks``: solve_linear factors them to
-    precondition GMRES on the Jacobian, for that solve only.
+    Every layout also keeps the LU ordering of its first solve (see
+    chbfem.linalg), which reproduces a fresh ordering's factor bit for
+    bit.  On a system of at least KEEP_FACTOR_MIN_DOFS dofs the CH,
+    elasticity and flow layouts, and the monolithic one below
+    KRYLOV_MIN_ROWS rows, keep their last factor too, and solve_linear
+    refines each later matrix against it before it factors afresh.  A
+    monolithic Jacobian of at least KRYLOV_MIN_ROWS rows carries its three
+    diagonal blocks, filled on those layouts, as ``blocks``: solve_linear
+    factors them to precondition GMRES on the Jacobian, for that solve
+    only.
 
     The layouts, their orderings and factors, the element triplets and the
     kernels' cells-last tables are the solver workspace: built on first
@@ -512,7 +519,7 @@ class ChbSystem:
         """
         cint, abar, swell, _ = self._elasticity_data(phi, phase)
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
-                           optimize=True)
+                           optimize=STIFFNESS_PATH)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
                     + (abar * p_fixed)[:, None] * self.drow)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
@@ -709,7 +716,7 @@ class ChbSystem:
         cint, abar, _, dinv = self._elasticity_data(
             st.phi, self.phase_integrals(st.phi, pw))
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
-                           optimize=True)
+                           optimize=STIFFNESS_PATH)
         m, k, div = self._m_trip[2], self._k_trip[2], self._bdiv_trip[2]
         vals = np.concatenate([
             m, pa.tau * pa.mobility * k, m, -pa.gamma * pa.ell * k,
@@ -764,16 +771,16 @@ class ChbSystem:
             (div_c, div_r, off_q, off_p),
             (*_block_indices(q, cells), off_q, off_phi),
         ])
-        # A Jacobian below KRYLOV_MIN_ROWS is solved directly and ordered
-        # afresh.  Reusing the first one's ordering, like a Krylov solve,
-        # changes solutions at roundoff, and that moved swell's chaotic
-        # monolithic run (n=16) from 29 to 31 Newton iterations, a count
-        # the benchmark pins exactly.  A larger Jacobian serves the Krylov
-        # path's products and residual check, and the direct solve it
-        # falls back to.
-        return _clamped_pattern(rows, cols,
-                                (off_u + self.u_bdofs).astype(np.int32),
-                                (self.ndofs, self.ndofs), keep_ordering=False)
+        # A Jacobian below KRYLOV_MIN_ROWS is solved directly; from
+        # KEEP_FACTOR_MIN_DOFS up its layout keeps the last factor, and
+        # each later Newton iterate is refined against it.  A larger one
+        # serves the Krylov path's products and residual check, and the
+        # direct solve it falls back to, whose full factor (6.4M fill at
+        # n=65) is not worth keeping.
+        return _clamped_pattern(
+            rows, cols, (off_u + self.u_bdofs).astype(np.int32),
+            (self.ndofs, self.ndofs),
+            keep_factor=KEEP_FACTOR_MIN_DOFS <= self.ndofs < KRYLOV_MIN_ROWS)
 
     def monolithic_step(self, state_prev: FieldState, config: SolverConfig):
         """One time step of plain Newton on the full coupled system."""

@@ -169,8 +169,13 @@ def test_config_round_trip(tmp_path):
     cfg = load_config(write_config(tmp_path, {"gamma": 2.5, "n": 8,
                                               "sweep": {"param": "xi",
                                                         "values": [0.5, 1.0]}}))
-    again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    again = config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
+    # the values reach the fields the solver reads
+    assert cfg.n == 8
+    assert cfg.material_params().gamma == 2.5
+    assert cfg.solver_config("monolithic") == SolverConfig(strategy="monolithic")
+    assert cfg.sweep_plan() == ("xi", [0.5, 1.0])
 
 
 # anything a JSON document can hold, and a few things it cannot

@@ -92,14 +92,23 @@ def test_gradients_reproduce_barycentric_functions():
                     assert np.isclose(val, 1.0 if i == j else 0.0, atol=1e-12)
 
 
+def _edges_on_the_boundary(mesh):
+    """Whether each edge lies on a side of the unit square."""
+    ends = mesh.vertices[mesh.edges]
+    return np.any((ends[:, 0] == ends[:, 1]) & ((ends[:, 0] == 0.0)
+                                               | (ends[:, 0] == 1.0)), axis=1)
+
+
 def test_interior_edges_have_two_cells_with_opposite_signs():
     mesh = build_unit_square_mesh(4)
     seen = {}
     for c in range(mesh.num_cells):
         for k in range(3):
             seen.setdefault(mesh.cell_edges[c, k], []).append(mesh.cell_signs[c, k])
+    assert len(seen) == mesh.num_edges
+    on_boundary = _edges_on_the_boundary(mesh)
     for e, signs in seen.items():
-        if mesh.boundary_edge_flags[e]:
+        if on_boundary[e]:
             assert len(signs) == 1
         else:
             assert len(signs) == 2 and signs[0] == -signs[1]
@@ -126,7 +135,11 @@ def test_boundary_dofs_vertex():
 
 
 def test_boundary_dofs_edge():
-    assert np.count_nonzero(build_unit_square_mesh(2).boundary_edge_flags) == 8
+    # the RT0 dofs (cell_edges) of a boundary edge belong to one cell alone
+    mesh = build_unit_square_mesh(2)
+    cells_per_edge = np.bincount(mesh.cell_edges.ravel(), minlength=mesh.num_edges)
+    assert np.array_equal(cells_per_edge == 1, _edges_on_the_boundary(mesh))
+    assert np.count_nonzero(cells_per_edge == 1) == 8
 
 
 def test_rejects_zero_cells():

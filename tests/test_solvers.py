@@ -126,6 +126,16 @@ def test_jacobian_interpolation_couplings_vanish_outside_unit_interval(system4):
     assert np.abs(J[o.off_u:o.off_p, :o.nv]).max() > 0.0
 
 
+@pytest.mark.parametrize("n", [4, 8, 16, 65])
+def test_stiffness_path_is_the_one_einsum_picks(n):
+    # the path depends on the operands' shapes alone; the same path gives
+    # optimize=True's bits
+    nc = 2 * n * n
+    B, cint = np.empty((nc, 3, 6)), np.empty((nc, 3, 3))
+    path, _ = np.einsum_path("cai,cab,cbj->cij", B, cint, B, optimize=True)
+    assert path == solvers.STIFFNESS_PATH
+
+
 def test_elasticity_zero_load(system4):
     phi = np.full(system4.nv, 0.5)
     u = system4.solve_elasticity(phi, np.zeros(system4.nc))
@@ -330,16 +340,19 @@ def test_splitting_subsystems_use_symmetric_mode_lu(splu_specs):
 
 
 def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
+    system4.release_workspace()   # an earlier test may have ordered it
     st0 = system4.initial_state()
     J = system4.monolithic_jacobian(st0, st0)
     solve_linear(J, -system4.monolithic_residual(st0, st0))
     assert splu_specs == ["MMD_AT_PLUS_A"]
-    # every Newton iterate of a step orders its Jacobian afresh
+    # every later Jacobian is factored on that stored ordering, and below
+    # KEEP_FACTOR_MIN_DOFS (n=4) once per Newton iterate, with no fallback
     splu_specs.clear()
     _, stats = system4.monolithic_step(st0, SolverConfig(strategy="monolithic"))
     assert stats.newton_iters >= 2
-    assert splu_specs == ["MMD_AT_PLUS_A"] * stats.newton_iters
-    assert system4._monolithic_layout.ordering is None
+    assert splu_specs == ["NATURAL"] * stats.newton_iters
+    assert system4._monolithic_layout.ordering is not None
+    assert system4._monolithic_layout.ordering.kept is None
 
 
 def test_stored_orderings_match_fresh_ones_over_two_steps(monkeypatch):
@@ -364,6 +377,7 @@ def test_stored_orderings_match_fresh_ones_over_two_steps(monkeypatch):
 
 def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
                                                                 splu_specs):
+    system4.release_workspace()   # so the Jacobian is ordered afresh
     rng = np.random.default_rng(40)
     prev = random_state(system4, rng)
     st = random_state(system4, rng, n=1)
@@ -420,12 +434,13 @@ def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
 
 
 def _check_kept_factors_keep_the_direct_paths_counts(n, xi, monkeypatch,
-                                                     splu_specs):
-    """Two splitting steps, with every solve factored afresh and with kept
-    factors, make the same iterations, with states within 1e-8, and the
-    kept factors make fewer LUs than solves."""
+                                                     splu_specs,
+                                                     strategy="splitting"):
+    """Two steps, with every solve factored afresh and with kept factors,
+    make the same iterations, with states within 1e-8, and the kept
+    factors make fewer LUs than solves."""
     mesh = build_unit_square_mesh(n)
-    cfg = SolverConfig(num_steps=2)
+    cfg = SolverConfig(strategy=strategy, num_steps=2)
     runs = []
     for min_dofs in (ChbSystem(mesh, MaterialParams()).ndofs + 1, 0):
         monkeypatch.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", min_dofs)
@@ -433,12 +448,14 @@ def _check_kept_factors_keep_the_direct_paths_counts(n, xi, monkeypatch,
         splu_specs.clear()
         state, stats = advance_simulation(system, system.initial_state(), cfg)
         runs.append((system.pack(state),
-                     [(s.outer_iters, s.inner_newton) for s in stats],
+                     [(s.outer_iters, s.inner_newton, s.newton_iters)
+                      for s in stats],
                      len(splu_specs)))
     (direct, direct_counts, direct_lus), (kept, kept_counts, kept_lus) = runs
     assert kept_counts == direct_counts
     assert np.max(np.abs(kept - direct)) <= 1e-8
-    solves = sum(sum(inner) + 2 * outer for outer, inner in direct_counts)
+    solves = sum(sum(inner) + 2 * outer + newton
+                 for outer, inner, newton in direct_counts)
     assert direct_lus == solves
     assert kept_lus < solves
 
@@ -454,6 +471,40 @@ def test_kept_factors_keep_the_direct_paths_counts_on_swell(monkeypatch,
     # the swell workload's mesh and swelling
     _check_kept_factors_keep_the_direct_paths_counts(16, 2.0, monkeypatch,
                                                      splu_specs)
+
+
+def test_kept_factors_keep_the_direct_paths_monolithic_counts(monkeypatch,
+                                                               splu_specs):
+    _check_kept_factors_keep_the_direct_paths_counts(8, 0.5, monkeypatch,
+                                                     splu_specs, "monolithic")
+
+
+def test_kept_monolithic_factor_leaves_swells_diverging_step_bit_for_bit(
+        monkeypatch):
+    # the swell workload's monolithic step: n=16, xi=2, the seed-0 state.
+    # Refinement against the last iterate's factor gives up on every
+    # iterate of this diverging run, and each fresh factor on the stored
+    # ordering has the bits of a fresh MMD one.
+    mesh = build_unit_square_mesh(16)
+    solves = []
+
+    def recording(A, b):
+        x = solve_linear(A, b)
+        solves[-1].append(x)
+        return x
+
+    monkeypatch.setattr(solvers, "solve_linear", recording)
+    for min_dofs in (solvers.KEEP_FACTOR_MIN_DOFS, np.inf):
+        monkeypatch.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", min_dofs)
+        system = ChbSystem(mesh, MaterialParams(xi=2.0))
+        assert system._monolithic_layout.keep_factor == (min_dofs != np.inf)
+        solves.append([])
+        with pytest.raises(NonConvergence, match="diverged"):
+            system.monolithic_step(system.initial_state(),
+                                   SolverConfig(strategy="monolithic"))
+    kept, fresh = solves
+    assert len(kept) == len(fresh) > 1
+    assert all(np.array_equal(x, y) for x, y in zip(kept, fresh))
 
 
 def test_kept_factors_start_at_the_measured_crossover(splu_specs):
