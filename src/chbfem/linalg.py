@@ -12,56 +12,48 @@ keeps every slot, exact zeros included.  Its sums are those of scipy's
 COO-to-CSR conversion bit for bit: every slot adds its triplets in the
 order that conversion adds them, taken once from scipy's own sort.
 
-Every matrix is first factored by SuperLU in symmetric mode: a
-minimum-degree ordering of A^T + A applied to rows and columns alike,
-diagonal pivots preferred.  That keeps far less fill than the general
-setting, also for the monolithic Jacobian, whose pattern is not
-symmetric.  Whenever it breaks down or misses the residual tolerance, the
-matrix is factored again with a COLAMD column ordering and partial
-pivoting.
+CsrPattern.factor is the one place that factors a layout's matrix: by
+SuperLU in symmetric mode, a minimum-degree ordering of A^T + A applied
+to rows and columns alike, diagonal pivots preferred.  That keeps far
+less fill than the general setting, also for the monolithic Jacobian,
+whose pattern is not symmetric.  The first factorization stores its
+ordering (``perm_c``) on the layout at once, together with a gather of
+the CSR slots into the CSC layout of P A P^T.  Every later matrix of the
+layout is gathered straight into that layout and factored with the
+natural ordering, without the minimum-degree pass and the CSR-to-CSC
+copy.  Each column of that CSC matrix lists its rows by their number in
+A, not in P A P^T: SuperLU's depth-first search visits a column's rows
+in the order they are stored, and a fresh factorization of A stores them
+by A's row number.  So a factor on a stored ordering equals the fresh
+MMD one bit for bit.
 
-A matrix filled on a CsrPattern carries that layout.  Its first
-successful symmetric-mode factorization leaves the ordering (``perm_c``)
-on the layout, together with a gather of the CSR slots into the CSC
-layout of P A P^T.  Every later matrix of the layout is gathered straight
-into that layout and factored in symmetric mode with the natural
-ordering, without the minimum-degree pass and the CSR-to-CSC copy.  Each
-column of that CSC matrix lists its rows by their number in A, not in
-P A P^T: SuperLU's depth-first search visits a column's rows in the
-order they are stored, and a fresh factorization of A stores them by
-A's row number.  So a factor on a stored ordering equals the fresh MMD
-one bit for bit.  Its solution is checked against the original matrix
-like any other, and the COLAMD factorization above is its fallback.
+solve_linear checks every solution against the residual contract
+SOLVE_RTOL.  Whenever the symmetric-mode factorization breaks down or its
+solution misses the contract, the matrix is factored again with a COLAMD
+column ordering and partial pivoting; the layout keeps its ordering.
 
-A layout built with ``keep_factor`` also keeps the last LU it factored,
-its first (MMD) one included, on its stored ordering.  Each later matrix
-of the layout is then first solved against that kept factor by iterative
-refinement with a lagged factor (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 12): x <- x + LU^-1 (b - A x), until
+A layout built with ``keep_factor`` also keeps the last symmetric-mode
+factor solve_linear made of it (``kept``).  Each later matrix of the
+layout is then first solved against that factor by iterative refinement
+with a lagged factor (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 12): x <- x + LU^-1 (b - A x), until
 ||b - A x|| <= KRYLOV_RTOL max(||b||, 1), a hundredth of the contract.
 Refinement gives up at the first step whose contraction rate, kept up
 for the steps left of REFINE_MAX_STEPS, would not reach that target; a
-rate of 1 or more gives up at once.  The kept factor is then dropped,
-the matrix is factored afresh on the stored ordering, and that factor is
-kept; COLAMD stays the last fallback, after which the layout keeps no
-factor.  Refinement pays only where a solve against the kept factor
-costs well below a factorization, and its solutions differ from a fresh
-factor's at roundoff.  So chbfem.solvers sets keep_factor on the
-splitting's CH, elasticity and flow layouts, and on the monolithic
-Jacobian's below KRYLOV_MIN_ROWS rows, only for a system of at least
-KEEP_FACTOR_MIN_DOFS dofs; a smaller one factors every matrix, with the
-bits of a fresh MMD factorization.
+rate of 1 or more gives up at once.  The kept factor is then dropped and
+the matrix factored afresh; a layout whose matrix needs COLAMD keeps no
+factor.  Its solutions differ from a fresh factor's at roundoff.
 
 A matrix may also carry its diagonal blocks (``blocks``), each a matrix
 filled on its own layout.  It is then solved first by one restart cycle
 of GMRES (Saad & Schultz 1986) of at most KRYLOV_MAX_ITERS iterations,
-preconditioned by lower block Gauss-Seidel over those blocks: each is factored once, on its layout's stored
-ordering, and serves every iteration of that one solve; none is kept.
-The matrix itself only multiplies vectors.  GMRES stops at KRYLOV_RTOL;
-a right-hand side that zero already meets is solved by zero before any
-block is factored.  If a block's factorization breaks down, or GMRES
-ends without meeting the contract, the matrix is solved by the direct
-path above, as if it carried no blocks.
+preconditioned by lower block Gauss-Seidel over those blocks: each is
+factored once by CsrPattern.factor and serves every iteration of that
+one solve; none is kept.  The matrix itself only multiplies vectors.
+GMRES stops at KRYLOV_RTOL; a right-hand side that zero already meets is
+solved by zero before any block is factored.  If a block's
+factorization breaks down, or GMRES ends without meeting the contract,
+the matrix is solved directly, and its layout keeps no factor of it.
 """
 
 from __future__ import annotations
@@ -110,11 +102,10 @@ class CsrPattern:
     Tables are int32: the first triplet of each slot, and a (slot,
     triplet) pair for each further one, in summation order.
 
-    solve_linear stores the ordering of the first successful
-    symmetric-mode factorization of one of its matrices in ``ordering``
-    and reuses it, with the same bits, for every later one.  With
-    ``keep_factor``, that ordering also keeps the last factor, and later
-    matrices are first solved by refinement against it.
+    ``factor`` stores the ordering of its first factorization in
+    ``ordering`` and reuses it, with the same bits, for every later one.
+    With ``keep_factor``, solve_linear keeps its last factor in ``kept``
+    and first solves later matrices by refinement against it.
     """
 
     def __init__(self, rows, cols, shape, take=None, keep_factor=False):
@@ -164,6 +155,7 @@ class CsrPattern:
             table.flags.writeable = False
         self.keep_factor = keep_factor
         self.ordering = None
+        self.kept = None
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Slot values: each slot's triplet values added in scipy's order."""
@@ -179,6 +171,16 @@ class CsrPattern:
         mat.has_canonical_format = True
         mat.layout = self
         return mat
+
+    def factor(self, data: np.ndarray) -> _Factor:
+        """Symmetric-mode factor of the matrix of slot values `data`: on
+        the stored ordering, else with a fresh MMD ordering of A^T + A,
+        which it stores at once."""
+        if self.ordering is not None:
+            return self.ordering.factor(data)
+        lu = _symmetric_lu(self.matrix(data).tocsc(), "MMD_AT_PLUS_A")
+        self.ordering = _StoredOrdering(self, lu.perm_c)
+        return _Factor(lu)
 
 
 class _Factor:
@@ -206,8 +208,7 @@ class _StoredOrdering:
     to the data of ``permuted``, the CSC matrix P A P^T, which every solve
     on this ordering refills.  Its columns list their rows in A's row
     order (see the module docstring), unsorted; scipy's splu hands a
-    matrix marked canonical to SuperLU as it is.  ``kept`` is the factor
-    a layout with keep_factor solves its next matrix against, or None.
+    matrix marked canonical to SuperLU as it is.
     """
 
     def __init__(self, pattern: CsrPattern, perm: np.ndarray):
@@ -225,7 +226,6 @@ class _StoredOrdering:
         self.permuted = sp.csc_matrix(
             (np.zeros(len(self.gather)), rows[self.gather], indptr), shape=(n, n))
         self.permuted.has_canonical_format = True
-        self.kept = None
 
     def factor(self, data: np.ndarray) -> _Factor:
         """Factor of the matrix of slot values `data`, in this order."""
@@ -239,18 +239,6 @@ def _symmetric_lu(csc, permc_spec):
     diagonal pivots preferred."""
     return spla.splu(csc, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
-
-
-def _block_solver(block) -> _Factor:
-    """Factor of one diagonal block in symmetric mode, on its layout's
-    stored ordering, which its first factorization stores.  The layout
-    keeps no factor of it."""
-    layout = block.layout
-    if layout.ordering is not None:
-        return layout.ordering.factor(block.data)
-    lu = _symmetric_lu(block.tocsc(), "MMD_AT_PLUS_A")
-    layout.ordering = _StoredOrdering(layout, lu.perm_c)
-    return _Factor(lu)
 
 
 def _rows(mat, lo: int, hi: int) -> sp.csr_matrix:
@@ -270,7 +258,7 @@ def _block_gmres(mat, blocks, b: np.ndarray) -> np.ndarray:
     atol = KRYLOV_RTOL * max(norm, 1.0)
     if norm <= atol:
         return np.zeros(len(b))   # GMRES would stop at its zero start
-    solvers = [_block_solver(block) for block in blocks]
+    solvers = [block.layout.factor(block.data) for block in blocks]
     ends = np.cumsum([block.shape[0] for block in blocks])
     spans = [(end - block.shape[0], end) for block, end in zip(blocks, ends)]
     # mat's rows of every later block; applied to the parts solved so far
@@ -338,29 +326,13 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for a square scipy sparse matrix, checking the residual.
 
     A is used as it is when it is CSR, as CsrPattern.matrix returns it,
-    and converted otherwise; b must be a vector of A's size.  Handles
-    nonsymmetric and indefinite (saddle-point) systems.  When A carries
-    its diagonal blocks (``A.blocks``, matrices on kept CsrPattern
-    layouts whose sizes add up to A's), it is first solved by GMRES,
-    preconditioned by lower block Gauss-Seidel over them, in at most
-    KRYLOV_MAX_ITERS iterations; each block is factored once, on its
-    layout's stored ordering.  If a block's factorization breaks down or
-    GMRES ends without meeting the contract below, A is solved as if it
-    carried no blocks.  When A's layout keeps a factor (keep_factor), A
-    is first solved by iterative refinement against it, in at most
-    REFINE_MAX_STEPS steps, given up as soon as the rate of a step shows
-    they will not reach KRYLOV_RTOL; on a miss the kept factor is
-    dropped.  The matrix is then factored in SuperLU's symmetric mode: on
-    the stored ordering of its layout when that layout has one
-    (CsrPattern.ordering), which gives the bits of a fresh MMD factor,
-    else with a fresh MMD ordering of A^T + A, which A's layout then
-    stores if the solve succeeds, and a layout with keep_factor keeps the
-    factor.  If that factorization breaks down or its solution misses the
-    contract below, the solve is repeated with COLAMD and partial
-    pivoting.  The returned
-    x satisfies ||b - A x||_2 / max(||b||_2, 1) <= 1e-10, else
-    LinearSolveFailure is raised; singular factorizations and a b of the
-    wrong shape raise the same error so callers can tell linear breakdown
+    and converted otherwise; b must be a vector of A's size.  Paths, in
+    order, as the module docstring describes: block GMRES when A carries
+    ``blocks``, refinement against its layout's kept factor, a
+    symmetric-mode factor (CsrPattern.factor on a layout), COLAMD.  The
+    returned x satisfies ||b - A x||_2 / max(||b||_2, 1) <= SOLVE_RTOL;
+    otherwise, and on a singular factorization or a b of the wrong shape,
+    LinearSolveFailure is raised, so callers can tell linear breakdown
     apart from nonlinear non-convergence.
     """
     mat = A.tocsr()
@@ -371,31 +343,28 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     if b.shape != (nrows,):
         raise LinearSolveFailure(
             f"right-hand side of shape {b.shape} for a {nrows}-row matrix")
+    layout = getattr(mat, "layout", None)
     blocks = getattr(mat, "blocks", None)
     if blocks is not None:
         try:
             return _verified(mat, _block_gmres(mat, blocks, b), b)
         except (RuntimeError, LinearSolveFailure):
             pass  # the direct path below decides
-    layout = getattr(mat, "layout", None)
-    stored = None if layout is None else layout.ordering
+    # a matrix with blocks falls back to a direct factor too large to keep
+    keep = layout is not None and layout.keep_factor and blocks is None
     try:
-        if stored is not None and stored.kept is not None:
-            x = _refined(mat, stored.kept, b)
+        if keep and layout.kept is not None:
+            x = _refined(mat, layout.kept, b)
             if x is not None:
                 return x
-            stored.kept = None   # freed before the next factor is made
-        if stored is not None:
-            solve = stored.factor(mat.data)
-            x = _verified(mat, solve(b), b)
+            layout.kept = None   # freed before the next factor is made
+        if layout is None:
+            solve = _Factor(_symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A"))
         else:
-            lu = _symmetric_lu(mat.tocsc(), "MMD_AT_PLUS_A")
-            solve = _Factor(lu)
-            x = _verified(mat, solve(b), b)
-            if layout is not None:
-                stored = layout.ordering = _StoredOrdering(layout, lu.perm_c)
-        if layout is not None and layout.keep_factor:
-            stored.kept = solve
+            solve = layout.factor(mat.data)
+        x = _verified(mat, solve(b), b)
+        if keep:
+            layout.kept = solve
         return x
     except (RuntimeError, LinearSolveFailure):
         pass  # the pivoting path below decides

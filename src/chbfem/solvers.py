@@ -35,24 +35,33 @@ from .model import (VOIGT_ID, MaterialParams, Phase, Pointwise, check_fields,
 
 DIVERGENCE_LIMIT = 1.0e6
 # Monolithic Jacobians of at least this many rows carry their diagonal
-# blocks, so solve_linear solves them by block-preconditioned GMRES.  On
-# a converging step that is cheaper than a direct LU from n=8 up, but on
-# a diverging one GMRES needs tens of iterations per solve: on swell's
-# n=16 run (2,468 rows), 15-60 of them, 3.6 times the direct path's time,
-# and it diverged after 44 Newton iterations instead of 29.
+# blocks, so solve_linear solves them by block-preconditioned GMRES and
+# keeps no factor of them.  On a converging step that is cheaper than a
+# direct LU from n=8 up, but on a diverging one GMRES needs tens of
+# iterations per solve: on swell's n=16 run (2,468 rows), 15-60 of them,
+# 3.6 times the direct path's time, and it diverged after 44 Newton
+# iterations instead of 29.  At n=65 a kept full LU (6.4M fill) made the
+# monolithic step 3.46 s against GMRES's 2.06 s.
 KRYLOV_MIN_ROWS = 5000
-# A system of at least this many dofs keeps the last factor of each
-# splitting layout, and of a monolithic Jacobian below KRYLOV_MIN_ROWS,
-# and refines against it.  Below it every solve factors afresh, bit for
-# bit as a direct LU.  Over 20 splitting steps refinement was faster at
-# every size measured, down to n=4 (188 dofs, by 7%); the threshold stays
-# just above n=4, where the benchmark's smoke run checks one
-# factorization per solve.
+# Every layout of a system of at least this many dofs keeps its last
+# factor, and solve_linear refines each later matrix against it.  Below
+# it every solve factors afresh, bit for bit as a direct LU.  Over 20
+# splitting steps refinement was faster at every size measured, down to
+# n=4 (188 dofs, by 7%); the threshold stays just above n=4, where the
+# benchmark's smoke run checks one factorization per solve.
 KEEP_FACTOR_MIN_DOFS = 250
 # The contraction order numpy's greedy einsum_path picks for the element
 # stiffness B^T C B at every mesh size (B with C first, then with B),
 # given up front so that no call searches for it.
 STIFFNESS_PATH = ["einsum_path", (0, 1), (0, 1)]
+# The monolithic Jacobian's element blocks, (row field, column field), in
+# the order monolithic_jacobian lists their values.
+MONOLITHIC_BLOCKS = (
+    ("phi", "phi"), ("phi", "mu"),
+    ("mu", "mu"), ("mu", "phi"), ("mu", "phi"), ("mu", "u"), ("mu", "p"),
+    ("u", "u"), ("u", "phi"), ("u", "p"),
+    ("p", "phi"), ("p", "u"), ("p", "p"), ("p", "q"),
+    ("q", "q"), ("q", "p"), ("q", "phi"))
 
 
 class NonConvergence(Exception):
@@ -197,19 +206,14 @@ class ChbSystem:
     the phi-dependent terms are assembled on demand through the kernels.
     Each linear system has one CSR layout (a linalg.CsrPattern), built at
     its first assembly; every later matrix of that system only fills it.
-    Every layout also keeps the LU ordering of its first solve (see
-    chbfem.linalg), which reproduces a fresh ordering's factor bit for
-    bit.  On a system of at least KEEP_FACTOR_MIN_DOFS dofs the CH,
-    elasticity and flow layouts, and the monolithic one below
-    KRYLOV_MIN_ROWS rows, keep their last factor too, and solve_linear
-    refines each later matrix against it before it factors afresh.  A
-    monolithic Jacobian of at least KRYLOV_MIN_ROWS rows carries its three
-    diagonal blocks, filled on those layouts, as ``blocks``: solve_linear
-    factors them to precondition GMRES on the Jacobian, for that solve
-    only.
+    Every layout keeps the LU ordering of its first factorization, and on
+    a system of at least KEEP_FACTOR_MIN_DOFS dofs its last factor too
+    (see chbfem.linalg).  A monolithic Jacobian of at least
+    KRYLOV_MIN_ROWS rows carries its three diagonal blocks, filled on the
+    CH, elasticity and flow layouts, as ``blocks``, for block GMRES.
 
-    The layouts, their orderings and factors, the element triplets and the
-    kernels' cells-last tables are the solver workspace: built on first
+    The layouts, their orderings and factors, the constant element blocks
+    and the kernels' cells-last tables are the solver workspace: built on first
     use, dropped by release_workspace().  advance_simulation drops it
     before and after each run, so a run's result does not depend on what
     the system solved before, and a finished run leaves only the constant
@@ -265,13 +269,21 @@ class ChbSystem:
         self.qdofs = mesh.cell_edges
         for dofs in (self.udofs, self.pdofs):
             dofs.setflags(write=False)
+        # each field's cell-to-dof map and offset in the monolithic system
+        self.fields = {"phi": (self.cells, self.off_phi),
+                       "mu": (self.cells, self.off_mu),
+                       "u": (self.udofs, self.off_u),
+                       "p": (self.pdofs, self.off_p),
+                       "q": (self.qdofs, self.off_q)}
 
-        self.M = sp.coo_matrix((self._m_trip[2], self._m_trip[:2]),
+        p1 = _block_indices(self.cells, self.cells)
+        self.M = sp.coo_matrix((self._m_elem.ravel(), p1),
                                shape=(self.nv, self.nv)).tocsr()
-        self.K = sp.coo_matrix((self._k_trip[2], self._k_trip[:2]),
+        self.K = sp.coo_matrix((self._k_elem.ravel(), p1),
                                shape=(self.nv, self.nv)).tocsr()
-        self.Bdiv = sp.coo_matrix((self._bdiv_trip[2], self._bdiv_trip[:2]),
-                                  shape=(self.nc, self.ne)).tocsr()
+        self.Bdiv = sp.coo_matrix(
+            (self._div_elem.ravel(), _block_indices(self.pdofs, self.qdofs)),
+            shape=(self.nc, self.ne)).tocsr()
         self.BdivT = self.Bdiv.T.tocsr()
 
         bverts = np.flatnonzero(mesh.boundary_vertex_flags)
@@ -279,8 +291,8 @@ class ChbSystem:
 
     def release_workspace(self) -> None:
         """Drop every table built on first use: the CSR layouts with their
-        stored LU orderings and factors, the CH Jacobian image, the element
-        triplets and the kernels' cells-last tables.  The next use builds
+        stored LU orderings and factors, the CH Jacobian image, the constant
+        element blocks and the kernels' cells-last tables.  The next use builds
         each one again."""
         for name, attr in vars(ChbSystem).items():
             if isinstance(attr, cached_property):
@@ -288,33 +300,29 @@ class ChbSystem:
 
     @property
     def _keeps_factors(self) -> bool:
-        """Whether the splitting's layouts keep their last factor."""
+        """Whether the layouts keep their last factor."""
         return self.ndofs >= KEEP_FACTOR_MIN_DOFS
 
-    # -- element triplets, built on first use ---------------------------------
+    # -- constant element blocks, built on first use --------------------------
 
     @cached_property
-    def _m_trip(self):
-        """Rows, columns and values of the P1 mass matrix's element blocks."""
-        m_elem = (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        return (*_block_indices(self.cells, self.cells), m_elem.ravel())
+    def _m_elem(self):
+        """Element blocks of the P1 mass matrix, (nc, 3, 3)."""
+        return (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
     @cached_property
-    def _k_trip(self):
-        """Those of the P1 stiffness matrix, on the rows and columns of M's."""
+    def _k_elem(self):
+        """Element blocks of the P1 stiffness matrix, (nc, 3, 3)."""
         grads = self.grads
-        k_elem = self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
-        return (*self._m_trip[:2], k_elem.ravel())
+        return self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
 
     @cached_property
-    def _bdiv_trip(self):
-        """Rows, columns and values of the RT0 divergence matrix."""
+    def _div_elem(self):
+        """Element blocks of the RT0 divergence matrix, (nc, 1, 3)."""
         mesh = self.mesh
         edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
         elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
-        div_vals = (mesh.cell_signs * elen_loc).astype(np.float64)
-        rows = np.repeat(np.arange(self.nc), 3)
-        return rows, mesh.cell_edges.ravel(), div_vals.ravel()
+        return (mesh.cell_signs * elen_loc).astype(np.float64)[:, None, :]
 
     @cached_property
     def drow(self) -> np.ndarray:
@@ -428,7 +436,8 @@ class ChbSystem:
     @cached_property
     def _ch_layout(self):
         """P1 pattern of M, K and W, and the CH Jacobian's, its 2x2 stack."""
-        p1 = CsrPattern(self._m_trip[0], self._m_trip[1], (self.nv, self.nv))
+        p1 = CsrPattern(*_block_indices(self.cells, self.cells),
+                        (self.nv, self.nv))
         r, c, nv = _slot_rows(p1), p1.indices, self.nv
         blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
         return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv),
@@ -501,27 +510,27 @@ class ChbSystem:
         abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
         return PhaseIntegrals(values, ibar, s1, s2, dinv, abar)
 
-    def _elasticity_data(self, phi, phase=None):
-        """Integrated stiffness, swelling load and pressure coupling per cell."""
+    def _elasticity_data(self, phase: PhaseIntegrals):
+        """Integrated stiffness and swelling load per cell."""
         pa = self.params
-        if phase is None:
-            phase = self.phase_integrals(phi)
         cint = (self.areas[:, None, None] * pa.C0
                 + phase.ibar[:, None, None] * pa.dC)
         swell = pa.xi * (np.outer(phase.s1, pa.C0 @ VOIGT_ID)
                          + np.outer(phase.s2, pa.dC @ VOIGT_ID))
-        return cint, phase.abar, swell, phase.dinv
+        return cint, swell
 
     def solve_elasticity(self, phi, p_fixed, phase=None):
         """Solve the linear elasticity subsystem at the given phase field.
 
         phase: phase_integrals(phi), when the caller has it already.
         """
-        cint, abar, swell, _ = self._elasticity_data(phi, phase)
+        if phase is None:
+            phase = self.phase_integrals(phi)
+        cint, swell = self._elasticity_data(phase)
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=STIFFNESS_PATH)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
-                    + (abar * p_fixed)[:, None] * self.drow)
+                    + (phase.abar * p_fixed)[:, None] * self.drow)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
         return solve_linear(self._elasticity_matrix(a_elem), b)
@@ -541,29 +550,29 @@ class ChbSystem:
 
     # -- flow subsystem ------------------------------------------------------
 
+    def divu_per_cell(self, u: np.ndarray) -> np.ndarray:
+        """div u per cell, as model.Pointwise.divu computes it."""
+        strain = self.strain_per_cell(u)
+        return strain[:, 0] + strain[:, 1]
+
     def storage_coefficient(self, state: FieldState) -> np.ndarray:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
         phase = self.phase_integrals(state.phi)
-        divu = self.strain_per_cell(state.u) @ VOIGT_ID
-        return phase.dinv * state.p + phase.abar * divu
-
-    def _flow_data(self, phi, phase=None):
-        if phase is None:
-            phase = self.phase_integrals(phi)
-        mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
-        return phase.dinv, phase.abar, mq_elem
+        return phase.dinv * state.p + phase.abar * self.divu_per_cell(state.u)
 
     def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None):
         """Solve the mixed pressure/flux subsystem; returns (p, q).
 
         phase: phase_integrals(phi), when the caller has it already.
         """
-        dinv, abar, mq_elem = self._flow_data(phi, phase)
+        if phase is None:
+            phase = self.phase_integrals(phi)
+        mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
         if storage_prev is None:
             storage_prev = self.storage_coefficient(state_prev)
-        divu = self.strain_per_cell(u) @ VOIGT_ID
-        rhs = np.concatenate([storage_prev - abar * divu, np.zeros(self.ne)])
-        x = solve_linear(self._flow_matrix(dinv, mq_elem), rhs)
+        rhs = np.concatenate([storage_prev - phase.abar * self.divu_per_cell(u),
+                              np.zeros(self.ne)])
+        x = solve_linear(self._flow_matrix(phase.dinv, mq_elem), rhs)
         return x[:self.nc], x[self.nc:]
 
     def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
@@ -680,18 +689,17 @@ class ChbSystem:
         res = np.empty(self.ndofs)
         res[:2 * self.nv] = self.ch_residual(state_prev, st.phi, st.mu,
                                              st.u, st.p, pw)
-        cint, abar, swell, dinv = self._elasticity_data(
-            st.phi, self.phase_integrals(st.phi, pw))
-        strain = pw.strain
-        sint = np.einsum("cab,cb->ca", cint, strain) - swell
+        phase = self.phase_integrals(st.phi, pw)
+        cint, swell = self._elasticity_data(phase)
+        sint = np.einsum("cab,cb->ca", cint, pw.strain) - swell
         ru_elem = (np.einsum("cai,ca->ci", self.B, sint)
-                   - (abar * st.p)[:, None] * self.drow)
+                   - (phase.abar * st.p)[:, None] * self.drow)
         r_u = _scatter_vector(ru_elem, self.udofs, 2 * self.nv)
         r_u[self.u_bdofs] = st.u[self.u_bdofs]
         res[self.off_u:self.off_p] = r_u
-        divu = strain @ VOIGT_ID
         storage_prev = self.storage_coefficient(state_prev)
-        res[self.off_p:self.off_q] = (dinv * st.p + abar * divu - storage_prev
+        res[self.off_p:self.off_q] = (phase.dinv * st.p + phase.abar * pw.divu
+                                      - storage_prev
                                       + pa.tau * (self.Bdiv @ st.q))
         mq_q = np.einsum("cij,cj->ci", mq_elem, st.q[self.qdofs])
         res[self.off_q:] = _scatter_vector(mq_q, self.qdofs, self.ne) \
@@ -709,23 +717,25 @@ class ChbSystem:
         pw, mq_elem = self.monolithic_iterate(st) if at is None else at
         qloc = st.q[self.qdofs.T]
 
-        # values in the block order of _monolithic_layout
         w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
             pw, self.wq_last, self.lam, qloc, self.B_last, self.psi_last)
-        cint, abar, _, dinv = self._elasticity_data(
-            st.phi, self.phase_integrals(st.phi, pw))
+        phase = self.phase_integrals(st.phi, pw)
+        cint, _ = self._elasticity_data(phase)
+        abar, dinv = phase.abar, phase.dinv
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=STIFFNESS_PATH)
-        m, k, div = self._m_trip[2], self._k_trip[2], self._bdiv_trip[2]
-        vals = np.concatenate([
-            m, pa.tau * pa.mobility * k, m, -pa.gamma * pa.ell * k,
-            -w_elem.ravel(), -mu_u.ravel(), -mu_p.ravel(),
-            a_elem.ravel(), u_phi.ravel(), (-abar[:, None] * self.drow).ravel(),
-            p_phi.ravel(), (abar[:, None] * self.drow).ravel(), dinv,
-            pa.tau * div, mq_elem.ravel(), -div, q_phi.ravel(), [1.0]])
+        m, k, div = self._m_elem, self._k_elem, self._div_elem
+        # in the order of MONOLITHIC_BLOCKS, one row field per line
+        values = [
+            m, pa.tau * pa.mobility * k,
+            m, -pa.gamma * pa.ell * k, -w_elem, -mu_u, -mu_p,
+            a_elem, u_phi, -abar[:, None] * self.drow,
+            p_phi, abar[:, None] * self.drow, dinv, pa.tau * div,
+            mq_elem, -div, q_phi]
         pattern = self._monolithic_layout
-        J = pattern.matrix(pattern.sum(vals))
+        J = pattern.matrix(pattern.sum(np.concatenate(
+            [v.ravel() for v in values] + [[1.0]])))
         if self.ndofs >= KRYLOV_MIN_ROWS:
             # The (u, u) block of J keeps the columns of the clamped dofs,
             # which the elasticity matrix sets to identity.  Both agree on
@@ -738,49 +748,18 @@ class ChbSystem:
 
     @cached_property
     def _monolithic_layout(self) -> CsrPattern:
-        """Pattern of the monolithic Jacobian.
-
-        Its triplets are the blocks below, in this order; the rows of the
-        displacement Dirichlet dofs are identity rows (_clamped_pattern).
-        """
+        """Pattern of the monolithic Jacobian: the element blocks of
+        MONOLITHIC_BLOCKS, with the rows of the displacement Dirichlet dofs
+        set to identity (_clamped_pattern)."""
         # int32 throughout: the n=65 Jacobian has 1.3M triplets
-        cells, u, pd, q, m_r, m_c, div_r, div_c = (
-            a.astype(np.int32) for a in (self.cells, self.udofs, self.pdofs,
-                                         self.qdofs, *self._m_trip[:2],
-                                         *self._bdiv_trip[:2]))
-        off_phi, off_mu, off_u, off_p, off_q = (
-            self.off_phi, self.off_mu, self.off_u, self.off_p, self.off_q)
-        diag_p = np.arange(self.nc, dtype=np.int32)
+        fields = {name: (dofs.astype(np.int32), off)
+                  for name, (dofs, off) in self.fields.items()}
         rows, cols = _stacked_indices([
-            # (phi, *) and (mu, mu): constant blocks
-            (m_r, m_c, off_phi, off_phi), (m_r, m_c, off_phi, off_mu),
-            (m_r, m_c, off_mu, off_mu),
-            # (mu, phi): stiffness, convex double well and energy couplings
-            (m_r, m_c, off_mu, off_phi),
-            (*_block_indices(cells, cells), off_mu, off_phi),
-            (*_block_indices(cells, u), off_mu, off_u),
-            (*_block_indices(cells, pd), off_mu, off_p),
-            (*_block_indices(u, u), off_u, off_u),
-            (*_block_indices(u, cells), off_u, off_phi),
-            (*_block_indices(u, pd), off_u, off_p),
-            (*_block_indices(pd, cells), off_p, off_phi),
-            (*_block_indices(pd, u), off_p, off_u),
-            (diag_p, diag_p, off_p, off_p),
-            (div_r, div_c, off_p, off_q),
-            (*_block_indices(q, q), off_q, off_q),
-            (div_c, div_r, off_q, off_p),
-            (*_block_indices(q, cells), off_q, off_phi),
-        ])
-        # A Jacobian below KRYLOV_MIN_ROWS is solved directly; from
-        # KEEP_FACTOR_MIN_DOFS up its layout keeps the last factor, and
-        # each later Newton iterate is refined against it.  A larger one
-        # serves the Krylov path's products and residual check, and the
-        # direct solve it falls back to, whose full factor (6.4M fill at
-        # n=65) is not worth keeping.
+            (*_block_indices(fields[r][0], fields[c][0]),
+             fields[r][1], fields[c][1]) for r, c in MONOLITHIC_BLOCKS])
         return _clamped_pattern(
-            rows, cols, (off_u + self.u_bdofs).astype(np.int32),
-            (self.ndofs, self.ndofs),
-            keep_factor=KEEP_FACTOR_MIN_DOFS <= self.ndofs < KRYLOV_MIN_ROWS)
+            rows, cols, (self.off_u + self.u_bdofs).astype(np.int32),
+            (self.ndofs, self.ndofs), keep_factor=self._keeps_factors)
 
     def monolithic_step(self, state_prev: FieldState, config: SolverConfig):
         """One time step of plain Newton on the full coupled system."""

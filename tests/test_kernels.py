@@ -174,12 +174,12 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     w_elem = ref.ch_jac(o.phi_at_qp(state.phi), o.wq, o.lam,
                         o.strain_per_cell(state.u),
                         np.ascontiguousarray(state.p), pa)
-    r, c = o._m_trip[:2]
+    r, c = solvers._block_indices(o.cells, o.cells)
 
     def p1(vals):
         return sp.coo_matrix((vals, (r, c)), shape=(o.nv, o.nv)).tocsr()
 
-    M, K, W = p1(o._m_trip[2]), p1(o._k_trip[2]), p1(w_elem.ravel())
+    M, K, W = p1(o._m_elem.ravel()), p1(o._k_elem.ravel()), p1(w_elem.ravel())
     for X in (K, W):
         assert np.array_equal(X.indptr, M.indptr)
         assert np.array_equal(X.indices, M.indices)

@@ -245,13 +245,13 @@ def test_stored_orderings_reproduce_fresh_factors_on_every_layout(n):
     prev, st = random_state(system, rng), random_state(system, rng)
     pw = system.pointwise(st.phi, st.u, st.p)
     phase = system.phase_integrals(st.phi, pw)
-    cint, _, _, dinv = system._elasticity_data(st.phi, phase)
-    _, _, mq_elem = system._flow_data(st.phi, phase)
+    cint, _ = system._elasticity_data(phase)
+    mq_elem = kn.rt0_weighted_mass(pw, system.wq_last, system.psi_last)
     matrices = {
         "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.lam)),
         "elasticity": system._elasticity_matrix(
             np.einsum("cai,cab,cbj->cij", system.B, cint, system.B)),
-        "flow": system._flow_matrix(dinv, mq_elem),
+        "flow": system._flow_matrix(phase.dinv, mq_elem),
         "monolithic": system.monolithic_jacobian(prev, st),
     }
     for name, A in matrices.items():
@@ -300,6 +300,21 @@ def test_stored_ordering_falls_back_to_colamd(splu_specs):
     # the tiny diagonal pivot misses the contract on the stored order; the
     # ordering survives the fallback
     assert splu_specs == [SYMMETRIC, NATURAL, None, NATURAL]
+
+
+def test_a_layout_keeps_the_ordering_of_a_first_solve_that_misses(factors):
+    pattern = CsrPattern([0, 0, 1, 1], [0, 1, 0, 1], (2, 2))
+    b = np.array([1.0, 2.0])
+    A = pattern.matrix(pattern.sum(np.array([1e-20, 1.0, 1.0, 1e-20])))
+    solve_linear(A, b)
+    # the tiny diagonal pivot misses the contract; COLAMD solves A
+    assert [spec for spec, _ in factors] == [SYMMETRIC, None]
+    assert pattern.ordering is not None
+    factors.clear()
+    A = pattern.matrix(pattern.sum(np.array([2.0, 1.0, 1.0, 3.0])))
+    x = solve_linear(A, b)
+    assert [spec for spec, _ in factors] == [NATURAL]
+    assert np.array_equal(x, _fresh_symmetric_lu(A).solve(b))
 
 
 def test_matrices_without_a_kept_layout_are_ordered_afresh(splu_specs):
@@ -371,7 +386,7 @@ def test_kept_factor_serves_slowly_varying_matrices(splu_specs):
         assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
     # the first factor, ordered by MMD, serves every later matrix
     assert made == [[SYMMETRIC]] + [[]] * 5
-    assert pattern.ordering.kept is not None
+    assert pattern.kept is not None
 
 
 @pytest.mark.parametrize("new", ["different", "singular", np.nan, np.inf])
@@ -388,7 +403,7 @@ def test_kept_factor_falls_back_to_fresh_factors(new, splu_specs):
         else:
             # a kept factor that returns non-finite values
             A = first
-            pattern.ordering.kept = lambda r: np.full_like(r, new)
+            pattern.kept = lambda r: np.full_like(r, new)
         x = solve_linear(A, b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * max(np.linalg.norm(b), 1.0)
         # the fresh factor on the stored ordering is kept and serves A again
@@ -400,11 +415,11 @@ def test_kept_factor_falls_back_to_fresh_factors(new, splu_specs):
         A = pattern.matrix(np.where(_slot_rows(first) == 0, 0.0, first.data))
         with pytest.raises(LinearSolveFailure):
             solve_linear(A, b)
-        assert pattern.ordering.kept is None
+        assert pattern.kept is None
         # the next matrix is factored afresh on the stored ordering
         solve_linear(first, b)
         assert splu_specs == [SYMMETRIC, NATURAL, None, NATURAL]
-    assert pattern.ordering.kept is not None
+    assert pattern.kept is not None
 
 
 @pytest.mark.parametrize("max_steps", [linalg.REFINE_MAX_STEPS, 40])
@@ -416,13 +431,13 @@ def test_refinement_gives_up_once_its_rate_cannot_reach_the_target(
     first = filled(20.0)
     b = rng.normal(size=first.shape[0])
     solve_linear(first, b)
-    kept, steps = pattern.ordering.kept, []
+    kept, steps = pattern.kept, []
 
     def counted(r):
         steps.append(np.linalg.norm(r))
         return kept(r)
 
-    pattern.ordering.kept = counted
+    pattern.kept = counted
     # against the factor of `first`, each step leaves 0.3 of the residual:
     # KRYLOV_RTOL takes 23 steps
     A = pattern.matrix(1.3 * first.data)
@@ -435,13 +450,13 @@ def test_refinement_gives_up_once_its_rate_cannot_reach_the_target(
         assert len(steps) == 1
         assert splu_specs == [SYMMETRIC, NATURAL]
         # the fresh factor is kept and serves A again
-        assert pattern.ordering.kept is not counted
+        assert pattern.kept is not counted
         solve_linear(A, rng.normal(size=A.shape[0]))
         assert splu_specs == [SYMMETRIC, NATURAL]
     else:
         assert len(steps) == 23
         assert splu_specs == [SYMMETRIC]
-        assert pattern.ordering.kept is counted
+        assert pattern.kept is counted
 
 
 

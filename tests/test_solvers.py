@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import event, example, given, settings, strategies as st
 
 import reference_kernels as ref
 from chbfem import _kernels as kn
-from chbfem import solvers
+from chbfem import linalg, solvers
 from chbfem.cli import config_from_dict
 from chbfem.fem import rt0_basis
 from chbfem.linalg import LinearSolveFailure, solve_linear
@@ -149,7 +150,9 @@ def test_elasticity_residual_and_boundary(system4):
     u = system4.solve_elasticity(phi, p)
     assert np.abs(u[system4.u_bdofs]).max() == 0.0
     # residual of the unconstrained equations at the solution
-    cint, abar, swell, _ = system4._elasticity_data(phi)
+    phase = system4.phase_integrals(phi)
+    cint, swell = system4._elasticity_data(phase)
+    abar = phase.abar
     strain = system4.strain_per_cell(u)
     sint = np.einsum("cab,cb->ca", cint, strain) - swell
     elem = (np.einsum("cai,ca->ci", system4.B, sint)
@@ -204,7 +207,9 @@ def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
     st = random_state(system4, rng, n=1)
     J = system4.monolithic_jacobian(prev, st).toarray()
     o = system4
-    dinv, _, mq_elem = system4._flow_data(st.phi)
+    phase = system4.phase_integrals(st.phi)
+    dinv = phase.dinv
+    mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
     r = np.repeat(o.qdofs[:, :, None], 3, axis=2).ravel()
     c = np.repeat(o.qdofs[:, None, :], 3, axis=1).ravel()
     Mq = sp.coo_matrix((mq_elem.ravel(), (r, c)), shape=(o.ne, o.ne)).toarray()
@@ -352,7 +357,7 @@ def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
     assert stats.newton_iters >= 2
     assert splu_specs == ["NATURAL"] * stats.newton_iters
     assert system4._monolithic_layout.ordering is not None
-    assert system4._monolithic_layout.ordering.kept is None
+    assert system4._monolithic_layout.kept is None
 
 
 def test_stored_orderings_match_fresh_ones_over_two_steps(monkeypatch):
@@ -362,7 +367,7 @@ def test_stored_orderings_match_fresh_ones_over_two_steps(monkeypatch):
     kept_state, kept = advance_simulation(system, system.initial_state(), cfg)
 
     def fresh(A, b):
-        A.layout.ordering = None
+        A.layout.ordering = A.layout.kept = None
         return solve_linear(A, b)
 
     monkeypatch.setattr(solvers, "solve_linear", fresh)
@@ -517,11 +522,73 @@ def test_kept_factors_start_at_the_measured_crossover(splu_specs):
         for layout in (system._ch_layout[1], system._elasticity_layout,
                        system._flow_layout[1]):
             assert layout.keep_factor == keeps
-            assert (layout.ordering.kept is not None) == keeps
+            assert (layout.kept is not None) == keeps
         if keeps:
             assert len(splu_specs) < solves
         else:
             assert len(splu_specs) == solves
+
+
+def test_jacobians_with_blocks_keep_no_direct_factor(monkeypatch, splu_specs):
+    monkeypatch.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", 0)
+    monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_ITERS", 1)
+    o = ChbSystem(build_unit_square_mesh(4), MaterialParams())
+    rng = np.random.default_rng(42)
+    prev, st = random_state(o, rng), random_state(o, rng, n=1)
+    J = o.monolithic_jacobian(prev, st)
+    assert J.layout.keep_factor and J.blocks
+    solve_linear(J, -o.monolithic_residual(prev, st))
+    # one GMRES iteration misses the contract after the three block
+    # factors; the direct solve's factor is not kept
+    assert splu_specs == ["MMD_AT_PLUS_A"] * 4
+    assert o._monolithic_layout.ordering is not None
+    assert o._monolithic_layout.kept is None
+
+
+def _one_step(mesh, params, state0, strategy, threshold):
+    """(final state or None, stats) of one step, with KEEP_FACTOR_MIN_DOFS
+    and KRYLOV_MIN_ROWS at `threshold`; a failed step must name its cause."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", threshold)
+        mp.setattr(solvers, "KRYLOV_MIN_ROWS", threshold)
+        system = ChbSystem(mesh, params)
+        cfg = SolverConfig(strategy=strategy, num_steps=1)
+        try:
+            state, stats = advance_simulation(system, state0, cfg)
+        except SimulationFailed as exc:
+            assert isinstance(exc.cause, (NonConvergence, LinearSolveFailure))
+            return None, exc.stats[-1]
+    return state, stats[-1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 8), xi=st.floats(-2.5, 2.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=6, xi=8.0, seed=0)   # each strategy stops on both paths
+def test_fast_paths_agree_with_the_direct_path(n, xi, seed):
+    # every fast path (kept factors with refinement, block GMRES) against
+    # none of them, from a seeded perturbation of the half-domain split
+    mesh = build_unit_square_mesh(n)
+    params = MaterialParams(xi=xi)
+    system = ChbSystem(mesh, params)
+    state0 = system.initial_state()
+    noise = np.random.default_rng(seed).uniform(-0.05, 0.05, system.nv)
+    state0.phi = np.clip(state0.phi + noise, 0.0, 1.0)
+    for strategy in ("splitting", "monolithic"):
+        (fast, fast_stats), (direct, direct_stats) = (
+            _one_step(mesh, params, state0, strategy, threshold)
+            for threshold in (0, system.ndofs + 1))
+        if fast is None or direct is None:
+            assert fast is None and direct is None, strategy
+            continue
+        for field in ("phi", "u", "p"):
+            assert np.max(np.abs(getattr(fast, field)
+                                 - getattr(direct, field))) <= 1e-6
+        if ((fast_stats.outer_iters, fast_stats.newton_total)
+                != (direct_stats.outer_iters, direct_stats.newton_total)):
+            event(f"{strategy} iteration counts differ")
 
 
 def test_kept_factors_go_with_the_run(monkeypatch):
@@ -535,13 +602,13 @@ def test_kept_factors_go_with_the_run(monkeypatch):
 
     def splitting_step(_state, _stats):
         for layout in layouts:
-            ordering = layout().ordering
-            assert ordering.kept is not None
-            refs.extend([weakref.ref(ordering), weakref.ref(ordering.kept)])
+            assert layout().kept is not None
+            refs.extend([weakref.ref(layout().ordering),
+                         weakref.ref(layout().kept)])
 
     def monolithic_step(_state, _stats):
         # the block factors of a monolithic solve serve that solve only
-        assert all(layout().ordering.kept is None for layout in layouts)
+        assert all(layout().kept is None for layout in layouts)
         monolithic_steps.append(_stats)
 
     enabled = gc.isenabled()
@@ -682,7 +749,9 @@ def reference_ch_jacobian(o, phi, u, p):
 
 
 def elasticity_elements(o, phi, p):
-    cint, abar, swell, _ = o._elasticity_data(phi)
+    phase = o.phase_integrals(phi)
+    cint, swell = o._elasticity_data(phase)
+    abar = phase.abar
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
     rhs_elem = (np.einsum("cai,ca->ci", o.B, swell)
                 + (abar * p)[:, None] * o.drow)
@@ -712,7 +781,7 @@ def reference_elasticity_system(o, phi, p):
 
 
 def reference_flow_matrix(o, phi):
-    dinv, _, _ = o._flow_data(phi)
+    dinv = o.phase_integrals(phi).dinv
     mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
                                     rt0_basis(o.mesh, o.lam), o.params)
     Mq = _coo(mq_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
@@ -730,12 +799,14 @@ def reference_monolithic_jacobian(o, st):
     mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
         phi_q, o.wq, o.lam, strain, p_cell,
         np.ascontiguousarray(st.q[o.qdofs]), o.B, psi_q, pa)
-    cint, abar, _, dinv = o._elasticity_data(st.phi)
+    phase = o.phase_integrals(st.phi)
+    cint, _ = o._elasticity_data(phase)
+    abar, dinv = phase.abar, phase.dinv
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
     mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa)
     cells, u, pd, q = o.cells, o.udofs, o.pdofs, o.qdofs
-    m, k = o._m_trip[2].reshape(-1, 3, 3), o._k_trip[2].reshape(-1, 3, 3)
-    div = o._bdiv_trip[2].reshape(-1, 3, 1)
+    m, k = o._m_elem, o._k_elem
+    div = o._div_elem.transpose(0, 2, 1)
     diag = np.arange(o.nc)[:, None]
     blocks = [  # (elem, row dofs, col dofs, row offset, col offset)
         (m, cells, cells, o.off_phi, o.off_phi),
@@ -809,8 +880,9 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         np.testing.assert_allclose(A_kept.data, A_ref.data, rtol=1e-13, atol=0)
         assert np.array_equal(b_el, b_ref)
         assert_same_csr(A_fl, reference_flow_matrix(o, st.phi))
-        dinv, abar, _ = o._flow_data(st.phi)
-        divu = o.strain_per_cell(st.u) @ np.array([1.0, 1.0, 0.0])
+        abar = o.phase_integrals(st.phi).abar
+        strain = o.strain_per_cell(st.u)
+        divu = strain[:, 0] + strain[:, 1]
         assert np.array_equal(b_fl[:o.nc], o.storage_coefficient(prev) - abar * divu)
         assert np.array_equal(b_fl[o.nc:], np.zeros(o.ne))
 
@@ -905,8 +977,8 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
             assert np.array_equal(reused.pack(got), reused.pack(want))
             # a finished run keeps no workspace
             assert not {"_ch_layout", "_monolithic_layout", "wq_last",
-                        "psi_last", "B_last", "_m_trip", "_k_trip",
-                        "_bdiv_trip", "drow"} & set(vars(reused))
+                        "psi_last", "B_last", "_m_elem", "_k_elem",
+                        "_div_elem", "drow"} & set(vars(reused))
 
 
 def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
