@@ -44,19 +44,25 @@ rate of 1 or more gives up at once.  The kept factor is then dropped and
 the matrix factored afresh; a layout whose matrix needs COLAMD keeps no
 factor.  Its solutions differ from a fresh factor's at roundoff.
 
-A matrix may also carry its diagonal blocks (``blocks``), each a matrix
-filled on its own layout.  It is then solved first by one restart cycle
-of GMRES (Saad & Schultz 1986) of at most KRYLOV_MAX_ITERS iterations,
-preconditioned by lower block Gauss-Seidel over those blocks: each is
-factored once by CsrPattern.factor and serves every iteration of that
-one solve; none is kept.  The matrix itself only multiplies vectors.
-GMRES stops at KRYLOV_RTOL; a right-hand side that zero already meets is
-solved by zero before any block is factored.  If a block's
-factorization breaks down, or GMRES ends without meeting the contract,
-the matrix is solved directly, and its layout keeps no factor of it.
+A matrix may also carry its diagonal blocks (``blocks``), each a Block:
+its number of rows and a function that makes its solver.  A matrix
+filled on its own layout gives one through factored_block; a caller may
+pass any other exact solve of its block, such as one through a Schur
+complement.  The matrix is then solved first by one restart cycle of
+GMRES (Saad & Schultz 1986) of at most KRYLOV_MAX_ITERS iterations,
+preconditioned by lower block Gauss-Seidel over those blocks: each
+block's solver is made once and serves every iteration of that one
+solve; none is kept.  The matrix itself only multiplies vectors.  GMRES
+stops at KRYLOV_RTOL; a right-hand side that zero already meets is
+solved by zero before any solver is made.  If a block's solver breaks
+down, or GMRES ends without meeting the contract, the matrix is solved
+directly, and its layout keeps no factor of it.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,17 +256,32 @@ def _rows(mat, lo: int, hi: int) -> sp.csr_matrix:
     return rows
 
 
+class Block(NamedTuple):
+    """A diagonal block of a matrix that block GMRES solves: its number of
+    rows, and a function that returns its solver b -> x.  GMRES calls it
+    once per solve, and only when the right-hand side needs a solve."""
+
+    size: int
+    solver: Callable[[], Callable[[np.ndarray], np.ndarray]]
+
+
+def factored_block(mat) -> Block:
+    """The Block of a matrix on a layout: its CsrPattern.factor."""
+    return Block(mat.shape[0], partial(mat.layout.factor, mat.data))
+
+
 def _block_gmres(mat, blocks, b: np.ndarray) -> np.ndarray:
     """One restart cycle of GMRES on mat, preconditioned by lower block
-    Gauss-Seidel over its diagonal `blocks`; its iterate at KRYLOV_RTOL or
-    after KRYLOV_MAX_ITERS iterations, whichever comes first."""
+    Gauss-Seidel over its diagonal `blocks` (Block); its iterate at
+    KRYLOV_RTOL or after KRYLOV_MAX_ITERS iterations, whichever comes
+    first."""
     norm = np.linalg.norm(b)
     atol = KRYLOV_RTOL * max(norm, 1.0)
     if norm <= atol:
         return np.zeros(len(b))   # GMRES would stop at its zero start
-    solvers = [block.layout.factor(block.data) for block in blocks]
-    ends = np.cumsum([block.shape[0] for block in blocks])
-    spans = [(end - block.shape[0], end) for block, end in zip(blocks, ends)]
+    solvers = [block.solver() for block in blocks]
+    ends = np.cumsum([block.size for block in blocks])
+    spans = [(end - block.size, end) for block, end in zip(blocks, ends)]
     # mat's rows of every later block; applied to the parts solved so far
     # (zeros elsewhere) they give its entries left of the diagonal block
     lower = [_rows(mat, lo, hi) for lo, hi in spans[1:]]

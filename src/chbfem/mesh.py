@@ -98,8 +98,12 @@ def build_unit_square_mesh(n: int) -> StructuredTriMesh:
     # local edge k sits opposite local vertex k
     nxt = cells[:, [1, 2, 0]]
     prv = cells[:, [2, 0, 1]]
-    pairs = np.stack([np.minimum(nxt, prv), np.maximum(nxt, prv)], axis=-1)
-    edges, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+    # edges numbered in (low, high) vertex order, through one integer key
+    # per pair: a 1-D unique is far cheaper than np.unique(axis=0)
+    nv = vertices.shape[0]
+    keys, inverse = np.unique(np.minimum(nxt, prv) * nv + np.maximum(nxt, prv),
+                              return_inverse=True)
+    edges = np.stack(np.divmod(keys, nv), axis=-1)
     cell_edges = inverse.reshape(-1, 3).astype(np.int64)
     cell_signs = np.where(nxt < prv, 1, -1).astype(np.int64)
 

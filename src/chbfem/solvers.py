@@ -28,7 +28,8 @@ import scipy.sparse as sp
 
 from . import _kernels as kn
 from .fem import default_rule, rt0_basis
-from .linalg import CsrPattern, LinearSolveFailure, solve_linear
+from .linalg import (Block, CsrPattern, LinearSolveFailure, factored_block,
+                     solve_linear)
 from .mesh import StructuredTriMesh
 from .model import (VOIGT_ID, MaterialParams, Phase, Pointwise, check_fields,
                     choice, integer, real)
@@ -144,6 +145,13 @@ def _newton_solve(J, rhs, it):
         raise
 
 
+def _solve_from(A, b, start):
+    """solve_linear(A, b), for the increment from `start` when given."""
+    if start is None:
+        return solve_linear(A, b)
+    return start + solve_linear(A, b - A @ start)
+
+
 def _block_indices(rows, cols):
     """Row and column of each entry of per-cell blocks, in elem.ravel() order."""
     a = rows.shape[1]
@@ -208,9 +216,17 @@ class ChbSystem:
     its first assembly; every later matrix of that system only fills it.
     Every layout keeps the LU ordering of its first factorization, and on
     a system of at least KEEP_FACTOR_MIN_DOFS dofs its last factor too
-    (see chbfem.linalg).  A monolithic Jacobian of at least
-    KRYLOV_MIN_ROWS rows carries its three diagonal blocks, filled on the
-    CH, elasticity and flow layouts, as ``blocks``, for block GMRES.
+    (see chbfem.linalg).
+
+    The flow system's pressure block is diagonal, so the pressure is
+    eliminated exactly: the flux solves the flux Schur complement
+    S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv, which is SPD and keeps Mq's
+    pattern, and the pressure follows from the flux.  In the splitting,
+    elasticity and S are solved for the increment from the previous
+    outer iterate, so refinement against a kept factor starts there.  A
+    monolithic Jacobian of at least KRYLOV_MIN_ROWS rows carries its
+    three diagonal blocks as ``blocks``, for block GMRES: factors of the
+    CH and elasticity matrices, and the flow block solved through S.
 
     The layouts, their orderings and factors, the constant element blocks
     and the kernels' cells-last tables are the solver workspace: built on first
@@ -519,10 +535,12 @@ class ChbSystem:
                          + np.outer(phase.s2, pa.dC @ VOIGT_ID))
         return cint, swell
 
-    def solve_elasticity(self, phi, p_fixed, phase=None):
+    def solve_elasticity(self, phi, p_fixed, phase=None, u_start=None):
         """Solve the linear elasticity subsystem at the given phase field.
 
         phase: phase_integrals(phi), when the caller has it already.
+        u_start: a displacement to solve for the increment from, zero at
+        the clamped dofs.
         """
         if phase is None:
             phase = self.phase_integrals(phi)
@@ -533,7 +551,7 @@ class ChbSystem:
                     + (phase.abar * p_fixed)[:, None] * self.drow)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
-        return solve_linear(self._elasticity_matrix(a_elem), b)
+        return _solve_from(self._elasticity_matrix(a_elem), b, u_start)
 
     def _elasticity_matrix(self, a_elem) -> sp.csr_matrix:
         """Stiffness matrix of the element blocks a_elem, Dirichlet rows
@@ -560,42 +578,66 @@ class ChbSystem:
         phase = self.phase_integrals(state.phi)
         return phase.dinv * state.p + phase.abar * self.divu_per_cell(state.u)
 
-    def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None):
+    def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None,
+                   q_start=None):
         """Solve the mixed pressure/flux subsystem; returns (p, q).
 
         phase: phase_integrals(phi), when the caller has it already.
+        q_start: a flux to solve the flux Schur complement for the
+        increment from.
         """
         if phase is None:
             phase = self.phase_integrals(phi)
         mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
         if storage_prev is None:
             storage_prev = self.storage_coefficient(state_prev)
-        rhs = np.concatenate([storage_prev - phase.abar * self.divu_per_cell(u),
-                              np.zeros(self.ne)])
-        x = solve_linear(self._flow_matrix(phase.dinv, mq_elem), rhs)
-        return x[:self.nc], x[self.nc:]
+        S = self._flux_matrix(phase.dinv, mq_elem)
+        return self._flow_from_flux(
+            lambda rhs: _solve_from(S, rhs, q_start), phase.dinv,
+            storage_prev - phase.abar * self.divu_per_cell(u))
 
-    def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
-        """The flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]] for the
-        element blocks of Mq."""
-        mq, pattern = self._flow_layout
-        return pattern.matrix(pattern.sum(np.concatenate([
-            dinv, self.Bdiv.data * self.params.tau, -self.BdivT.data,
-            mq.sum(mq_elem.ravel())])))
+    def _flow_from_flux(self, solve_flux, dinv, f, g=None):
+        """(p, q) that solve the flow system
+        [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]] (p, q) = (f, g), g zero
+        when None.
+
+        Eliminating p = (f - tau Bdiv q) / dinv leaves the flux Schur
+        complement system S q = g + Bdiv^T (f / dinv) (_flux_matrix),
+        which solve_flux solves.
+        """
+        rhs = self.BdivT @ (f / dinv)
+        if g is not None:
+            rhs += g
+        q = solve_flux(rhs)
+        return (f - self.params.tau * (self.Bdiv @ q)) / dinv, q
+
+    def _flux_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
+        """The flux Schur complement S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv
+        for the element blocks of Mq: cell c adds (tau / dinv_c) d_c d_c^T
+        to its block of Mq, d_c its row of Bdiv."""
+        d = self._div_elem
+        s_elem = mq_elem + (self.params.tau / dinv)[:, None, None] * (
+            d.transpose(0, 2, 1) * d)
+        pattern = self._flux_layout
+        return pattern.matrix(pattern.sum(s_elem.ravel()))
 
     @cached_property
-    def _flow_layout(self):
-        """Pattern of Mq, and the flow matrix's, its 2x2 block stack."""
-        mq = CsrPattern(*_block_indices(self.qdofs, self.qdofs),
-                        (self.ne, self.ne))
-        diag, nc = np.arange(self.nc), self.nc
-        blocks = [(diag, diag, 0, 0),
-                  (_slot_rows(self.Bdiv), self.Bdiv.indices, 0, nc),
-                  (_slot_rows(self.BdivT), self.BdivT.indices, nc, 0),
-                  (_slot_rows(mq), mq.indices, nc, nc)]
-        return mq, CsrPattern(*_stacked_indices(blocks),
-                              (nc + self.ne, nc + self.ne),
-                              keep_factor=self._keeps_factors)
+    def _flux_layout(self) -> CsrPattern:
+        """Pattern of Mq, which the flux Schur complement shares."""
+        return CsrPattern(*_block_indices(self.qdofs, self.qdofs),
+                          (self.ne, self.ne), keep_factor=self._keeps_factors)
+
+    def _flow_block(self, dinv, mq_elem) -> Block:
+        """The monolithic Jacobian's (p, q) block for block GMRES, solved
+        through a factor of its flux Schur complement."""
+        S = self._flux_matrix(dinv, mq_elem)
+        nc = self.nc
+
+        def solver():
+            solve_flux = S.layout.factor(S.data)
+            return lambda r: np.concatenate(
+                self._flow_from_flux(solve_flux, dinv, r[:nc], r[nc:]))
+        return Block(nc + self.ne, solver)
 
     def flow_cell_residual(self, state_prev, state: FieldState) -> np.ndarray:
         """Per-cell mass balance residual of the flow equation at a state."""
@@ -639,9 +681,11 @@ class ChbSystem:
             # first Cahn-Hilliard iterate, which starts at phi_n
             phase = self.phase_integrals(phi_n)
             try:
-                u_n = self.solve_elasticity(phi_n, p_o, phase=phase)
+                u_n = self.solve_elasticity(phi_n, p_o, phase=phase,
+                                            u_start=u_o)
                 p_n, q_n = self.solve_flow(phi_n, u_n, state_prev,
-                                           storage_prev=storage_prev, phase=phase)
+                                           storage_prev=storage_prev,
+                                           phase=phase, q_start=q_o)
             except LinearSolveFailure as exc:
                 exc.iterations, exc.inner_newton = it - 1, tuple(inner)
                 raise
@@ -742,8 +786,9 @@ class ChbSystem:
             # every vector that is zero at the clamped dofs, as every
             # Newton right-hand side is, and the preconditioned Krylov
             # space stays among those vectors.
-            J.blocks = (self._ch_matrix(w_elem), self._elasticity_matrix(a_elem),
-                        self._flow_matrix(dinv, mq_elem))
+            J.blocks = (factored_block(self._ch_matrix(w_elem)),
+                        factored_block(self._elasticity_matrix(a_elem)),
+                        self._flow_block(dinv, mq_elem))
         return J
 
     @cached_property

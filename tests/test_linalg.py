@@ -251,7 +251,7 @@ def test_stored_orderings_reproduce_fresh_factors_on_every_layout(n):
         "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.lam)),
         "elasticity": system._elasticity_matrix(
             np.einsum("cai,cab,cbj->cij", system.B, cint, system.B)),
-        "flow": system._flow_matrix(phase.dinv, mq_elem),
+        "flux": system._flux_matrix(phase.dinv, mq_elem),
         "monolithic": system.monolithic_jacobian(prev, st),
     }
     for name, A in matrices.items():
@@ -342,7 +342,7 @@ def test_systems_on_one_mesh_never_share_an_ordering(splu_specs):
     # the second system orders each of its layouts itself
     assert splu_specs.count(SYMMETRIC) == 3
     layouts = [lambda s: s._ch_layout[1], lambda s: s._elasticity_layout,
-               lambda s: s._flow_layout[1]]
+               lambda s: s._flux_layout]
     for layout in layouts:
         assert layout(first) is not layout(second)
         assert layout(first).ordering is not None
@@ -461,9 +461,10 @@ def test_refinement_gives_up_once_its_rate_cannot_reach_the_target(
 
 
 def _block_system(rng, sizes=(30, 20, 25), singular=None):
-    """A matrix with couplings on both sides of its diagonal blocks, and
-    those blocks filled on kept layouts; the block numbered `singular` is
-    attached with a zero row, while the matrix keeps it regular."""
+    """A matrix with couplings on both sides of its diagonal blocks, which
+    it carries as factored_block of each; those are filled on their own
+    layouts, returned too.  The block numbered `singular` is attached with
+    a zero row, while the matrix keeps it regular."""
     diagonal, attached = [], []
     for k, n in enumerate(sizes):
         rows = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
@@ -481,8 +482,8 @@ def _block_system(rng, sizes=(30, 20, 25), singular=None):
              else sp.random(m, n, density=0.1, random_state=rng) * 0.5
              for j, n in enumerate(sizes)] for i, m in enumerate(sizes)]
     A = sp.bmat(grid, format="csr")
-    A.blocks = tuple(attached)
-    return A, rng.normal(size=A.shape[0])
+    A.blocks = tuple(linalg.factored_block(block) for block in attached)
+    return A, rng.normal(size=A.shape[0]), attached
 
 
 def _direct(A, b):
@@ -492,7 +493,7 @@ def _direct(A, b):
 
 def test_block_path_meets_the_contract_and_matches_the_direct_solve(factors):
     rng = np.random.default_rng(11)
-    A, b = _block_system(rng)
+    A, b, blocks = _block_system(rng)
     want = _direct(A, b)
     factors.clear()
     for _ in range(2):
@@ -501,15 +502,16 @@ def test_block_path_meets_the_contract_and_matches_the_direct_solve(factors):
         assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
     # one factorization per block and solve, never of A itself; the
     # second solve reuses the orderings the first stored on the layouts
-    assert [lu.shape for _, lu in factors] == [blk.shape for blk in A.blocks] * 2
+    assert [lu.shape for _, lu in factors] == [blk.shape for blk in blocks] * 2
     assert [spec for spec, _ in factors] == [SYMMETRIC] * 3 + [NATURAL] * 3
-    assert all(blk.layout.ordering is not None for blk in A.blocks)
+    assert all(blk.layout.ordering is not None for blk in blocks)
 
 
 @pytest.mark.parametrize("miss", ["singular_block", "capped_gmres"])
 def test_block_path_falls_back_to_the_direct_solve(miss, factors, monkeypatch):
     rng = np.random.default_rng(12)
-    A, b = _block_system(rng, singular=1 if miss == "singular_block" else None)
+    A, b, blocks = _block_system(rng,
+                                 singular=1 if miss == "singular_block" else None)
     want = _direct(A, b)
     if miss == "capped_gmres":
         monkeypatch.setattr(linalg, "KRYLOV_MAX_ITERS", 1)
@@ -520,13 +522,34 @@ def test_block_path_falls_back_to_the_direct_solve(miss, factors, monkeypatch):
     # the blocks factored before the miss, then A as if it carried none
     factored = 1 if miss == "singular_block" else 3
     assert [lu.shape for _, lu in factors] == (
-        [blk.shape for blk in A.blocks[:factored]] + [A.shape])
+        [blk.shape for blk in blocks[:factored]] + [A.shape])
     assert [spec for spec, _ in factors] == [SYMMETRIC] * (factored + 1)
+
+
+def test_block_path_takes_any_exact_block_solver(factors):
+    rng = np.random.default_rng(16)
+    A, b, blocks = _block_system(rng)
+    made = []
+
+    def dense(block):
+        def solver():
+            made.append(block.shape[0])
+            return lambda r: np.linalg.solve(block.toarray(), r)
+        return linalg.Block(block.shape[0], solver)
+
+    A.blocks = tuple(dense(block) for block in blocks)
+    want = _direct(A, b)
+    factors.clear()
+    x = solve_linear(A, b)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    # each solver is made once for the solve, and nothing is factored
+    assert made == [30, 20, 25]
+    assert factors == []
 
 
 def test_block_path_factors_nothing_when_zero_meets_the_tolerance(factors):
     rng = np.random.default_rng(14)
-    A, b = _block_system(rng)
+    A, b, _ = _block_system(rng)
     x = solve_linear(A, 1e-13 * b / np.linalg.norm(b))
     assert factors == [] and np.array_equal(x, np.zeros(len(b)))
     # a larger right-hand side is solved by GMRES as before
@@ -536,7 +559,7 @@ def test_block_path_factors_nothing_when_zero_meets_the_tolerance(factors):
 
 def test_block_rows_are_views_of_the_matrix():
     rng = np.random.default_rng(15)
-    A, _ = _block_system(rng)
+    A, _, _ = _block_system(rng)
     z = rng.normal(size=A.shape[0])
     rows = linalg._rows(A, 30, 50)
     assert np.shares_memory(rows.data, A.data)
@@ -547,7 +570,7 @@ def test_block_rows_are_views_of_the_matrix():
 def test_matrix_without_blocks_is_solved_as_before(factors, monkeypatch):
     monkeypatch.setattr(spla, "gmres", None)   # never reached
     rng = np.random.default_rng(13)
-    A, b = _block_system(rng)
+    A, b, _ = _block_system(rng)
     del A.blocks
     x = solve_linear(A, b)
     assert [spec for spec, _ in factors] == [SYMMETRIC]

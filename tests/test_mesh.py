@@ -124,6 +124,21 @@ def test_determinism():
     assert np.array_equal(a.cell_signs, b.cell_signs)
 
 
+@pytest.mark.parametrize("n", [*range(1, 21), 65])
+def test_edges_match_a_row_unique_of_the_vertex_pairs(n):
+    # the oracle numbers edges by np.unique over (low, high) rows
+    mesh = build_unit_square_mesh(n)
+    nxt = mesh.cells[:, [1, 2, 0]]
+    prv = mesh.cells[:, [2, 0, 1]]
+    pairs = np.stack([np.minimum(nxt, prv), np.maximum(nxt, prv)], axis=-1)
+    edges, inverse = np.unique(pairs.reshape(-1, 2), axis=0,
+                               return_inverse=True)
+    for got, want in ((mesh.edges, edges),
+                      (mesh.cell_edges, inverse.reshape(-1, 3))):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
 def test_edges_oriented_low_to_high():
     mesh = build_unit_square_mesh(4)
     assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])

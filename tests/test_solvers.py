@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import event, example, given, settings, strategies as st
 
 import reference_kernels as ref
@@ -218,6 +219,57 @@ def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
     assert np.allclose(J[o.off_p:, o.off_p:], flow, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("phi_range", [(0.15, 0.85), (-0.4, 1.4)],
+                         ids=["inside", "beyond_unit_interval"])
+def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
+    monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
+    o = ChbSystem(build_unit_square_mesh(n), MaterialParams(xi=2.0))
+    rng = np.random.default_rng(50 + n)
+    prev = random_state(o, rng, *phi_range)
+    st = random_state(o, rng, *phi_range, n=1)
+    A = reference_flow_matrix(o, st.phi)
+    phase = o.phase_integrals(st.phi)
+    rhs = np.concatenate([o.storage_coefficient(prev)
+                          - phase.abar * o.divu_per_cell(st.u), np.zeros(o.ne)])
+    # from zero and for the increment from a flux far from the solution
+    for q_start in (None, rng.normal(0.0, 1.0, o.ne)):
+        p, q = o.solve_flow(st.phi, st.u, prev, q_start=q_start)
+        residual = np.linalg.norm(rhs - A @ np.concatenate([p, q]))
+        assert residual <= linalg.SOLVE_RTOL * max(np.linalg.norm(rhs), 1.0)
+        state = FieldState(st.phi, st.mu, st.u, p, q, n=1)
+        assert np.abs(o.flow_cell_residual(prev, state)).max() <= 1e-10
+    # the flux Schur complement, Mq + tau Bdiv^T diag(dinv)^-1 Bdiv
+    mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
+    S = o._flux_matrix(phase.dinv, mq_elem).toarray()
+    Mq = A[o.nc:, o.nc:].toarray()
+    Bdiv = o.Bdiv.toarray()
+    want = Mq + o.params.tau * Bdiv.T @ np.diag(1.0 / phase.dinv) @ Bdiv
+    np.testing.assert_allclose(S, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    # SPD, up to the roundoff of Mq's element blocks
+    np.testing.assert_allclose(S, S.T, rtol=0, atol=1e-15 * np.abs(S).max())
+    np.linalg.cholesky(S)
+    # the preconditioner's flow block against a direct solve of J's (p, q)
+    J = o.monolithic_jacobian(prev, st)
+    flow = J.blocks[2]
+    b = rng.normal(size=flow.size)
+    x = flow.solver()(b)
+    direct = spla.spsolve(J[o.off_p:, o.off_p:].tocsc(), b)
+    assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_elasticity_from_a_start_meets_the_contract(system4):
+    rng = np.random.default_rng(36)
+    phi = rng.uniform(0.0, 1.0, system4.nv)
+    p = rng.normal(0.0, 0.5, system4.nc)
+    u = system4.solve_elasticity(phi, p)
+    start = rng.normal(0.0, 1.0, 2 * system4.nv)
+    start[system4.u_bdofs] = 0.0
+    u_inc = system4.solve_elasticity(phi, p, u_start=start)
+    assert np.array_equal(u_inc[system4.u_bdofs], np.zeros(len(system4.u_bdofs)))
+    assert np.abs(u_inc - u).max() <= 1e-10 * max(np.abs(u).max(), 1.0)
+
+
 def test_ch_solve_at_extreme_surface_tension_fails_cleanly(system4):
     # tiny gamma strengthens the relative coupling; the solve either
     # converges or reports NonConvergence, never another failure mode
@@ -427,15 +479,22 @@ def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
     prev, st = random_state(o, rng), random_state(o, rng, n=1)
     J = o.monolithic_jacobian(prev, st)
     ch, elas, flow = J.blocks
-    np.testing.assert_allclose(ch.toarray(), J[:o.off_u, :o.off_u].toarray(),
-                               rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(flow.toarray(),
-                                  J[o.off_p:, o.off_p:].toarray())
-    # the (u, u) block differs only in the columns of the clamped dofs
-    free = np.setdiff1d(np.arange(2 * o.nv), o.u_bdofs)
-    uu = J[o.off_u:o.off_p, o.off_u:o.off_p].toarray()
-    np.testing.assert_allclose(elas.toarray()[:, free], uu[:, free],
-                               rtol=1e-14, atol=0)
+    assert [blk.size for blk in J.blocks] == [o.off_u, o.off_p - o.off_u,
+                                              o.ndofs - o.off_p]
+    # each block's solver inverts J's diagonal block: the CH and flow
+    # blocks on any vector
+    for blk, lo, hi in ((ch, 0, o.off_u), (flow, o.off_p, o.ndofs)):
+        b = rng.normal(size=blk.size)
+        x = blk.solver()(b)
+        assert np.linalg.norm(J[lo:hi, lo:hi] @ x - b) <= 1e-12 * np.linalg.norm(b)
+    # the (u, u) block differs only in the columns of the clamped dofs, so
+    # the two agree on vectors that are zero there
+    b = rng.normal(size=elas.size)
+    b[o.u_bdofs] = 0.0
+    x = elas.solver()(b)
+    assert np.array_equal(x[o.u_bdofs], np.zeros(len(o.u_bdofs)))
+    uu = J[o.off_u:o.off_p, o.off_u:o.off_p]
+    assert np.linalg.norm(uu @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def _check_kept_factors_keep_the_direct_paths_counts(n, xi, monkeypatch,
@@ -520,7 +579,7 @@ def test_kept_factors_start_at_the_measured_crossover(splu_specs):
         _, stats = system.splitting_step(system.initial_state(), SolverConfig())
         solves = sum(stats.inner_newton) + 2 * stats.outer_iters
         for layout in (system._ch_layout[1], system._elasticity_layout,
-                       system._flow_layout[1]):
+                       system._flux_layout):
             assert layout.keep_factor == keeps
             assert (layout.kept is not None) == keeps
         if keeps:
@@ -546,30 +605,57 @@ def test_jacobians_with_blocks_keep_no_direct_factor(monkeypatch, splu_specs):
     assert o._monolithic_layout.kept is None
 
 
-def _one_step(mesh, params, state0, strategy, threshold):
-    """(final state or None, stats) of one step, with KEEP_FACTOR_MIN_DOFS
-    and KRYLOV_MIN_ROWS at `threshold`; a failed step must name its cause."""
+def _two_steps(mesh, params, state0, strategy, threshold):
+    """(final state or None, stats, cause) of two steps, with
+    KEEP_FACTOR_MIN_DOFS and KRYLOV_MIN_ROWS at `threshold`.  A failed
+    run must name its cause; a run that converges must meet every linear
+    solve's contract."""
+    failures = []
+
+    def counted(A, b):
+        try:
+            return solve_linear(A, b)
+        except LinearSolveFailure as exc:
+            failures.append(exc)
+            raise
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "KEEP_FACTOR_MIN_DOFS", threshold)
         mp.setattr(solvers, "KRYLOV_MIN_ROWS", threshold)
+        mp.setattr(solvers, "solve_linear", counted)
         system = ChbSystem(mesh, params)
-        cfg = SolverConfig(strategy=strategy, num_steps=1)
+        cfg = SolverConfig(strategy=strategy, num_steps=2)
         try:
             state, stats = advance_simulation(system, state0, cfg)
         except SimulationFailed as exc:
             assert isinstance(exc.cause, (NonConvergence, LinearSolveFailure))
-            return None, exc.stats[-1]
-    return state, stats[-1]
+            return None, exc.stats, exc.cause
+    assert failures == []
+    return state, stats, None
+
+
+def _counts(stats):
+    return [(s.outer_iters, s.newton_total) for s in stats]
+
+
+# A monolithic step that takes more Newton iterations than this has left
+# Newton's local regime, and roundoff decides whether it converges: at
+# n=9 and xi near -2.4, the direct path converged in 55 and 65
+# iterations where the fast paths diverged, and the other way round.
+WANDERING_NEWTON = 20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(4, 8), xi=st.floats(-2.5, 2.5),
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 10), xi=st.floats(-2.5, 2.5),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=6, xi=8.0, seed=0)   # each strategy stops on both paths
+# the first monolithic step wanders: 55 iterations on the direct path
+@example(n=9, xi=-2.4999999999999996, seed=12130)
 def test_fast_paths_agree_with_the_direct_path(n, xi, seed):
-    # every fast path (kept factors with refinement, block GMRES) against
-    # none of them, from a seeded perturbation of the half-domain split
+    # every fast path (kept factors with refinement, increment solves,
+    # block GMRES) against none of them, over two steps from a seeded
+    # perturbation of the half-domain split
     mesh = build_unit_square_mesh(n)
     params = MaterialParams(xi=xi)
     system = ChbSystem(mesh, params)
@@ -577,17 +663,30 @@ def test_fast_paths_agree_with_the_direct_path(n, xi, seed):
     noise = np.random.default_rng(seed).uniform(-0.05, 0.05, system.nv)
     state0.phi = np.clip(state0.phi + noise, 0.0, 1.0)
     for strategy in ("splitting", "monolithic"):
-        (fast, fast_stats), (direct, direct_stats) = (
-            _one_step(mesh, params, state0, strategy, threshold)
+        (fast, fast_stats, fast_cause), (direct, direct_stats, direct_cause) = (
+            _two_steps(mesh, params, state0, strategy, threshold)
             for threshold in (0, system.ndofs + 1))
+        if fast is None and direct is None:
+            event(f"{strategy} stops on both paths: "
+                  f"{type(fast_cause).__name__}, {type(direct_cause).__name__}")
+            continue
         if fast is None or direct is None:
-            assert fast is None and direct is None, strategy
+            # only a monolithic step that wandered may stop on one path
+            # alone, and never on a linear breakdown
+            stopped, cause, done = ((fast_stats, fast_cause, direct_stats)
+                                    if fast is None else
+                                    (direct_stats, direct_cause, fast_stats))
+            step = len(stopped) - 1
+            assert (strategy == "monolithic"
+                    and isinstance(cause, NonConvergence)
+                    and done[step].newton_iters > WANDERING_NEWTON), (
+                strategy, cause, _counts(stopped), _counts(done))
+            event("monolithic step wandered and stopped on one path")
             continue
         for field in ("phi", "u", "p"):
             assert np.max(np.abs(getattr(fast, field)
                                  - getattr(direct, field))) <= 1e-6
-        if ((fast_stats.outer_iters, fast_stats.newton_total)
-                != (direct_stats.outer_iters, direct_stats.newton_total)):
+        if _counts(fast_stats) != _counts(direct_stats):
             event(f"{strategy} iteration counts differ")
 
 
@@ -597,7 +696,7 @@ def test_kept_factors_go_with_the_run(monkeypatch):
     monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
     system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
     layouts = (lambda: system._ch_layout[1], lambda: system._elasticity_layout,
-               lambda: system._flow_layout[1])
+               lambda: system._flux_layout)
     refs, monolithic_steps = [], []
 
     def splitting_step(_state, _stats):
@@ -789,6 +888,17 @@ def reference_flow_matrix(o, phi):
                     [-o.BdivT, Mq]], format="csr")
 
 
+def reference_flux_matrix(o, phi):
+    """The flux Schur complement, its cell blocks summed as COO triplets."""
+    dinv = o.phase_integrals(phi).dinv
+    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
+                                    rt0_basis(o.mesh, o.lam), o.params)
+    d = o._div_elem
+    s_elem = mq_elem + (o.params.tau / dinv)[:, None, None] * (
+        d.transpose(0, 2, 1) * d)
+    return _coo(s_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
+
+
 def reference_monolithic_jacobian(o, st):
     pa = o.params
     phi_q = o.phi_at_qp(st.phi)
@@ -879,12 +989,12 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         assert np.array_equal(A_kept.indices, A_ref.indices)
         np.testing.assert_allclose(A_kept.data, A_ref.data, rtol=1e-13, atol=0)
         assert np.array_equal(b_el, b_ref)
-        assert_same_csr(A_fl, reference_flow_matrix(o, st.phi))
-        abar = o.phase_integrals(st.phi).abar
+        assert_same_csr(A_fl, reference_flux_matrix(o, st.phi))
+        phase = o.phase_integrals(st.phi)
         strain = o.strain_per_cell(st.u)
         divu = strain[:, 0] + strain[:, 1]
-        assert np.array_equal(b_fl[:o.nc], o.storage_coefficient(prev) - abar * divu)
-        assert np.array_equal(b_fl[o.nc:], np.zeros(o.ne))
+        f = o.storage_coefficient(prev) - phase.abar * divu
+        assert np.array_equal(b_fl, o.BdivT @ (f / phase.dinv))
 
 
 def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
@@ -928,7 +1038,7 @@ def test_every_solve_gets_its_systems_one_layout(monkeypatch):
     def checked(A, b):
         layout = {"ch": system._ch_layout[1],
                   "elas": system._elasticity_layout,
-                  "flow": system._flow_layout[1],
+                  "flow": system._flux_layout,
                   "mono": system._monolithic_layout}[within[-1]]
         assert np.array_equal(A.indptr, layout.indptr)
         assert np.array_equal(A.indices, layout.indices)
