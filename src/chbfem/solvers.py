@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 from . import _kernels as kn
 from .fem import default_rule, rt0_basis
-from .linalg import (Block, CsrPattern, LinearSolveFailure, factored_block,
-                     solve_linear)
+from .linalg import (SOLVE_RTOL, Block, CsrPattern, LinearSolveFailure,
+                     factored_block, solve_linear)
 from .mesh import StructuredTriMesh
 from .model import (VOIGT_ID, MaterialParams, Phase, Pointwise, check_fields,
                     choice, integer, real)
@@ -146,9 +146,7 @@ def _newton_solve(J, rhs, it):
 
 
 def _solve_from(A, b, start):
-    """solve_linear(A, b), for the increment from `start` when given."""
-    if start is None:
-        return solve_linear(A, b)
+    """solve_linear(A, b), solved for the increment from `start`."""
     return start + solve_linear(A, b - A @ start)
 
 
@@ -221,12 +219,15 @@ class ChbSystem:
     The flow system's pressure block is diagonal, so the pressure is
     eliminated exactly: the flux solves the flux Schur complement
     S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv, which is SPD and keeps Mq's
-    pattern, and the pressure follows from the flux.  In the splitting,
-    elasticity and S are solved for the increment from the previous
-    outer iterate, so refinement against a kept factor starts there.  A
-    monolithic Jacobian of at least KRYLOV_MIN_ROWS rows carries its
-    three diagonal blocks as ``blocks``, for block GMRES: factors of the
-    CH and elasticity matrices, and the flow block solved through S.
+    pattern, and the pressure follows from the flux.  solve_flow checks
+    that (p, q) on the full flow system and solves that system directly
+    where the elimination loses the contract, as at extreme M, kappa or
+    tau.  In the splitting, elasticity and S are solved for the increment
+    from the previous outer iterate, so refinement against a kept factor
+    starts there.  A monolithic Jacobian of at least KRYLOV_MIN_ROWS rows
+    carries its three diagonal blocks as ``blocks``, for block GMRES:
+    factors of the CH and elasticity matrices, and the flow block solved
+    through S.
 
     The layouts, their orderings and factors, the constant element blocks
     and the kernels' cells-last tables are the solver workspace: built on first
@@ -535,12 +536,12 @@ class ChbSystem:
                          + np.outer(phase.s2, pa.dC @ VOIGT_ID))
         return cint, swell
 
-    def solve_elasticity(self, phi, p_fixed, phase=None, u_start=None):
+    def solve_elasticity(self, phi, p_fixed, u_start, phase=None):
         """Solve the linear elasticity subsystem at the given phase field.
 
-        phase: phase_integrals(phi), when the caller has it already.
         u_start: a displacement to solve for the increment from, zero at
         the clamped dofs.
+        phase: phase_integrals(phi), when the caller has it already.
         """
         if phase is None:
             phase = self.phase_integrals(phi)
@@ -578,23 +579,57 @@ class ChbSystem:
         phase = self.phase_integrals(state.phi)
         return phase.dinv * state.p + phase.abar * self.divu_per_cell(state.u)
 
-    def solve_flow(self, phi, u, state_prev, storage_prev=None, phase=None,
-                   q_start=None):
+    def solve_flow(self, phi, u, state_prev, q_start, storage_prev=None,
+                   phase=None):
         """Solve the mixed pressure/flux subsystem; returns (p, q).
 
+        The flux solves the flux Schur complement for the increment from
+        q_start (_flow_from_flux), and (p, q) must meet solve_linear's
+        contract on the full flow system.  Where eliminating p loses that,
+        as for a compressibility far above the flux mass's scale, or the
+        complement is singular in double precision, as for a permeability
+        or time step far above it, the full system is solved directly.
+
         phase: phase_integrals(phi), when the caller has it already.
-        q_start: a flux to solve the flux Schur complement for the
-        increment from.
         """
         if phase is None:
             phase = self.phase_integrals(phi)
         mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
         if storage_prev is None:
             storage_prev = self.storage_coefficient(state_prev)
-        S = self._flux_matrix(phase.dinv, mq_elem)
-        return self._flow_from_flux(
-            lambda rhs: _solve_from(S, rhs, q_start), phase.dinv,
-            storage_prev - phase.abar * self.divu_per_cell(u))
+        dinv = phase.dinv
+        f = storage_prev - phase.abar * self.divu_per_cell(u)
+        S = self._flux_matrix(dinv, mq_elem)
+        try:
+            p, q = self._flow_from_flux(
+                lambda rhs: _solve_from(S, rhs, q_start), dinv, f)
+        except LinearSolveFailure:
+            pass   # the full system below decides
+        else:
+            if (self._flow_residual_norm(dinv, mq_elem, f, p, q)
+                    <= SOLVE_RTOL * max(np.linalg.norm(f), 1.0)):
+                return p, q
+        x = solve_linear(self._flow_matrix(dinv, mq_elem),
+                         np.append(f, np.zeros(self.ne)))
+        return x[:self.nc], x[self.nc:]
+
+    def _flow_residual_norm(self, dinv, mq_elem, f, p, q) -> float:
+        """||(f, 0) - [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]] (p, q)||, Mq
+        applied by its element blocks; not finite where p or q is not."""
+        mq_q = _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[self.qdofs]),
+                               self.qdofs, self.ne)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.hypot(
+                np.linalg.norm(f - dinv * p - self.params.tau * (self.Bdiv @ q)),
+                np.linalg.norm(self.BdivT @ p - mq_q)))
+
+    def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
+        """The full flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]],
+        solved only where the condensed solve fails."""
+        layout = self._flux_layout
+        return sp.bmat([[sp.diags(dinv), self.params.tau * self.Bdiv],
+                        [-self.BdivT, layout.matrix(layout.sum(mq_elem.ravel()))]],
+                       format="csr")
 
     def _flow_from_flux(self, solve_flux, dinv, f, g=None):
         """(p, q) that solve the flow system
@@ -681,11 +716,10 @@ class ChbSystem:
             # first Cahn-Hilliard iterate, which starts at phi_n
             phase = self.phase_integrals(phi_n)
             try:
-                u_n = self.solve_elasticity(phi_n, p_o, phase=phase,
-                                            u_start=u_o)
-                p_n, q_n = self.solve_flow(phi_n, u_n, state_prev,
+                u_n = self.solve_elasticity(phi_n, p_o, u_o, phase=phase)
+                p_n, q_n = self.solve_flow(phi_n, u_n, state_prev, q_o,
                                            storage_prev=storage_prev,
-                                           phase=phase, q_start=q_o)
+                                           phase=phase)
             except LinearSolveFailure as exc:
                 exc.iterations, exc.inner_newton = it - 1, tuple(inner)
                 raise

@@ -556,8 +556,8 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_solver_fault_exit_code(tmp_path, monkeypatch):
-    def boom(self, phi, u, state_prev, storage_prev=None, phase=None,
-             q_start=None):
+    def boom(self, phi, u, state_prev, q_start, storage_prev=None,
+             phase=None):
         raise LinearSolveFailure("synthetic breakdown")
 
     monkeypatch.setattr(ChbSystem, "solve_flow", boom)

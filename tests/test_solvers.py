@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import time
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -140,7 +141,8 @@ def test_stiffness_path_is_the_one_einsum_picks(n):
 
 def test_elasticity_zero_load(system4):
     phi = np.full(system4.nv, 0.5)
-    u = system4.solve_elasticity(phi, np.zeros(system4.nc))
+    u = system4.solve_elasticity(phi, np.zeros(system4.nc),
+                                 np.zeros(2 * system4.nv))
     assert np.abs(u).max() <= 1e-14
 
 
@@ -148,7 +150,7 @@ def test_elasticity_residual_and_boundary(system4):
     rng = np.random.default_rng(34)
     phi = rng.uniform(0.0, 1.0, system4.nv)
     p = rng.normal(0.0, 0.5, system4.nc)
-    u = system4.solve_elasticity(phi, p)
+    u = system4.solve_elasticity(phi, p, np.zeros(2 * system4.nv))
     assert np.abs(u[system4.u_bdofs]).max() == 0.0
     # residual of the unconstrained equations at the solution
     phase = system4.phase_integrals(phi)
@@ -173,7 +175,7 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
     params = MaterialParams(C1=MaterialParams().C0.copy())
     system = ChbSystem(mesh, params)
     phi = mesh.vertices[:, 0].copy()
-    u = system.solve_elasticity(phi, np.zeros(system.nc))
+    u = system.solve_elasticity(phi, np.zeros(system.nc), np.zeros(2 * system.nv))
     n = mesh.n
     ux = u[0::2].reshape(n + 1, n + 1)
     uy = u[1::2].reshape(n + 1, n + 1)
@@ -184,7 +186,7 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
 
 def test_flow_zero_data(system4):
     prev = system4.initial_state(lambda x, y: 0.5)
-    p, q = system4.solve_flow(prev.phi, prev.u, prev)
+    p, q = system4.solve_flow(prev.phi, prev.u, prev, np.zeros(system4.ne))
     assert np.abs(p).max() <= 1e-14
     assert np.abs(q).max() <= 1e-14
 
@@ -194,7 +196,7 @@ def test_flow_elementwise_residual_and_global_mass(system4):
     prev = random_state(system4, rng)
     phi = rng.uniform(0.1, 0.9, system4.nv)
     u = rng.normal(0.0, 0.01, 2 * system4.nv)
-    p, q = system4.solve_flow(phi, u, prev)
+    p, q = system4.solve_flow(phi, u, prev, np.zeros(system4.ne))
     state = FieldState(phi, prev.mu, u, p, q, n=1)
     cell_res = system4.flow_cell_residual(prev, state)
     assert np.abs(cell_res).max() <= 1e-10
@@ -219,7 +221,7 @@ def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
     assert np.allclose(J[o.off_p:, o.off_p:], flow, atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [4, 8, 16])
 @pytest.mark.parametrize("phi_range", [(0.15, 0.85), (-0.4, 1.4)],
                          ids=["inside", "beyond_unit_interval"])
 def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
@@ -233,8 +235,8 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
     rhs = np.concatenate([o.storage_coefficient(prev)
                           - phase.abar * o.divu_per_cell(st.u), np.zeros(o.ne)])
     # from zero and for the increment from a flux far from the solution
-    for q_start in (None, rng.normal(0.0, 1.0, o.ne)):
-        p, q = o.solve_flow(st.phi, st.u, prev, q_start=q_start)
+    for q_start in (np.zeros(o.ne), rng.normal(0.0, 1.0, o.ne)):
+        p, q = o.solve_flow(st.phi, st.u, prev, q_start)
         residual = np.linalg.norm(rhs - A @ np.concatenate([p, q]))
         assert residual <= linalg.SOLVE_RTOL * max(np.linalg.norm(rhs), 1.0)
         state = FieldState(st.phi, st.mu, st.u, p, q, n=1)
@@ -258,14 +260,45 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
     assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("scales", [
+    # eliminating p misses the contract: S's right-hand side grows with M
+    dict(M0=1e12, M1=1e11),
+    # S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv is singular in double
+    # precision: its second term, of rank nc < ne, swamps Mq
+    dict(M0=1e20, M1=1e19), dict(kappa0=1e20, kappa1=1e19), dict(tau=1e20)],
+    ids=["large_M", "largest_M", "large_kappa", "large_tau"])
+def test_flow_at_extreme_scales_solves_the_full_flow_system(n, scales):
+    o = ChbSystem(build_unit_square_mesh(n), MaterialParams(xi=2.0, **scales))
+    rng = np.random.default_rng(60 + n)
+    prev = random_state(o, rng)
+    st = random_state(o, rng, n=1)
+    A = reference_flow_matrix(o, st.phi)
+    phase = o.phase_integrals(st.phi)
+    f = o.storage_coefficient(prev) - phase.abar * o.divu_per_cell(st.u)
+    rhs = np.concatenate([f, np.zeros(o.ne)])
+    bound = linalg.SOLVE_RTOL * max(np.linalg.norm(rhs), 1.0)
+    # the condensed solve alone misses the full system's contract here
+    mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
+    S = o._flux_matrix(phase.dinv, mq_elem)
+    try:
+        p, q = o._flow_from_flux(partial(solve_linear, S), phase.dinv, f)
+        assert np.linalg.norm(rhs - A @ np.concatenate([p, q])) > bound
+    except LinearSolveFailure:
+        pass
+    # so solve_flow solves the full system
+    p, q = o.solve_flow(st.phi, st.u, prev, np.zeros(o.ne))
+    assert np.linalg.norm(rhs - A @ np.concatenate([p, q])) <= bound
+
+
 def test_elasticity_from_a_start_meets_the_contract(system4):
     rng = np.random.default_rng(36)
     phi = rng.uniform(0.0, 1.0, system4.nv)
     p = rng.normal(0.0, 0.5, system4.nc)
-    u = system4.solve_elasticity(phi, p)
+    u = system4.solve_elasticity(phi, p, np.zeros(2 * system4.nv))
     start = rng.normal(0.0, 1.0, 2 * system4.nv)
     start[system4.u_bdofs] = 0.0
-    u_inc = system4.solve_elasticity(phi, p, u_start=start)
+    u_inc = system4.solve_elasticity(phi, p, start)
     assert np.array_equal(u_inc[system4.u_bdofs], np.zeros(len(system4.u_bdofs)))
     assert np.abs(u_inc - u).max() <= 1e-10 * max(np.abs(u).max(), 1.0)
 
@@ -638,56 +671,75 @@ def _counts(stats):
     return [(s.outer_iters, s.newton_total) for s in stats]
 
 
-# A monolithic step that takes more Newton iterations than this has left
-# Newton's local regime, and roundoff decides whether it converges: at
-# n=9 and xi near -2.4, the direct path converged in 55 and 65
-# iterations where the fast paths diverged, and the other way round.
-WANDERING_NEWTON = 20
+# Up to this mesh size, the monolithic Newton iteration stays in its
+# local regime over two steps for |xi| <= 2.5 (no draw of 550 took more
+# than 20 iterations at n <= 8), so both paths converge or stop alike.
+MONOLITHIC_LOCAL_N = 8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 10), xi=st.floats(-2.5, 2.5),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=6, xi=8.0, seed=0)   # each strategy stops on both paths
-# the first monolithic step wanders: 55 iterations on the direct path
-@example(n=9, xi=-2.4999999999999996, seed=12130)
 def test_fast_paths_agree_with_the_direct_path(n, xi, seed):
     # every fast path (kept factors with refinement, increment solves,
-    # block GMRES) against none of them, over two steps from a seeded
-    # perturbation of the half-domain split
+    # block GMRES over the condensed flow block) against none of them,
+    # over two steps from a seeded perturbation of the half-domain split;
+    # beyond MONOLITHIC_LOCAL_N, test_wandering_monolithic_newton_stops_cleanly
     mesh = build_unit_square_mesh(n)
     params = MaterialParams(xi=xi)
     system = ChbSystem(mesh, params)
-    state0 = system.initial_state()
-    noise = np.random.default_rng(seed).uniform(-0.05, 0.05, system.nv)
-    state0.phi = np.clip(state0.phi + noise, 0.0, 1.0)
-    for strategy in ("splitting", "monolithic"):
+    state0 = _perturbed_split(system, seed)
+    strategies = (("splitting", "monolithic") if n <= MONOLITHIC_LOCAL_N
+                  else ("splitting",))
+    for strategy in strategies:
         (fast, fast_stats, fast_cause), (direct, direct_stats, direct_cause) = (
             _two_steps(mesh, params, state0, strategy, threshold)
             for threshold in (0, system.ndofs + 1))
-        if fast is None and direct is None:
+        if fast is None or direct is None:
+            assert fast is None and direct is None, (
+                strategy, fast_cause, direct_cause,
+                _counts(fast_stats), _counts(direct_stats))
             event(f"{strategy} stops on both paths: "
                   f"{type(fast_cause).__name__}, {type(direct_cause).__name__}")
-            continue
-        if fast is None or direct is None:
-            # only a monolithic step that wandered may stop on one path
-            # alone, and never on a linear breakdown
-            stopped, cause, done = ((fast_stats, fast_cause, direct_stats)
-                                    if fast is None else
-                                    (direct_stats, direct_cause, fast_stats))
-            step = len(stopped) - 1
-            assert (strategy == "monolithic"
-                    and isinstance(cause, NonConvergence)
-                    and done[step].newton_iters > WANDERING_NEWTON), (
-                strategy, cause, _counts(stopped), _counts(done))
-            event("monolithic step wandered and stopped on one path")
             continue
         for field in ("phi", "u", "p"):
             assert np.max(np.abs(getattr(fast, field)
                                  - getattr(direct, field))) <= 1e-6
         if _counts(fast_stats) != _counts(direct_stats):
             event(f"{strategy} iteration counts differ")
+
+
+def _perturbed_split(system, seed):
+    """The half-domain split with phi moved by a seeded uniform noise of
+    at most 0.05, clipped to [0, 1]."""
+    state0 = system.initial_state()
+    noise = np.random.default_rng(seed).uniform(-0.05, 0.05, system.nv)
+    state0.phi = np.clip(state0.phi + noise, 0.0, 1.0)
+    return state0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("xi, seed", [(-2.4999999999999996, 12130), (-2.5, 7)])
+def test_wandering_monolithic_newton_stops_cleanly(xi, seed):
+    # at n=9 and |xi| near 2.5 the first monolithic step leaves Newton's
+    # local regime on both paths, and roundoff decides whether it
+    # converges: in these draws one path converges after more than 20
+    # iterations and the other stops.  Either outcome is clean: a stop
+    # is a NonConvergence, and a run that converges meets every linear
+    # solve's contract (_two_steps)
+    mesh = build_unit_square_mesh(9)
+    params = MaterialParams(xi=xi)
+    system = ChbSystem(mesh, params)
+    state0 = _perturbed_split(system, seed)
+    for threshold in (0, system.ndofs + 1):
+        state, stats, cause = _two_steps(mesh, params, state0, "monolithic",
+                                         threshold)
+        if state is None:
+            assert isinstance(cause, NonConvergence), cause
+        else:
+            assert stats[0].newton_iters > 20, _counts(stats)
 
 
 def test_kept_factors_go_with_the_run(monkeypatch):
@@ -782,9 +834,11 @@ def test_linear_breakdown_keeps_true_iteration_counts(system4, monkeypatch,
     for k in range(1, solves + 1):
         calls = []
 
+        # every solve from the k-th of step 2 on breaks down, so that
+        # solve_flow's direct solve of the full flow system fails too
         def fails_at_k(A, b):
             calls.append(1)
-            if len(calls) == first.newton_total + 2 * first.outer_iters + k:
+            if len(calls) >= first.newton_total + 2 * first.outer_iters + k:
                 raise LinearSolveFailure("forced")
             return solve_linear(A, b)
 
@@ -967,8 +1021,9 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
     o = ChbSystem(build_unit_square_mesh(n), MaterialParams(xi=2.0))
     rng = np.random.default_rng(n)
     solved = []
+    # a real solve: solve_flow checks its answer on the full flow system
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
-        solved.append((A, b)), np.zeros(len(b)))[1])
+        solved.append((A, b)), solve_linear(A, b))[1])
     for _ in range(3):  # the first call builds the patterns, later ones fill
         prev = random_state(o, rng, *phi_range)
         st = random_state(o, rng, *phi_range, n=1)
@@ -977,8 +1032,8 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         assert_same_csr(o.monolithic_jacobian(prev, st),
                         reference_monolithic_jacobian(o, st))
         solved.clear()
-        o.solve_elasticity(st.phi, st.p)
-        o.solve_flow(st.phi, st.u, prev)
+        o.solve_elasticity(st.phi, st.p, np.zeros(2 * o.nv))
+        o.solve_flow(st.phi, st.u, prev, np.zeros(o.ne))
         (A_el, b_el), (A_fl, b_fl) = solved
         assert_same_csr(A_el, reference_elasticity_matrix(o, st.phi))
         # apply_dirichlet sums the full triplet list, in another order
@@ -1003,7 +1058,8 @@ def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
     solved = []
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
         solved.append(A), np.zeros(len(b)))[1])
-    system4.solve_elasticity(np.full(system4.nv, 0.5), np.zeros(system4.nc))
+    system4.solve_elasticity(np.full(system4.nv, 0.5), np.zeros(system4.nc),
+                             np.zeros(2 * system4.nv))
     A, layout, fixed = solved[0], system4._elasticity_layout, system4.u_bdofs
     assert np.array_equal(A.indptr, layout.indptr)
     assert np.array_equal(A.indices, layout.indices)
