@@ -15,6 +15,10 @@ integrated stiffness, Biot-Willis coefficient and swelling load.  Symmetric
 (s_xx, s_yy, s_xy), so the double contraction of a strain-type vector
 with a stress-type vector is a plain dot product.
 
+A Phase starts the cube of its double well on a helper thread, one for
+the whole process, as soon as it is built; well_prime waits for it.  The
+solver assembles a Jacobian meanwhile, so a run uses two threads.
+
 Each law performs the operations of its twin in tests/reference_kernels.py
 in the same order, as the kernels' bit-exact contract asks (see
 chbfem._kernels): products left to right in the operand order of the
@@ -28,8 +32,11 @@ and the experiment config share.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -211,18 +218,37 @@ def pi_double_prime(phi):
     return pi_laws(phi)[2]
 
 
+def _start_helper():
+    """The one thread that computes each Phase's double-well cube (see
+    Phase.well_prime); its thread starts with the first Phase."""
+    global _helper
+    _helper = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="chbfem-cube")
+
+
+_start_helper()
+# a forked child inherits the executor but not its thread, and would wait
+# forever on its first cube
+os.register_at_fork(after_in_child=_start_helper)
+
+
 class Phase:
     """The laws of phi alone at the quadrature points, cells last.
 
     phi_q is phi at the quadrature points, (nc, nqp), as
     ChbSystem.phi_at_qp returns it; every value is (nqp, nc).  A value
     that several kernels read is computed on first use and kept; a
-    kernel's integrand is computed when that kernel reads it.
+    kernel's integrand is computed when that kernel reads it.  The cube
+    of well_prime starts at once, on the helper thread.
     """
 
     def __init__(self, phi_q, params: MaterialParams):
         self.phi = phi_q.T.copy()
         self.params = params
+        # numpy keeps its error state (np.errstate) in a context variable,
+        # which the helper sees only in a copy of the caller's context
+        self._cube = _helper.submit(contextvars.copy_context().run,
+                                    np.power, self.shifted, 3)
 
     @cached_property
     def pi(self):
@@ -262,14 +288,20 @@ class Phase:
         return pa.kappa0 + self.pi[0] * (pa.kappa1 - pa.kappa0)
 
     # Numpy's vectorized power sends every lane with a negative base down
-    # a slow scalar path, about 0.26 ms of each Cahn-Hilliard iterate at
-    # n=16, but neither s * s * s nor a power of |s| with the sign copied
-    # back gives the bits of ** 3 in every lane.
+    # a slow scalar path, about 0.14 ms of each Cahn-Hilliard iterate at
+    # n=16 and 2.7 ms at n=65, but neither s * s * s nor a power of |s|
+    # with the sign copied back gives the bits of ** 3 in every lane, and
+    # the kernels are held to those bits.  The power releases the
+    # interpreter lock, so it runs on the helper thread while the caller
+    # assembles the Jacobian (see ChbSystem.ch_residual_and_jacobian).
+    # Once the kernels are held to a few ulps and the benchmark no longer
+    # pins roundoff (ROADMAP items 3 and 1), s * s * s replaces both the
+    # power and the helper.
     @property
     def well_prime(self):
         """(gamma/ell) psi_c'(phi) = (gamma/ell) 4 (phi - 1/2)^3."""
         pa = self.params
-        return (pa.gamma / pa.ell) * 4.0 * self.shifted ** 3
+        return (pa.gamma / pa.ell) * 4.0 * self._cube.result()
 
     @property
     def well_second(self):
@@ -300,7 +332,8 @@ class Phase:
 class Pointwise(Phase):
     """The laws of phi plus those of one iterate's strain and pressure.
 
-    Built from the Phase of phi, whose values computed so far it shares.
+    Built from the Phase of phi, whose values computed so far, and whose
+    cube on the helper thread, it shares.
     strain is the Voigt strain per cell, (nc, 3), and p the cellwise
     pressure, (nc,).  The energies whose phi-derivatives enter the
     chemical potential are E_el = (eps - T):C(phi)(eps - T)/2, with

@@ -437,9 +437,11 @@ class ChbSystem:
         """
         if pw is None:
             pw = self.pointwise(phi_i, u_fixed, p_fixed)
-        res = self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw,
-                               explicit)
-        return res, self._ch_matrix(kn.ch_jac(pw, self.wq_last, self.lam))
+        # the Jacobian first: the residual waits for pw's double-well cube,
+        # which the helper thread computes meanwhile (model.Phase)
+        J = self._ch_matrix(kn.ch_jac(pw, self.wq_last, self.lam))
+        return self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw,
+                                explicit), J
 
     def _ch_matrix(self, w_elem) -> sp.csr_matrix:
         """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] for the
@@ -848,8 +850,9 @@ class ChbSystem:
         norm = np.inf
         for it in range(1, config.max_iter + 1):
             at = self.monolithic_iterate(state)
-            res = self.monolithic_residual(state_prev, state, at)
+            # J first, while the helper thread computes the residual's cube
             J = self.monolithic_jacobian(state_prev, state, at)
+            res = self.monolithic_residual(state_prev, state, at)
             del at  # its pointwise arrays need not outlive the factorization
             delta = _newton_solve(J, -res, it)
             x = self.pack(state) + delta

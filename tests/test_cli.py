@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chbfem import cli
 from chbfem.cli import (CSV_HEADER, ConfigError, SimulationConfig,
@@ -276,18 +276,11 @@ def _accepted_configs(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(_accepted_configs())
-@example({"ell": 1.57e-205})   # overflowed a residual norm
-@example({"M0": 1.57e-205})    # divided 0 by 0 in the phase-field load
 @example({"ell": 1e-20, "gamma": 1e20, "xi": -1e20, "tau": 1e20,
           "C0": [[1e20, 0, 0], [0, 1e20, 0], [0, 0, 1e20]]})   # overflows a residual norm
 def test_accepted_configs_run_one_step(tmp_path_factory, data):
-    try:
-        cfg = config_from_dict(data)
-    except ConfigError:
-        # only the first two examples: the schema rejects them since it
-        # bounds every real field; every drawn config is accepted
-        assume(False)
-    cfg = dataclasses.replace(cfg, n=4, num_steps=1, vtk_every=0,
+    cfg = dataclasses.replace(config_from_dict(data), n=4, num_steps=1,
+                              vtk_every=0,
                               out_dir=str(tmp_path_factory.mktemp("run")))
     records = run_experiment(cfg)
     _, values = cfg.sweep_plan()

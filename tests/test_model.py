@@ -1,7 +1,12 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
 from chbfem import model
+from chbfem.fem import default_rule
 from chbfem.model import MaterialParams
 
 
@@ -138,6 +143,55 @@ def test_psi_split_values():
     assert ph.well_prime[0, 2] == pytest.approx(0.5, abs=1e-15)
     assert ph.shifted[0, 2] == pytest.approx(0.5, abs=1e-15)
     assert ph.well_second[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 16, 65])
+def test_well_prime_has_the_bits_of_the_inline_power(n):
+    # phi at the quadrature points of the n x n mesh, as phi_at_qp gives it
+    shape = (2 * n * n, len(default_rule().weights))
+    phi_q = np.random.default_rng(n).uniform(-0.3, 1.3, shape)
+    phi_q.flat[:4] = [-0.0, 0.0, 0.5, 1.0]
+    pa = MaterialParams()
+    got = model.Phase(phi_q, pa).well_prime
+    want = (pa.gamma / pa.ell) * 4.0 * (phi_q.T - 0.5) ** 3
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_the_cube_runs_on_another_thread(monkeypatch):
+    threads = []
+    power = np.power
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return power(*args)
+
+    monkeypatch.setattr(np, "power", spy)
+    laws([0.2, 0.7]).well_prime
+    assert threads and threading.get_ident() not in threads
+
+
+def test_the_cube_keeps_the_callers_error_state():
+    with np.errstate(over="raise"):
+        ph = laws([1e103, -1e103])
+        with pytest.raises(FloatingPointError):
+            ph.well_prime
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_computes_the_cube():
+    laws(0.2).well_prime   # the helper thread runs in the parent
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(10)   # a child left without a helper waits forever
+            laws(0.7).well_prime
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_swelling_tensor():
