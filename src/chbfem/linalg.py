@@ -83,11 +83,11 @@ REFINE_MAX_STEPS = 6
 
 
 class LinearSolveFailure(Exception):
-    """Factorization breakdown or a solve that missed the residual contract."""
+    """Factorization breakdown or a solve that missed the residual contract.
 
-    # set by the nonlinear solver it stops, as on a NonConvergence
-    iterations = 0
-    inner_newton = ()
+    It says what broke down, and nothing of the iteration whose solve it
+    stops.
+    """
 
 
 class CsrPattern:

@@ -14,12 +14,17 @@ Unknown ordering in the monolithic system is (phi, mu, u, p, q) with dofs
 in mesh entity order inside each block (u interleaved per vertex).
 Stopping criteria use the absolute l2 norm of the stacked dof increment
 for both strategies, so iteration counts are directly comparable.
+
+advance_simulation gives each step an IterationStats record, and the step
+counts its iterations there as it makes them.  So a step that fails
+leaves true counts, whichever way it stops, and the exceptions it raises
+carry none.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -66,20 +71,20 @@ MONOLITHIC_BLOCKS = (
 
 
 class NonConvergence(Exception):
-    """A nonlinear iteration hit max_iter or diverged; carries diagnostics."""
+    """A nonlinear iteration hit max_iter or diverged.
 
-    def __init__(self, message, iterations=0, last_update_norm=np.inf,
-                 diverged=False, inner_newton=(), state=None):
+    Its iteration counts are in the step's IterationStats.
+    """
+
+    def __init__(self, message, last_update_norm=np.inf, diverged=False):
         super().__init__(message)
-        self.iterations = iterations
         self.last_update_norm = last_update_norm
         self.diverged = diverged
-        self.inner_newton = tuple(inner_newton)
-        self.state = state
 
 
 class SimulationFailed(Exception):
-    """A time step failed; carries the per-step stats gathered so far."""
+    """A time step failed; carries the IterationStats of every step so
+    far, the failed one last, and the exception that stopped it (cause)."""
 
     def __init__(self, step_index, stats, cause):
         super().__init__(f"simulation failed at step {step_index}: {cause}")
@@ -99,14 +104,15 @@ class FieldState:
     q: np.ndarray
     n: int = 0
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.phi.copy(), self.mu.copy(), self.u.copy(),
-                          self.p.copy(), self.q.copy(), self.n)
-
 
 @dataclass
 class IterationStats:
-    """Per-time-step iteration record."""
+    """Per-time-step iteration record.
+
+    A Newton iterate counts from its start, so the one that fails counts
+    too; an outer iteration counts once its three subsystem solves are
+    done.
+    """
 
     step: int
     outer_iters: int = 0                       # 0 for the monolithic strategy
@@ -134,15 +140,6 @@ class SolverConfig:
 def _scatter_vector(elem, dofs, n):
     """Sum element vectors into a global one; adds in ravel order from 0.0."""
     return np.bincount(dofs.ravel(), weights=elem.ravel(), minlength=n)
-
-
-def _newton_solve(J, rhs, it):
-    """solve_linear at Newton iteration `it`, which a failure records."""
-    try:
-        return solve_linear(J, rhs)
-    except LinearSolveFailure as exc:
-        exc.iterations = it
-        raise
 
 
 def _solve_from(A, b, start):
@@ -480,39 +477,40 @@ class ChbSystem:
                                 & (pattern.indices < self.nv))
         return image, mu_phi, k_mu_phi
 
-    def solve_ch_subsystem(self, state_prev, u_fixed, p_fixed, config,
-                           phi_init=None, mu_init=None, values=None):
-        """Newton iteration on the (phi, mu) block; returns (phi, mu, iters).
+    def solve_ch_subsystem(self, state_prev, u_fixed, p_fixed, config, phi,
+                           mu, values, stats: IterationStats):
+        """Newton iteration on the (phi, mu) block from the start (phi, mu);
+        returns the new (phi, mu).
 
-        values: phase_values(phi_init), when the caller has it.
+        values: phase_values(phi), or None.  Appends its Newton count to
+        stats.inner_newton and keeps it current.
         """
-        phi = (state_prev.phi if phi_init is None else phi_init).copy()
-        mu = (state_prev.mu if mu_init is None else mu_init).copy()
         # fixed over the Newton iteration
         strain = self.strain_per_cell(u_fixed)
         p_cell = np.ascontiguousarray(p_fixed)
         explicit = self.ch_explicit_load(state_prev)
+        done = stats.inner_newton
         norm = np.inf
         for it in range(1, config.max_iter + 1):
+            stats.inner_newton = (*done, it)
             if values is None:
                 values = self.phase_values(phi)
             res, J = self.ch_residual_and_jacobian(
                 state_prev, phi, mu, u_fixed, p_fixed,
                 pw=Pointwise(values, strain, p_cell), explicit=explicit)
             values = None  # phi moves below
-            delta = _newton_solve(J, -res, it)
-            phi += delta[:self.nv]
-            mu += delta[self.nv:]
+            delta = solve_linear(J, -res)
+            phi = phi + delta[:self.nv]
+            mu = mu + delta[self.nv:]
             norm = float(np.linalg.norm(delta))
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
                 raise NonConvergence("phase-field Newton diverged",
-                                     iterations=it, last_update_norm=norm,
-                                     diverged=True)
+                                     last_update_norm=norm, diverged=True)
             if norm < config.tol:
-                return phi, mu, it
+                return phi, mu
         raise NonConvergence(
             f"phase-field Newton did not converge in {config.max_iter} iterations",
-            iterations=config.max_iter, last_update_norm=norm)
+            last_update_norm=norm)
 
     # -- elasticity subsystem ----------------------------------------------
 
@@ -538,15 +536,13 @@ class ChbSystem:
                          + np.outer(phase.s2, pa.dC @ VOIGT_ID))
         return cint, swell
 
-    def solve_elasticity(self, phi, p_fixed, u_start, phase=None):
-        """Solve the linear elasticity subsystem at the given phase field.
+    def solve_elasticity(self, phase: PhaseIntegrals, p_fixed, u_start):
+        """Solve the linear elasticity subsystem at the phase field of
+        `phase` (phase_integrals(phi)).
 
         u_start: a displacement to solve for the increment from, zero at
         the clamped dofs.
-        phase: phase_integrals(phi), when the caller has it already.
         """
-        if phase is None:
-            phase = self.phase_integrals(phi)
         cint, swell = self._elasticity_data(phase)
         a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
                            optimize=STIFFNESS_PATH)
@@ -581,9 +577,9 @@ class ChbSystem:
         phase = self.phase_integrals(state.phi)
         return phase.dinv * state.p + phase.abar * self.divu_per_cell(state.u)
 
-    def solve_flow(self, phi, u, state_prev, q_start, storage_prev=None,
-                   phase=None):
-        """Solve the mixed pressure/flux subsystem; returns (p, q).
+    def solve_flow(self, phase: PhaseIntegrals, u, q_start, storage_prev):
+        """Solve the mixed pressure/flux subsystem at the phase field of
+        `phase` (phase_integrals(phi)); returns (p, q).
 
         The flux solves the flux Schur complement for the increment from
         q_start (_flow_from_flux), and (p, q) must meet solve_linear's
@@ -592,13 +588,9 @@ class ChbSystem:
         complement is singular in double precision, as for a permeability
         or time step far above it, the full system is solved directly.
 
-        phase: phase_integrals(phi), when the caller has it already.
+        storage_prev: storage_coefficient of the previous time step.
         """
-        if phase is None:
-            phase = self.phase_integrals(phi)
         mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
-        if storage_prev is None:
-            storage_prev = self.storage_coefficient(state_prev)
         dinv = phase.dinv
         f = storage_prev - phase.abar * self.divu_per_cell(u)
         S = self._flux_matrix(dinv, mq_elem)
@@ -684,67 +676,43 @@ class ChbSystem:
 
     # -- splitting strategy ---------------------------------------------------
 
-    def splitting_step(self, state_prev: FieldState, config: SolverConfig):
+    def splitting_step(self, state_prev: FieldState, config: SolverConfig,
+                       stats: IterationStats) -> FieldState:
         """One time step of the iterative splitting scheme.
 
         Solves phase-field -> elasticity -> flow by forward substitution
         and repeats until the stacked (phi, mu, u, p) increment falls
-        below tolerance.  No stabilization term is added.
+        below tolerance.  No stabilization term is added.  Counts its
+        outer and CH Newton iterations in stats.
         """
-        t0 = time.perf_counter()
-        phi_o, mu_o = state_prev.phi.copy(), state_prev.mu.copy()
-        u_o, p_o = state_prev.u.copy(), state_prev.p.copy()
-        q_o = state_prev.q.copy()
+        phi_o, mu_o = state_prev.phi, state_prev.mu
+        u_o, p_o, q_o = state_prev.u, state_prev.p, state_prev.q
         storage_prev = self.storage_coefficient(state_prev)
-        inner = []
         norm = np.inf
         phase = None
         for it in range(1, config.max_iter + 1):
-            try:
-                phi_n, mu_n, nit = self.solve_ch_subsystem(
-                    state_prev, u_o, p_o, config, phi_init=phi_o, mu_init=mu_o,
-                    values=None if phase is None else phase.values)
-            except NonConvergence as exc:
-                raise NonConvergence(
-                    f"splitting step failed in the phase-field solve: {exc}",
-                    iterations=it - 1, last_update_norm=exc.last_update_norm,
-                    diverged=exc.diverged,
-                    inner_newton=inner + [exc.iterations]) from exc
-            except LinearSolveFailure as exc:
-                exc.iterations, exc.inner_newton = it - 1, (*inner, exc.iterations)
-                raise
-            inner.append(nit)
+            phi_n, mu_n = self.solve_ch_subsystem(
+                state_prev, u_o, p_o, config, phi_o, mu_o,
+                None if phase is None else phase.values, stats)
             # shared by both subsystems and the next outer iteration's
             # first Cahn-Hilliard iterate, which starts at phi_n
             phase = self.phase_integrals(phi_n)
-            try:
-                u_n = self.solve_elasticity(phi_n, p_o, u_o, phase=phase)
-                p_n, q_n = self.solve_flow(phi_n, u_n, state_prev, q_o,
-                                           storage_prev=storage_prev,
-                                           phase=phase)
-            except LinearSolveFailure as exc:
-                exc.iterations, exc.inner_newton = it - 1, tuple(inner)
-                raise
+            u_n = self.solve_elasticity(phase, p_o, u_o)
+            p_n, q_n = self.solve_flow(phase, u_n, q_o, storage_prev)
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
                                  + np.linalg.norm(mu_n - mu_o) ** 2
                                  + np.linalg.norm(u_n - u_o) ** 2
                                  + np.linalg.norm(p_n - p_o) ** 2))
             phi_o, mu_o, u_o, p_o, q_o = phi_n, mu_n, u_n, p_n, q_n
+            stats.outer_iters = it
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
                 raise NonConvergence("splitting outer iteration diverged",
-                                     iterations=it, last_update_norm=norm,
-                                     diverged=True, inner_newton=inner)
+                                     last_update_norm=norm, diverged=True)
             if norm < config.tol:
-                stats = IterationStats(step=state_prev.n + 1, outer_iters=it,
-                                       inner_newton=tuple(inner), converged=True,
-                                       wall_seconds=time.perf_counter() - t0)
-                return FieldState(phi_o, mu_o, u_o, p_o, q_o,
-                                  n=state_prev.n + 1), stats
+                return FieldState(phi_o, mu_o, u_o, p_o, q_o, n=state_prev.n + 1)
         raise NonConvergence(
             f"splitting did not converge in {config.max_iter} outer iterations",
-            iterations=config.max_iter, last_update_norm=norm,
-            inner_newton=inner,
-            state=FieldState(phi_o, mu_o, u_o, p_o, q_o, n=state_prev.n + 1))
+            last_update_norm=norm)
 
     # -- monolithic strategy ----------------------------------------------
 
@@ -842,71 +810,66 @@ class ChbSystem:
             rows, cols, (self.off_u + self.u_bdofs).astype(np.int32),
             (self.ndofs, self.ndofs), keep_factor=self._keeps_factors)
 
-    def monolithic_step(self, state_prev: FieldState, config: SolverConfig):
-        """One time step of plain Newton on the full coupled system."""
-        t0 = time.perf_counter()
-        state = state_prev.copy()
-        state.n = state_prev.n + 1
+    def monolithic_step(self, state_prev: FieldState, config: SolverConfig,
+                        stats: IterationStats) -> FieldState:
+        """One time step of plain Newton on the full coupled system.
+
+        Counts its Newton iterations in stats.
+        """
+        state = replace(state_prev, n=state_prev.n + 1)
         norm = np.inf
         for it in range(1, config.max_iter + 1):
+            stats.newton_iters = it
             at = self.monolithic_iterate(state)
             # J first, while the helper thread computes the residual's cube
             J = self.monolithic_jacobian(state_prev, state, at)
             res = self.monolithic_residual(state_prev, state, at)
             del at  # its pointwise arrays need not outlive the factorization
-            delta = _newton_solve(J, -res, it)
+            delta = solve_linear(J, -res)
             x = self.pack(state) + delta
             state = self.unpack(x, state.n)
             norm = float(np.linalg.norm(delta))
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
                 raise NonConvergence("monolithic Newton diverged",
-                                     iterations=it, last_update_norm=norm,
-                                     diverged=True, state=state)
+                                     last_update_norm=norm, diverged=True)
             if norm < config.tol:
-                stats = IterationStats(step=state.n, newton_iters=it,
-                                       converged=True,
-                                       wall_seconds=time.perf_counter() - t0)
-                return state, stats
+                return state
         raise NonConvergence(
             f"monolithic Newton did not converge in {config.max_iter} iterations",
-            iterations=config.max_iter, last_update_norm=norm, state=state)
-
-    def step(self, state_prev: FieldState, config: SolverConfig):
-        if config.strategy == "monolithic":
-            return self.monolithic_step(state_prev, config)
-        return self.splitting_step(state_prev, config)
+            last_update_norm=norm)
 
 
 def advance_simulation(system: ChbSystem, initial_state: FieldState,
                        config: SolverConfig, on_step=None):
     """Run config.num_steps time steps from the initial state.
 
+    Each step is config.strategy's step method, which counts its
+    iterations in the IterationStats record made here; this times it.
     Returns (final_state, [IterationStats]).  A failed step aborts the
-    run and raises SimulationFailed carrying the stats gathered so far
-    (including the partial counts and the wall time of the failing step).
-    The run starts from an empty solver workspace and leaves none behind
+    run and raises SimulationFailed carrying the stats gathered so far,
+    the failed step's counts and wall time included.  The run starts
+    from an empty solver workspace and leaves none behind
     (ChbSystem.release_workspace).
     """
+    step = (system.monolithic_step if config.strategy == "monolithic"
+            else system.splitting_step)
     stats = []
     state = initial_state
     system.release_workspace()
     try:
         for _ in range(config.num_steps):
+            record = IterationStats(step=state.n + 1)
+            stats.append(record)
             t0 = time.perf_counter()
             try:
-                state, step_stats = system.step(state, config)
+                state = step(state, config, record)
+                record.converged = True
             except (NonConvergence, LinearSolveFailure) as exc:
-                split = config.strategy == "splitting"
-                failed = IterationStats(
-                    step=state.n + 1,
-                    outer_iters=exc.iterations if split else 0,
-                    inner_newton=exc.inner_newton,
-                    newton_iters=0 if split else exc.iterations,
-                    converged=False, wall_seconds=time.perf_counter() - t0)
-                raise SimulationFailed(state.n + 1, stats + [failed], exc) from exc
-            stats.append(step_stats)
+                raise SimulationFailed(record.step, stats, exc) from exc
+            finally:
+                record.wall_seconds = time.perf_counter() - t0
             if on_step is not None:
-                on_step(state, step_stats)
+                on_step(state, record)
     finally:
         system.release_workspace()
     return state, stats

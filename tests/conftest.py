@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from chbfem import MaterialParams, build_unit_square_mesh
-from chbfem.solvers import ChbSystem, FieldState
+from chbfem.solvers import ChbSystem, FieldState, IterationStats
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,13 @@ def splu_specs(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording)
     return specs
+
+
+def take_step(step, state: FieldState, config):
+    """Call a step method (ChbSystem.splitting_step or monolithic_step) on
+    a fresh IterationStats record; returns (new state, record)."""
+    stats = IterationStats(step=state.n + 1)
+    return step(state, config, stats), stats
 
 
 def random_state(system: ChbSystem, rng: np.random.Generator,

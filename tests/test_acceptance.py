@@ -16,7 +16,7 @@ from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig, advance_simulation
 
-from conftest import random_state
+from conftest import random_state, take_step
 from reference_fem import assemble_form, mass_kernel, p1_scalar
 
 TOL = 1.0e-6
@@ -220,9 +220,9 @@ def test_criterion_8_element_oracles(desk_system):
 def test_criterion_9_zero_data_fixed_point(desk_system):
     st0 = desk_system.initial_state(lambda x, y: 0.5)
     cfg = SolverConfig(strategy="splitting", tol=TOL, num_steps=1)
-    st_s, stats_s = desk_system.splitting_step(st0, cfg)
+    st_s, stats_s = take_step(desk_system.splitting_step, st0, cfg)
     cfg_m = SolverConfig(strategy="monolithic", tol=TOL, num_steps=1)
-    st_m, stats_m = desk_system.monolithic_step(st0, cfg_m)
+    st_m, stats_m = take_step(desk_system.monolithic_step, st0, cfg_m)
     drift = max(np.abs(desk_system.pack(st_s) - desk_system.pack(st0)).max(),
                 np.abs(desk_system.pack(st_m) - desk_system.pack(st0)).max())
     iters_ok = stats_s.outer_iters <= 2 and stats_m.newton_iters <= 2

@@ -2,7 +2,7 @@
 modules the solver runs on no longer hold."""
 
 import chbfem
-from chbfem import fem, linalg, mesh, model
+from chbfem import fem, linalg, mesh, model, solvers
 
 PUBLIC = {
     "ChbSystem", "ConfigError", "FieldState", "LinearSolveFailure",
@@ -28,6 +28,11 @@ DELETED_FROM_MODEL = (
     "ddivu_dphi_E_fluid",
 )
 
+# iteration counts live in the step's solvers.IterationStats, which the
+# step fills as it iterates, never on an exception
+DELETED_FROM_SOLVERS = ("_newton_solve",)
+COUNTS_ON_EXCEPTIONS = ("iterations", "inner_newton", "state")
+
 
 def test_top_level_exports_are_pinned_and_resolve():
     assert len(chbfem.__all__) == len(set(chbfem.__all__))
@@ -49,3 +54,12 @@ def test_solver_modules_hold_only_what_the_solver_runs():
         assert not hasattr(model, name), f"chbfem.model.{name}"
     assert not hasattr(mesh, "cell_geometry")
     assert not hasattr(mesh, "boundary_dofs")
+    for name in DELETED_FROM_SOLVERS:
+        assert not hasattr(solvers, name), f"chbfem.solvers.{name}"
+    # advance_simulation picks the step method from config.strategy
+    assert not hasattr(solvers.ChbSystem, "step")
+    # no step copies its start: every iterate is a new array
+    assert not hasattr(solvers.FieldState, "copy")
+    for exc in (linalg.LinearSolveFailure("x"), solvers.NonConvergence("x")):
+        for name in COUNTS_ON_EXCEPTIONS:
+            assert not hasattr(exc, name), f"{type(exc).__name__}.{name}"

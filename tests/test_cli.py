@@ -549,8 +549,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_solver_fault_exit_code(tmp_path, monkeypatch):
-    def boom(self, phi, u, state_prev, q_start, storage_prev=None,
-             phase=None):
+    def boom(self, phase, u, q_start, storage_prev):
         raise LinearSolveFailure("synthetic breakdown")
 
     monkeypatch.setattr(ChbSystem, "solve_flow", boom)

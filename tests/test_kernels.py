@@ -1,5 +1,7 @@
 """Cross-checks of the vectorized kernels against the generic assembly path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +15,7 @@ from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig
 
-from conftest import random_state
+from conftest import random_state, take_step
 from reference_fem import FieldFunction, assemble_form, p0_space, p1_scalar, rt0_space
 
 
@@ -228,10 +230,9 @@ def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):
     solves = []
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
         solves.append((A, b, solve_linear(A, b))), solves[-1][2])[1])
-    system.monolithic_step(prev, SolverConfig(strategy="monolithic"))
+    take_step(system.monolithic_step, prev, SolverConfig(strategy="monolithic"))
     assert len(solves) >= 2
-    state = prev.copy()
-    state.n = prev.n + 1
+    state = dataclasses.replace(prev, n=prev.n + 1)
     for A, b, x in solves:
         assert_same_bits(-system.monolithic_residual(prev, state), b,
                          "monolithic_residual")

@@ -22,7 +22,7 @@ from chbfem.solvers import (DIVERGENCE_LIMIT, ChbSystem, FieldState,
                             IterationStats, NonConvergence, SimulationFailed,
                             SolverConfig, advance_simulation)
 
-from conftest import random_state
+from conftest import random_state, take_step
 from reference_fem import apply_dirichlet
 
 
@@ -141,8 +141,8 @@ def test_stiffness_path_is_the_one_einsum_picks(n):
 
 def test_elasticity_zero_load(system4):
     phi = np.full(system4.nv, 0.5)
-    u = system4.solve_elasticity(phi, np.zeros(system4.nc),
-                                 np.zeros(2 * system4.nv))
+    u = system4.solve_elasticity(system4.phase_integrals(phi),
+                                 np.zeros(system4.nc), np.zeros(2 * system4.nv))
     assert np.abs(u).max() <= 1e-14
 
 
@@ -150,10 +150,10 @@ def test_elasticity_residual_and_boundary(system4):
     rng = np.random.default_rng(34)
     phi = rng.uniform(0.0, 1.0, system4.nv)
     p = rng.normal(0.0, 0.5, system4.nc)
-    u = system4.solve_elasticity(phi, p, np.zeros(2 * system4.nv))
+    phase = system4.phase_integrals(phi)
+    u = system4.solve_elasticity(phase, p, np.zeros(2 * system4.nv))
     assert np.abs(u[system4.u_bdofs]).max() == 0.0
     # residual of the unconstrained equations at the solution
-    phase = system4.phase_integrals(phi)
     cint, swell = system4._elasticity_data(phase)
     abar = phase.abar
     strain = system4.strain_per_cell(u)
@@ -175,7 +175,8 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
     params = MaterialParams(C1=MaterialParams().C0.copy())
     system = ChbSystem(mesh, params)
     phi = mesh.vertices[:, 0].copy()
-    u = system.solve_elasticity(phi, np.zeros(system.nc), np.zeros(2 * system.nv))
+    u = system.solve_elasticity(system.phase_integrals(phi), np.zeros(system.nc),
+                                np.zeros(2 * system.nv))
     n = mesh.n
     ux = u[0::2].reshape(n + 1, n + 1)
     uy = u[1::2].reshape(n + 1, n + 1)
@@ -186,7 +187,9 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
 
 def test_flow_zero_data(system4):
     prev = system4.initial_state(lambda x, y: 0.5)
-    p, q = system4.solve_flow(prev.phi, prev.u, prev, np.zeros(system4.ne))
+    p, q = system4.solve_flow(system4.phase_integrals(prev.phi), prev.u,
+                              np.zeros(system4.ne),
+                              system4.storage_coefficient(prev))
     assert np.abs(p).max() <= 1e-14
     assert np.abs(q).max() <= 1e-14
 
@@ -196,7 +199,9 @@ def test_flow_elementwise_residual_and_global_mass(system4):
     prev = random_state(system4, rng)
     phi = rng.uniform(0.1, 0.9, system4.nv)
     u = rng.normal(0.0, 0.01, 2 * system4.nv)
-    p, q = system4.solve_flow(phi, u, prev, np.zeros(system4.ne))
+    p, q = system4.solve_flow(system4.phase_integrals(phi), u,
+                              np.zeros(system4.ne),
+                              system4.storage_coefficient(prev))
     state = FieldState(phi, prev.mu, u, p, q, n=1)
     cell_res = system4.flow_cell_residual(prev, state)
     assert np.abs(cell_res).max() <= 1e-10
@@ -236,7 +241,7 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
                           - phase.abar * o.divu_per_cell(st.u), np.zeros(o.ne)])
     # from zero and for the increment from a flux far from the solution
     for q_start in (np.zeros(o.ne), rng.normal(0.0, 1.0, o.ne)):
-        p, q = o.solve_flow(st.phi, st.u, prev, q_start)
+        p, q = o.solve_flow(phase, st.u, q_start, o.storage_coefficient(prev))
         residual = np.linalg.norm(rhs - A @ np.concatenate([p, q]))
         assert residual <= linalg.SOLVE_RTOL * max(np.linalg.norm(rhs), 1.0)
         state = FieldState(st.phi, st.mu, st.u, p, q, n=1)
@@ -287,7 +292,7 @@ def test_flow_at_extreme_scales_solves_the_full_flow_system(n, scales):
     except LinearSolveFailure:
         pass
     # so solve_flow solves the full system
-    p, q = o.solve_flow(st.phi, st.u, prev, np.zeros(o.ne))
+    p, q = o.solve_flow(phase, st.u, np.zeros(o.ne), o.storage_coefficient(prev))
     assert np.linalg.norm(rhs - A @ np.concatenate([p, q])) <= bound
 
 
@@ -295,10 +300,11 @@ def test_elasticity_from_a_start_meets_the_contract(system4):
     rng = np.random.default_rng(36)
     phi = rng.uniform(0.0, 1.0, system4.nv)
     p = rng.normal(0.0, 0.5, system4.nc)
-    u = system4.solve_elasticity(phi, p, np.zeros(2 * system4.nv))
+    phase = system4.phase_integrals(phi)
+    u = system4.solve_elasticity(phase, p, np.zeros(2 * system4.nv))
     start = rng.normal(0.0, 1.0, 2 * system4.nv)
     start[system4.u_bdofs] = 0.0
-    u_inc = system4.solve_elasticity(phi, p, start)
+    u_inc = system4.solve_elasticity(phase, p, start)
     assert np.array_equal(u_inc[system4.u_bdofs], np.zeros(len(system4.u_bdofs)))
     assert np.abs(u_inc - u).max() <= 1e-10 * max(np.abs(u).max(), 1.0)
 
@@ -309,17 +315,19 @@ def test_ch_solve_at_extreme_surface_tension_fails_cleanly(system4):
     system = ChbSystem(system4.mesh, MaterialParams(gamma=1e-6))
     st0 = system.initial_state()
     cfg = SolverConfig(strategy="splitting", num_steps=1, max_iter=8)
+    stats = IterationStats(step=1)
     try:
-        phi, mu, iters = system.solve_ch_subsystem(st0, st0.u, st0.p, cfg)
-        assert iters <= cfg.max_iter
-    except NonConvergence as exc:
-        assert exc.iterations <= cfg.max_iter
+        system.solve_ch_subsystem(st0, st0.u, st0.p, cfg, st0.phi, st0.mu,
+                                  None, stats)
+    except NonConvergence:
+        pass
+    (iters,) = stats.inner_newton
+    assert 1 <= iters <= cfg.max_iter
 
 
 def test_monolithic_residual_zero_at_fixed_point(system4):
     st = system4.initial_state(lambda x, y: 0.5)
-    nxt = st.copy()
-    nxt.n = 1
+    nxt = dataclasses.replace(st, n=1)
     res = system4.monolithic_residual(st, nxt)
     assert np.abs(res).max() <= 1e-14
 
@@ -327,7 +335,7 @@ def test_monolithic_residual_zero_at_fixed_point(system4):
 def test_monolithic_residual_first_order_in_perturbation(system4):
     cfg = SolverConfig(strategy="monolithic", num_steps=1)
     st0 = system4.initial_state()
-    st1, _ = system4.monolithic_step(st0, cfg)
+    st1, _ = take_step(system4.monolithic_step, st0, cfg)
     rng = np.random.default_rng(36)
     d = rng.normal(size=system4.ndofs)
     d /= np.linalg.norm(d)
@@ -355,7 +363,7 @@ def test_cross_strategy_agreement_short_run(system4):
 def test_monolithic_residual_small_at_splitting_solution(system4):
     st0 = system4.initial_state()
     cfg = SolverConfig(strategy="splitting", num_steps=1)
-    st1, _ = system4.splitting_step(st0, cfg)
+    st1, _ = take_step(system4.splitting_step, st0, cfg)
     res = system4.monolithic_residual(st0, st1)
     o = system4
     blocks = [res[:o.nv], res[o.off_mu:o.off_u], res[o.off_u:o.off_p],
@@ -367,11 +375,11 @@ def test_monolithic_residual_small_at_splitting_solution(system4):
 def test_zero_data_fixed_point_both_strategies(system4):
     st0 = system4.initial_state(lambda x, y: 0.5)
     cfg_s = SolverConfig(strategy="splitting", num_steps=1)
-    st1, stats = system4.splitting_step(st0, cfg_s)
+    st1, stats = take_step(system4.splitting_step, st0, cfg_s)
     assert stats.outer_iters == 1
     assert np.abs(st1.phi - st0.phi).max() <= 1e-12
     cfg_m = SolverConfig(strategy="monolithic", num_steps=1)
-    st1m, stats_m = system4.monolithic_step(st0, cfg_m)
+    st1m, stats_m = take_step(system4.monolithic_step, st0, cfg_m)
     assert stats_m.newton_iters == 1
     assert np.abs(system4.pack(st1m) - system4.pack(st0)).max() <= 1e-12
 
@@ -390,34 +398,38 @@ def test_mass_conservation_over_steps(system4):
 def test_nonconvergence_is_reported_not_crashed(system4):
     st0 = system4.initial_state()
     cfg = SolverConfig(strategy="splitting", num_steps=1, max_iter=2)
+    stats = IterationStats(step=1)
     with pytest.raises(NonConvergence) as exc_info:
-        system4.splitting_step(st0, cfg)
+        system4.splitting_step(st0, cfg, stats)
     exc = exc_info.value
-    assert exc.iterations <= cfg.max_iter
+    assert stats.outer_iters <= cfg.max_iter
     assert np.isfinite(exc.last_update_norm) or exc.diverged
 
     cfg_m = SolverConfig(strategy="monolithic", num_steps=1, max_iter=2)
-    with pytest.raises(NonConvergence) as exc_info:
-        system4.monolithic_step(st0, cfg_m)
-    assert exc_info.value.iterations == 2
+    stats = IterationStats(step=1)
+    with pytest.raises(NonConvergence):
+        system4.monolithic_step(st0, cfg_m, stats)
+    assert stats.newton_iters == 2
 
 
 @pytest.mark.parametrize("pressure", [10 * DIVERGENCE_LIMIT, np.nan])
 def test_splitting_outer_divergence_is_reported(system4, monkeypatch, pressure):
     monkeypatch.setattr(system4, "solve_flow", lambda *args, **kwargs: (
         np.full(system4.nc, pressure), np.zeros(system4.ne)))
+    stats = IterationStats(step=1)
     with pytest.raises(NonConvergence, match="outer iteration diverged") as exc_info:
-        system4.splitting_step(system4.initial_state(), SolverConfig())
+        system4.splitting_step(system4.initial_state(), SolverConfig(), stats)
     exc = exc_info.value
     assert exc.diverged
-    assert exc.iterations == 1
-    assert len(exc.inner_newton) == 1
+    assert stats.outer_iters == 1
+    assert len(stats.inner_newton) == 1
     assert not exc.last_update_norm <= DIVERGENCE_LIMIT
 
 
 def test_splitting_subsystems_use_symmetric_mode_lu(splu_specs):
     system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
-    _, stats = system.splitting_step(system.initial_state(), SolverConfig())
+    _, stats = take_step(system.splitting_step, system.initial_state(),
+                         SolverConfig())
     # one factorization per CH Newton iterate, elasticity and flow solve;
     # each layout's first orders A^T + A, every later one reuses that order
     expected, ordered = [], set()
@@ -438,7 +450,8 @@ def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
     # every later Jacobian is factored on that stored ordering, and below
     # KEEP_FACTOR_MIN_DOFS (n=4) once per Newton iterate, with no fallback
     splu_specs.clear()
-    _, stats = system4.monolithic_step(st0, SolverConfig(strategy="monolithic"))
+    _, stats = take_step(system4.monolithic_step, st0,
+                         SolverConfig(strategy="monolithic"))
     assert stats.newton_iters >= 2
     assert splu_specs == ["NATURAL"] * stats.newton_iters
     assert system4._monolithic_layout.ordering is not None
@@ -597,8 +610,8 @@ def test_kept_monolithic_factor_leaves_swells_diverging_step_bit_for_bit(
         assert system._monolithic_layout.keep_factor == (min_dofs != np.inf)
         solves.append([])
         with pytest.raises(NonConvergence, match="diverged"):
-            system.monolithic_step(system.initial_state(),
-                                   SolverConfig(strategy="monolithic"))
+            take_step(system.monolithic_step, system.initial_state(),
+                      SolverConfig(strategy="monolithic"))
     kept, fresh = solves
     assert len(kept) == len(fresh) > 1
     assert all(np.array_equal(x, y) for x, y in zip(kept, fresh))
@@ -609,7 +622,8 @@ def test_kept_factors_start_at_the_measured_crossover(splu_specs):
         system = ChbSystem(build_unit_square_mesh(n), MaterialParams())
         assert (system.ndofs >= solvers.KEEP_FACTOR_MIN_DOFS) == keeps
         splu_specs.clear()
-        _, stats = system.splitting_step(system.initial_state(), SolverConfig())
+        _, stats = take_step(system.splitting_step, system.initial_state(),
+                         SolverConfig())
         solves = sum(stats.inner_newton) + 2 * stats.outer_iters
         for layout in (system._ch_layout[1], system._elasticity_layout,
                        system._flux_layout):
@@ -798,11 +812,11 @@ def test_advance_simulation_wraps_failures_with_step_index(system4):
 
 
 def test_advance_simulation_times_linear_breakdown(system4, monkeypatch):
-    def breaks_down(state, config):
+    def breaks_down(state, config, stats):
         time.sleep(0.001)
         raise LinearSolveFailure("singular")
 
-    monkeypatch.setattr(system4, "step", breaks_down)
+    monkeypatch.setattr(system4, "splitting_step", breaks_down)
     with pytest.raises(SimulationFailed) as exc_info:
         advance_simulation(system4, system4.initial_state(), SolverConfig())
     assert exc_info.value.stats[-1].wall_seconds >= 0.001
@@ -856,6 +870,43 @@ def test_linear_breakdown_keeps_true_iteration_counts(system4, monkeypatch,
             assert (failed.outer_iters, failed.inner_newton) == (0, ())
             assert failed.newton_iters == k
         assert not failed.converged and failed.wall_seconds > 0.0
+
+
+@pytest.mark.parametrize("strategy, max_iter, far_solve, counts", [
+    # one step on system4 converges after CH Newton counts (4, 3, 2, 2, 2,
+    # 1), with an elasticity and a flow solve after each, or after 4
+    # monolithic Newton iterates; counts are (outer_iters, inner_newton,
+    # newton_iters) of the failed step
+    ("splitting", 100, 4 + 2 + 2, (1, (4, 2), 0)),
+    ("splitting", 3, None, (0, (3,), 0)),
+    ("splitting", 100, 4 + 2 + 3 + 1, (2, (4, 3), 0)),
+    ("splitting", 5, None, (5, (4, 3, 2, 2, 2), 0)),
+    ("monolithic", 100, 3, (0, (), 3)),
+    ("monolithic", 2, None, (0, (), 2)),
+], ids=["ch_diverged", "ch_max_iter", "outer_diverged", "outer_max_iter",
+        "monolithic_diverged", "monolithic_max_iter"])
+def test_nonconvergence_keeps_true_iteration_counts(system4, monkeypatch,
+                                                    strategy, max_iter,
+                                                    far_solve, counts):
+    # the solve numbered far_solve, if any, lands far beyond
+    # DIVERGENCE_LIMIT, so its Newton or outer iteration diverges
+    calls = []
+
+    def far_at_k(A, b):
+        calls.append(1)
+        x = solve_linear(A, b)
+        return x + 2.0 * DIVERGENCE_LIMIT if len(calls) == far_solve else x
+
+    monkeypatch.setattr(solvers, "solve_linear", far_at_k)
+    cfg = SolverConfig(strategy=strategy, num_steps=1, max_iter=max_iter)
+    with pytest.raises(SimulationFailed) as exc_info:
+        advance_simulation(system4, system4.initial_state(), cfg)
+    assert isinstance(exc_info.value.cause, NonConvergence)
+    assert exc_info.value.cause.diverged == (far_solve is not None)
+    (failed,) = exc_info.value.stats
+    assert (failed.outer_iters, failed.inner_newton, failed.newton_iters) == counts
+    assert failed.step == 1
+    assert not failed.converged and failed.wall_seconds > 0.0
 
 
 def test_iteration_stats_sanity(system4):
@@ -1032,8 +1083,9 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         assert_same_csr(o.monolithic_jacobian(prev, st),
                         reference_monolithic_jacobian(o, st))
         solved.clear()
-        o.solve_elasticity(st.phi, st.p, np.zeros(2 * o.nv))
-        o.solve_flow(st.phi, st.u, prev, np.zeros(o.ne))
+        phase = o.phase_integrals(st.phi)
+        o.solve_elasticity(phase, st.p, np.zeros(2 * o.nv))
+        o.solve_flow(phase, st.u, np.zeros(o.ne), o.storage_coefficient(prev))
         (A_el, b_el), (A_fl, b_fl) = solved
         assert_same_csr(A_el, reference_elasticity_matrix(o, st.phi))
         # apply_dirichlet sums the full triplet list, in another order
@@ -1058,8 +1110,8 @@ def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
     solved = []
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
         solved.append(A), np.zeros(len(b)))[1])
-    system4.solve_elasticity(np.full(system4.nv, 0.5), np.zeros(system4.nc),
-                             np.zeros(2 * system4.nv))
+    system4.solve_elasticity(system4.phase_integrals(np.full(system4.nv, 0.5)),
+                             np.zeros(system4.nc), np.zeros(2 * system4.nv))
     A, layout, fixed = solved[0], system4._elasticity_layout, system4.u_bdofs
     assert np.array_equal(A.indptr, layout.indptr)
     assert np.array_equal(A.indices, layout.indices)
@@ -1136,7 +1188,7 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
         fresh = ChbSystem(mesh, params)
         want, _ = advance_simulation(fresh, fresh.initial_state(), cfg)
         # a stored LU ordering from an earlier solve would change bits
-        reused.splitting_step(reused.initial_state(), SolverConfig())
+        take_step(reused.splitting_step, reused.initial_state(), SolverConfig())
         assert reused._ch_layout[1].ordering is not None
         for _ in range(2):
             got, _ = advance_simulation(reused, reused.initial_state(), cfg)
@@ -1152,9 +1204,11 @@ def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch
     integrals = kn.phase_cell_integrals
     monkeypatch.setattr(kn, "phase_cell_integrals",
                         lambda *args: (calls.append(1), integrals(*args))[1])
-    _, stats = system4.splitting_step(system4.initial_state(), SolverConfig())
+    _, stats = take_step(system4.splitting_step, system4.initial_state(),
+                         SolverConfig())
     # one per outer iteration, plus the storage term of the previous step
     assert len(calls) == stats.outer_iters + 1
     calls.clear()
-    _, stats = system4.monolithic_step(system4.initial_state(), SolverConfig())
+    _, stats = take_step(system4.monolithic_step, system4.initial_state(),
+                         SolverConfig())
     assert len(calls) == 3 * stats.newton_iters
