@@ -294,9 +294,9 @@ class Phase:
     # the kernels are held to those bits.  The power releases the
     # interpreter lock, so it runs on the helper thread while the caller
     # assembles the Jacobian (see ChbSystem.ch_residual_and_jacobian).
-    # Once the kernels are held to a few ulps and the benchmark no longer
-    # pins roundoff (ROADMAP items 3 and 1), s * s * s replaces both the
-    # power and the helper.
+    # Once the kernels are held to a few ulps (ROADMAP item 2) and the
+    # benchmark no longer pins roundoff (item 1), s * s * s replaces both
+    # the power and the helper.
     @property
     def well_prime(self):
         """(gamma/ell) psi_c'(phi) = (gamma/ell) 4 (phi - 1/2)^3."""

@@ -76,9 +76,8 @@ class NonConvergence(Exception):
     Its iteration counts are in the step's IterationStats.
     """
 
-    def __init__(self, message, last_update_norm=np.inf, diverged=False):
+    def __init__(self, message, diverged=False):
         super().__init__(message)
-        self.last_update_norm = last_update_norm
         self.diverged = diverged
 
 
@@ -405,40 +404,31 @@ class ChbSystem:
         pa = self.params
         return (pa.gamma / pa.ell) * (self.M @ (state_prev.phi - 0.5))
 
-    def ch_residual(self, state_prev, phi_i, mu_i, u_fixed, p_fixed, pw=None,
-                    explicit=None):
+    def ch_residual(self, state_prev, phi, mu, pw, explicit):
         """Stacked residual of the (phi, mu) block with u, p frozen.
 
-        pw: pointwise(phi_i, u_fixed, p_fixed), and explicit:
-        ch_explicit_load(state_prev), when the caller has them.
+        pw: the laws at the iterate, pointwise(phi, u, p) for the frozen
+        u and p; explicit: ch_explicit_load(state_prev).
         """
         pa = self.params
-        if pw is None:
-            pw = self.pointwise(phi_i, u_fixed, p_fixed)
-        if explicit is None:
-            explicit = self.ch_explicit_load(state_prev)
         nl = _scatter_vector(kn.ch_load(pw, self.wq_last, self.lam),
                              self.cells, self.nv)
-        r_phi = self.M @ (phi_i - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu_i)
-        r_mu = (self.M @ mu_i - pa.gamma * pa.ell * (self.K @ phi_i) - nl
+        r_phi = self.M @ (phi - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu)
+        r_mu = (self.M @ mu - pa.gamma * pa.ell * (self.K @ phi) - nl
                 + explicit)
         return np.concatenate([r_phi, r_mu])
 
-    def ch_residual_and_jacobian(self, state_prev, phi_i, mu_i, u_fixed, p_fixed,
-                                 pw=None, explicit=None):
+    def ch_residual_and_jacobian(self, state_prev, phi, mu, pw, explicit):
         """Residual and Jacobian of the Cahn-Hilliard block at the iterate.
 
         The convex double-well term and the energy couplings are evaluated
-        at phi_i (implicit), the expansive term at the previous time step.
+        at phi (implicit), the expansive term at the previous time step.
         pw and explicit as for ch_residual.
         """
-        if pw is None:
-            pw = self.pointwise(phi_i, u_fixed, p_fixed)
         # the Jacobian first: the residual waits for pw's double-well cube,
         # which the helper thread computes meanwhile (model.Phase)
         J = self._ch_matrix(kn.ch_jac(pw, self.wq_last, self.lam))
-        return self.ch_residual(state_prev, phi_i, mu_i, u_fixed, p_fixed, pw,
-                                explicit), J
+        return self.ch_residual(state_prev, phi, mu, pw, explicit), J
 
     def _ch_matrix(self, w_elem) -> sp.csr_matrix:
         """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] for the
@@ -482,35 +472,29 @@ class ChbSystem:
         """Newton iteration on the (phi, mu) block from the start (phi, mu);
         returns the new (phi, mu).
 
-        values: phase_values(phi), or None.  Appends its Newton count to
-        stats.inner_newton and keeps it current.
+        values: phase_values(phi) of the start phi.  Appends its Newton
+        count to stats.inner_newton and keeps it current.
         """
         # fixed over the Newton iteration
         strain = self.strain_per_cell(u_fixed)
         p_cell = np.ascontiguousarray(p_fixed)
         explicit = self.ch_explicit_load(state_prev)
         done = stats.inner_newton
-        norm = np.inf
         for it in range(1, config.max_iter + 1):
             stats.inner_newton = (*done, it)
-            if values is None:
-                values = self.phase_values(phi)
             res, J = self.ch_residual_and_jacobian(
-                state_prev, phi, mu, u_fixed, p_fixed,
-                pw=Pointwise(values, strain, p_cell), explicit=explicit)
-            values = None  # phi moves below
+                state_prev, phi, mu, Pointwise(values, strain, p_cell), explicit)
             delta = solve_linear(J, -res)
             phi = phi + delta[:self.nv]
             mu = mu + delta[self.nv:]
             norm = float(np.linalg.norm(delta))
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise NonConvergence("phase-field Newton diverged",
-                                     last_update_norm=norm, diverged=True)
+                raise NonConvergence("phase-field Newton diverged", diverged=True)
             if norm < config.tol:
                 return phi, mu
+            values = self.phase_values(phi)
         raise NonConvergence(
-            f"phase-field Newton did not converge in {config.max_iter} iterations",
-            last_update_norm=norm)
+            f"phase-field Newton did not converge in {config.max_iter} iterations")
 
     # -- elasticity subsystem ----------------------------------------------
 
@@ -688,15 +672,14 @@ class ChbSystem:
         phi_o, mu_o = state_prev.phi, state_prev.mu
         u_o, p_o, q_o = state_prev.u, state_prev.p, state_prev.q
         storage_prev = self.storage_coefficient(state_prev)
-        norm = np.inf
-        phase = None
+        values = self.phase_values(phi_o)
         for it in range(1, config.max_iter + 1):
             phi_n, mu_n = self.solve_ch_subsystem(
-                state_prev, u_o, p_o, config, phi_o, mu_o,
-                None if phase is None else phase.values, stats)
+                state_prev, u_o, p_o, config, phi_o, mu_o, values, stats)
             # shared by both subsystems and the next outer iteration's
             # first Cahn-Hilliard iterate, which starts at phi_n
             phase = self.phase_integrals(phi_n)
+            values = phase.values
             u_n = self.solve_elasticity(phase, p_o, u_o)
             p_n, q_n = self.solve_flow(phase, u_n, q_o, storage_prev)
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
@@ -707,12 +690,11 @@ class ChbSystem:
             stats.outer_iters = it
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
                 raise NonConvergence("splitting outer iteration diverged",
-                                     last_update_norm=norm, diverged=True)
+                                     diverged=True)
             if norm < config.tol:
                 return FieldState(phi_o, mu_o, u_o, p_o, q_o, n=state_prev.n + 1)
         raise NonConvergence(
-            f"splitting did not converge in {config.max_iter} outer iterations",
-            last_update_norm=norm)
+            f"splitting did not converge in {config.max_iter} outer iterations")
 
     # -- monolithic strategy ----------------------------------------------
 
@@ -723,20 +705,19 @@ class ChbSystem:
         return pw, kn.rt0_weighted_mass(pw, self.wq_last, self.psi_last)
 
     def monolithic_residual(self, state_prev: FieldState,
-                            state_iter: FieldState, at=None) -> np.ndarray:
+                            state_iter: FieldState, at) -> np.ndarray:
         """Stacked residual of all five blocks with every coupling implicit.
 
         Only the expansive double-well term and the storage term keep
         their previous-time-step evaluation; boundary rows of the
-        displacement block read u - 0.  at: monolithic_iterate(state_iter),
-        when the caller has it.
+        displacement block read u - 0.  at: monolithic_iterate(state_iter).
         """
         pa = self.params
         st = state_iter
-        pw, mq_elem = self.monolithic_iterate(st) if at is None else at
+        pw, mq_elem = at
         res = np.empty(self.ndofs)
-        res[:2 * self.nv] = self.ch_residual(state_prev, st.phi, st.mu,
-                                             st.u, st.p, pw)
+        res[:2 * self.nv] = self.ch_residual(state_prev, st.phi, st.mu, pw,
+                                             self.ch_explicit_load(state_prev))
         phase = self.phase_integrals(st.phi, pw)
         cint, swell = self._elasticity_data(phase)
         sint = np.einsum("cab,cb->ca", cint, pw.strain) - swell
@@ -755,14 +736,14 @@ class ChbSystem:
         return res
 
     def monolithic_jacobian(self, state_prev: FieldState,
-                            state_iter: FieldState, at=None) -> sp.csr_matrix:
+                            state_iter: FieldState, at) -> sp.csr_matrix:
         """Exact Jacobian of monolithic_residual at the iterate.
 
-        at: monolithic_iterate(state_iter), when the caller has it.
+        at: monolithic_iterate(state_iter).
         """
         pa = self.params
         st = state_iter
-        pw, mq_elem = self.monolithic_iterate(st) if at is None else at
+        pw, mq_elem = at
         qloc = st.q[self.qdofs.T]
 
         w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
@@ -817,7 +798,6 @@ class ChbSystem:
         Counts its Newton iterations in stats.
         """
         state = replace(state_prev, n=state_prev.n + 1)
-        norm = np.inf
         for it in range(1, config.max_iter + 1):
             stats.newton_iters = it
             at = self.monolithic_iterate(state)
@@ -830,13 +810,11 @@ class ChbSystem:
             state = self.unpack(x, state.n)
             norm = float(np.linalg.norm(delta))
             if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise NonConvergence("monolithic Newton diverged",
-                                     last_update_norm=norm, diverged=True)
+                raise NonConvergence("monolithic Newton diverged", diverged=True)
             if norm < config.tol:
                 return state
         raise NonConvergence(
-            f"monolithic Newton did not converge in {config.max_iter} iterations",
-            last_update_norm=norm)
+            f"monolithic Newton did not converge in {config.max_iter} iterations")
 
 
 def advance_simulation(system: ChbSystem, initial_state: FieldState,

@@ -52,3 +52,9 @@ def random_state(system: ChbSystem, rng: np.random.Generator,
         p=rng.normal(0.0, 0.1, system.nc),
         q=rng.normal(0.0, 0.1, system.ne),
         n=n)
+
+
+def ch_frozen(system: ChbSystem, prev: FieldState, phi, u, p):
+    """The values the CH residual and Jacobian at phi read, with u and p
+    frozen: (system.pointwise(phi, u, p), system.ch_explicit_load(prev))."""
+    return system.pointwise(phi, u, p), system.ch_explicit_load(prev)

@@ -16,7 +16,7 @@ from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig, advance_simulation
 
-from conftest import random_state, take_step
+from conftest import ch_frozen, random_state, take_step
 from reference_fem import assemble_form, mass_kernel, p1_scalar
 
 TOL = 1.0e-6
@@ -65,7 +65,8 @@ def test_criterion_2_fixed_point_exactness(desk_system, desk_pair):
     o = desk_system
     worst = 0.0
     for prev, cur in zip(split_states[:-1], split_states[1:]):
-        res = desk_system.monolithic_residual(prev, cur)
+        res = desk_system.monolithic_residual(
+            prev, cur, desk_system.monolithic_iterate(cur))
         for blk in (res[:o.nv], res[o.off_mu:o.off_u], res[o.off_u:o.off_p],
                     res[o.off_p:o.off_q], res[o.off_q:]):
             worst = max(worst, np.linalg.norm(blk))
@@ -92,6 +93,15 @@ def test_criterion_3_jacobian_correctness():
                 worst = max(worst, diff if scale < 1e-9 else diff / scale)
         return worst
 
+    def mono_residual(prev, x):
+        st = system.unpack(x, 1)
+        return system.monolithic_residual(prev, st, system.monolithic_iterate(st))
+
+    def ch_residual(prev, x, u, p):
+        phi, mu = x[:system.nv], x[system.nv:]
+        return system.ch_residual(prev, phi, mu,
+                                  *ch_frozen(system, prev, phi, u, p))
+
     worst_mono = 0.0
     worst_ch = 0.0
     for k in range(20):
@@ -99,7 +109,8 @@ def test_criterion_3_jacobian_correctness():
         prev = random_state(system, rng)
         st = (random_state(system, rng, n=1) if interior
               else random_state(system, rng, phi_low=1.1, phi_high=1.4, n=1))
-        A = system.monolithic_jacobian(prev, st).toarray()
+        A = system.monolithic_jacobian(prev, st,
+                                       system.monolithic_iterate(st)).toarray()
         x0 = system.pack(st)
         F = np.empty_like(A)
         for c in range(len(x0)):
@@ -107,11 +118,11 @@ def test_criterion_3_jacobian_correctness():
             xm = x0.copy()
             xp[c] += h
             xm[c] -= h
-            F[:, c] = (system.monolithic_residual(prev, system.unpack(xp, 1))
-                       - system.monolithic_residual(prev, system.unpack(xm, 1))) / (2 * h)
+            F[:, c] = (mono_residual(prev, xp) - mono_residual(prev, xm)) / (2 * h)
         worst_mono = max(worst_mono, group_error(A, F))
 
-        _, Jch = system.ch_residual_and_jacobian(prev, st.phi, st.mu, st.u, st.p)
+        _, Jch = system.ch_residual_and_jacobian(
+            prev, st.phi, st.mu, *ch_frozen(system, prev, st.phi, st.u, st.p))
         xch = np.concatenate([st.phi, st.mu])
         Fch = np.empty((2 * system.nv, 2 * system.nv))
         for c in range(2 * system.nv):
@@ -119,8 +130,8 @@ def test_criterion_3_jacobian_correctness():
             xm = xch.copy()
             xp[c] += h
             xm[c] -= h
-            Fch[:, c] = (system.ch_residual(prev, xp[:system.nv], xp[system.nv:], st.u, st.p)
-                         - system.ch_residual(prev, xm[:system.nv], xm[system.nv:], st.u, st.p)) / (2 * h)
+            Fch[:, c] = (ch_residual(prev, xp, st.u, st.p)
+                         - ch_residual(prev, xm, st.u, st.p)) / (2 * h)
         nv = system.nv
         ch_offs = [0, nv, 2 * nv]
         Ach = Jch.toarray()

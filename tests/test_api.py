@@ -1,6 +1,8 @@
 """The package's public surface: what the top level exports, and what the
 modules the solver runs on no longer hold."""
 
+import inspect
+
 import chbfem
 from chbfem import fem, linalg, mesh, model, solvers
 
@@ -32,6 +34,11 @@ DELETED_FROM_MODEL = (
 # step fills as it iterates, never on an exception
 DELETED_FROM_SOLVERS = ("_newton_solve",)
 COUNTS_ON_EXCEPTIONS = ("iterations", "inner_newton", "state")
+# each takes every per-iterate value it reads from its one caller, which
+# holds it already, and rebuilds none
+ITERATE_METHODS = ("ch_residual", "ch_residual_and_jacobian",
+                   "monolithic_residual", "monolithic_jacobian",
+                   "solve_ch_subsystem")
 
 
 def test_top_level_exports_are_pinned_and_resolve():
@@ -63,3 +70,15 @@ def test_solver_modules_hold_only_what_the_solver_runs():
     for exc in (linalg.LinearSolveFailure("x"), solvers.NonConvergence("x")):
         for name in COUNTS_ON_EXCEPTIONS:
             assert not hasattr(exc, name), f"{type(exc).__name__}.{name}"
+    # read by no caller
+    assert not hasattr(solvers.NonConvergence("x"), "last_update_norm")
+
+
+def test_iterate_methods_take_their_frozen_values_from_the_caller():
+    for name in ITERATE_METHODS:
+        params = inspect.signature(getattr(solvers.ChbSystem, name)).parameters
+        defaulted = [p for p, v in params.items() if v.default is not v.empty]
+        assert not defaulted, f"ChbSystem.{name} defaults {defaulted}"
+        if name.startswith("ch_"):
+            # they read pw, the laws at u and p, not u and p
+            assert not {"u_fixed", "p_fixed"} & set(params), name

@@ -15,7 +15,7 @@ from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig
 
-from conftest import random_state, take_step
+from conftest import ch_frozen, random_state, take_step
 from reference_fem import FieldFunction, assemble_form, p0_space, p1_scalar, rt0_space
 
 
@@ -171,8 +171,8 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     o, state = kernel_inputs(n, 20 + n, MaterialParams(xi=2.0, **stiffness))
     pa = o.params
     prev = random_state(o, np.random.default_rng(n), -0.3, 1.3)
-    _, J = o.ch_residual_and_jacobian(prev, state.phi, state.mu, state.u,
-                                      state.p)
+    _, J = o.ch_residual_and_jacobian(
+        prev, state.phi, state.mu, *ch_frozen(o, prev, state.phi, state.u, state.p))
     w_elem = ref.ch_jac(o.phi_at_qp(state.phi), o.wq, o.lam,
                         o.strain_per_cell(state.u),
                         np.ascontiguousarray(state.p), pa)
@@ -202,9 +202,8 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     # the strain and the explicit load computed beforehand
     pw = kn.Pointwise(o.phase_integrals(state.phi).values,
                       o.strain_per_cell(state.u), np.ascontiguousarray(state.p))
-    _, J = o.ch_residual_and_jacobian(prev, state.phi, state.mu, state.u,
-                                      state.p, pw=pw,
-                                      explicit=o.ch_explicit_load(prev))
+    _, J = o.ch_residual_and_jacobian(prev, state.phi, state.mu, pw,
+                                      o.ch_explicit_load(prev))
     assert_same_bits(J.data, want.data, "CH Jacobian from shared values")
 
 
@@ -219,9 +218,13 @@ def test_kernels_match_reference_at_the_unit_interval_ends():
 def test_ch_residual_is_the_same_with_or_without_the_jacobian():
     system, state = kernel_inputs(16, 7)
     prev = random_state(system, np.random.default_rng(8), -0.3, 1.3)
-    args = (prev, state.phi, state.mu, state.u, state.p)
-    res, _ = system.ch_residual_and_jacobian(*args)
-    assert_same_bits(res, system.ch_residual(*args), "ch_residual")
+    # each call on values of its own, as the Jacobian reads pw first
+    args = (system, prev, state.phi, state.u, state.p)
+    res, _ = system.ch_residual_and_jacobian(prev, state.phi, state.mu,
+                                             *ch_frozen(*args))
+    assert_same_bits(res, system.ch_residual(prev, state.phi, state.mu,
+                                             *ch_frozen(*args)),
+                     "ch_residual")
 
 
 def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):
@@ -234,9 +237,11 @@ def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):
     assert len(solves) >= 2
     state = dataclasses.replace(prev, n=prev.n + 1)
     for A, b, x in solves:
-        assert_same_bits(-system.monolithic_residual(prev, state), b,
-                         "monolithic_residual")
-        J = system.monolithic_jacobian(prev, state)
+        assert_same_bits(-system.monolithic_residual(
+            prev, state, system.monolithic_iterate(state)), b,
+            "monolithic_residual")
+        J = system.monolithic_jacobian(prev, state,
+                                       system.monolithic_iterate(state))
         assert np.array_equal(J.indptr, A.indptr)
         assert np.array_equal(J.indices, A.indices)
         assert_same_bits(J.data, A.data, "monolithic_jacobian")
