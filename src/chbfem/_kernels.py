@@ -19,6 +19,12 @@ ChbSystem keeps wq and psi cells last (wq_last, psi_last), built on
 first use.  Kernel outputs are cells first and C-contiguous, as the
 scatters expect: (nc, 3), (nc, 3, 3), ...
 
+ch_load, ch_jac and coupling_blocks serve the monolithic path only.  The
+splitting's Cahn-Hilliard solve evaluates its laws on coefficients frozen
+for the whole solve (model.FrozenCoupling) and integrates them with one
+matrix product each (ChbSystem.ch_residual_and_jacobian), to a few ulps of
+these kernels.
+
 Bit-exact contract: every kernel returns the same bits as the plain
 einsum formulation it replaces (kept as tests/reference_kernels.py).
 Rounding depends only on which operations run and in what order, so the
@@ -33,11 +39,13 @@ einsum order:
   points and the odd ones in two running sums, then add the two: the
   two-lane order of numpy 2.4's two-operand einsum on an x86-64
   baseline build, which another build could change.
-The iteration counts the benchmark pins, among them a chaotic diverging
-Newton run that a 3e-16 change moves, hold only under this contract;
-once that run is no longer pinned exactly (ROADMAP item 1), the
-contract can relax to agreement within a few ulps, which admits
-optimize=True contractions and batched matmuls.
+The contract holds for the monolithic path, whose kernels these are: the
+benchmark pins its iteration counts, among them a chaotic diverging
+Newton run that a 3e-16 change moves.  The splitting's converged counts
+do not move at that scale, so its CH solve already runs on the ulp
+contract.  Once the diverging run is no longer pinned exactly (ROADMAP
+item 1), the monolithic contract can relax the same way, which admits
+optimize=True contractions and batched matmuls here too.
 """
 
 from __future__ import annotations

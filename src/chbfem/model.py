@@ -1,29 +1,38 @@
 """The constitutive laws of the coupled phase-field / poroelastic model,
 and its parameters.
 
-Each law is written once, here, as the solver runs it: at the quadrature
-points of every cell at once, cells last (one contiguous (nqp, nc) array
-per component).  Phase holds the laws of phi alone: the interpolation
-pi and its derivatives, the split double well, the interpolated
-coefficients M, alpha' and kappa.  Pointwise adds those of one iterate's
-strain and pressure: the swelling strain, the stiffness, and the
-phi-derivatives of the elastic and fluid energies with the derivatives
-the Jacobians need.  chbfem._kernels only integrates these values;
-ChbSystem turns the cell integrals of Phase.cell_integrands into the
-integrated stiffness, Biot-Willis coefficient and swelling load.  Symmetric
-2-tensors use Voigt form: strains as (e_xx, e_yy, 2*e_xy), stresses as
-(s_xx, s_yy, s_xy), so the double contraction of a strain-type vector
-with a stress-type vector is a plain dot product.
+Each law is written here as the solver runs it: at the quadrature points
+of every cell at once, cells last (one contiguous (nqp, nc) array per
+component).  Phase holds the laws of phi alone: the interpolation pi and
+its derivatives, the split double well, the interpolated coefficients M,
+alpha' and kappa.  Pointwise adds those of one iterate's strain and
+pressure: the swelling strain, the stiffness, and the phi-derivatives of
+the elastic and fluid energies with the derivatives the Jacobians need.
+chbfem._kernels only integrates these values; ChbSystem turns the cell
+integrals of Phase.cell_integrands into the integrated stiffness,
+Biot-Willis coefficient and swelling load.  Symmetric 2-tensors use Voigt
+form: strains as (e_xx, e_yy, 2*e_xy), stresses as (s_xx, s_yy, s_xy), so
+the double contraction of a strain-type vector with a stress-type vector
+is a plain dot product.
 
-A Phase starts the cube of its double well on a helper thread, one for
+FrozenCoupling holds the same chemical-potential laws for the splitting's
+Cahn-Hilliard solve, where u and p stay fixed: as polynomials in
+xi (phi - phi_bar) whose coefficients are computed once per solve.  It
+agrees with Pointwise to a few ulps, not bit for bit.  So the laws of
+mu_nonlinear and dmu_nonlinear are written twice until the monolithic
+path moves to the same form (ROADMAP items 1 and 3).
+
+Pointwise starts the cube of its double well on a helper thread, one for
 the whole process, as soon as it is built; well_prime waits for it.  The
-solver assembles a Jacobian meanwhile, so a run uses two threads.
+monolithic Newton step assembles its Jacobian meanwhile, so a run uses two
+threads.
 
-Each law performs the operations of its twin in tests/reference_kernels.py
-in the same order, as the kernels' bit-exact contract asks (see
-chbfem._kernels): products left to right in the operand order of the
-einsum they replace, and a sum over a Voigt index as (t0 + t2) + t1, the
-order of numpy 2.4's two-operand einsum on an x86-64 baseline build.
+Each law of Phase and Pointwise performs the operations of its twin in
+tests/reference_kernels.py in the same order, as the kernels' bit-exact
+contract asks (see chbfem._kernels): products left to right in the
+operand order of the einsum they replace, and a sum over a Voigt index as
+(t0 + t2) + t1, the order of numpy 2.4's two-operand einsum on an x86-64
+baseline build.
 
 MaterialParams declares each parameter's default and check once, with
 the field helpers and the one validator, check_fields, that SolverConfig
@@ -220,7 +229,7 @@ def pi_double_prime(phi):
 
 def _start_helper():
     """The one thread that computes each Phase's double-well cube (see
-    Phase.well_prime); its thread starts with the first Phase."""
+    Phase.well_prime); its thread starts with the first cube."""
     global _helper
     _helper = ThreadPoolExecutor(max_workers=1,
                                  thread_name_prefix="chbfem-cube")
@@ -239,16 +248,21 @@ class Phase:
     ChbSystem.phi_at_qp returns it; every value is (nqp, nc).  A value
     that several kernels read is computed on first use and kept; a
     kernel's integrand is computed when that kernel reads it.  The cube
-    of well_prime starts at once, on the helper thread.
+    of well_prime starts on the helper thread when a Pointwise is built
+    from the phase, or else when well_prime is first read.
     """
 
     def __init__(self, phi_q, params: MaterialParams):
         self.phi = phi_q.T.copy()
         self.params = params
+
+    @cached_property
+    def _cube(self):
+        """The future of (phi - 1/2) ** 3 on the helper thread."""
         # numpy keeps its error state (np.errstate) in a context variable,
         # which the helper sees only in a copy of the caller's context
-        self._cube = _helper.submit(contextvars.copy_context().run,
-                                    np.power, self.shifted, 3)
+        return _helper.submit(contextvars.copy_context().run,
+                              np.power, self.shifted, 3)
 
     @cached_property
     def pi(self):
@@ -288,15 +302,15 @@ class Phase:
         return pa.kappa0 + self.pi[0] * (pa.kappa1 - pa.kappa0)
 
     # Numpy's vectorized power sends every lane with a negative base down
-    # a slow scalar path, about 0.14 ms of each Cahn-Hilliard iterate at
-    # n=16 and 2.7 ms at n=65, but neither s * s * s nor a power of |s|
-    # with the sign copied back gives the bits of ** 3 in every lane, and
-    # the kernels are held to those bits.  The power releases the
+    # a slow scalar path, about 0.14 ms of each Newton iterate at n=16 and
+    # 2.7 ms at n=65, but neither s * s * s nor a power of |s| with the
+    # sign copied back gives the bits of ** 3 in every lane, and the
+    # monolithic kernels are held to those bits.  The power releases the
     # interpreter lock, so it runs on the helper thread while the caller
-    # assembles the Jacobian (see ChbSystem.ch_residual_and_jacobian).
-    # Once the kernels are held to a few ulps (ROADMAP item 2) and the
-    # benchmark no longer pins roundoff (item 1), s * s * s replaces both
-    # the power and the helper.
+    # assembles the Jacobian (see ChbSystem.monolithic_step).  The
+    # splitting reads s * s * s (FrozenCoupling).  Once the kernels are
+    # held to a few ulps (ROADMAP item 2) and the benchmark no longer pins
+    # roundoff (item 1), s * s * s replaces both the power and the helper.
     @property
     def well_prime(self):
         """(gamma/ell) psi_c'(phi) = (gamma/ell) 4 (phi - 1/2)^3."""
@@ -332,8 +346,8 @@ class Phase:
 class Pointwise(Phase):
     """The laws of phi plus those of one iterate's strain and pressure.
 
-    Built from the Phase of phi, whose values computed so far, and whose
-    cube on the helper thread, it shares.
+    Built from the Phase of phi, whose values computed so far it shares,
+    and whose double-well cube it starts on the helper thread.
     strain is the Voigt strain per cell, (nc, 3), and p the cellwise
     pressure, (nc,).  The energies whose phi-derivatives enter the
     chemical potential are E_el = (eps - T):C(phi)(eps - T)/2, with
@@ -343,6 +357,9 @@ class Pointwise(Phase):
 
     def __init__(self, phase: Phase, strain, p):
         self.__dict__.update(phase.__dict__)
+        # only the monolithic path reads the cube, and it builds its
+        # Jacobian meanwhile
+        self._cube = phase._cube
         self.strain = strain
         self.p = p
 
@@ -442,3 +459,65 @@ class Pointwise(Phase):
     def dphi_storage(self):
         """phi-derivative of the storage p/M(phi) + alpha(phi) div u."""
         return -self.p * self.Mp / (self.M * self.M) + self.divu * self.ap
+
+
+class FrozenCoupling:
+    """The chemical-potential laws at one frozen strain and pressure.
+
+    The splitting solves the Cahn-Hilliard subsystem with u and p fixed,
+    and a P1 displacement has one strain eps per cell, (nc, 3), as p is
+    one pressure per cell, (nc,).  With t = xi (phi - phi_bar) the elastic
+    strain is eps - t I and the stiffness C0 + pi dC, so every elastic and
+    fluid term of Pointwise.mu_nonlinear and dmu_nonlinear is a polynomial
+    in t whose coefficients are five per-cell numbers, I.C0.eps, I.dC.eps,
+    eps.dC.eps, p^2 and p div u, weighted by pi, pi' and pi''.  They are
+    computed once, here, and ch_laws evaluates only (nqp, nc) arrays.
+
+    These laws are those of Pointwise written a second time, in another
+    order of operations, with s * s * s for the double well's cube: they
+    agree with Pointwise to a few ulps of the largest value, not bit for
+    bit, and the monolithic path, whose bits the benchmark pins, keeps
+    Pointwise.
+    """
+
+    def __init__(self, strain, p, params: MaterialParams):
+        self.params = params
+        c0_i, dc_i = params.C0 @ VOIGT_ID, params.dC @ VOIGT_ID
+        # C0 and dC are symmetric, so C I . eps = I.C.eps
+        self.c0_eps = strain @ c0_i
+        self.dc_eps = strain @ dc_i
+        self.eps_dc_eps = np.einsum("ci,ij,cj->c", strain, params.dC, strain)
+        self.p2 = p * p
+        self.p_divu = p * (strain[:, 0] + strain[:, 1])
+        # I.C0.I and I.dC.I
+        self.c0_ii = float(VOIGT_ID @ c0_i)
+        self.dc_ii = float(VOIGT_ID @ dc_i)
+
+    def ch_laws(self, ph: Phase):
+        """(mu_nonlinear, dmu_nonlinear) at the phi of ph, (nqp, nc) each.
+
+        mu = (gamma/ell) 4 s^3 - xi I.C(phi)(eps - t I) + pi' g and
+        dmu = (gamma/ell) 12 s^2 + xi^2 I.C(phi).I - 2 xi pi' I.dC(eps - t I)
+        + pi'' g - M'^2 p^2 / M^3, with s = phi - 1/2 and
+        g = (eps - t I).dC(eps - t I) / 2 + (M1 - M0) p^2 / (2 M^2)
+        - (alpha1 - alpha0) p div u.
+        """
+        pa, xi = self.params, self.params.xi
+        piv, pip, pipp = ph.pi
+        t = xi * ph.dphi
+        s = ph.shifted
+        s2 = s * s
+        M = ph.M
+        tr = self.dc_eps - t * self.dc_ii               # I.dC(eps - t I)
+        csum = self.c0_ii + piv * self.dc_ii            # I.C(phi).I
+        h = self.p2 / (M * M)
+        g = (0.5 * (self.eps_dc_eps - t * (self.dc_eps + tr))
+             + (0.5 * (pa.M1 - pa.M0)) * h
+             - (pa.alpha1 - pa.alpha0) * self.p_divu)
+        well = pa.gamma / pa.ell
+        mu = ((4.0 * well) * (s2 * s)
+              - xi * ((self.c0_eps + piv * self.dc_eps) - t * csum)
+              + pip * g)
+        dmu = ((12.0 * well) * s2 + (xi * xi) * csum
+               - (2.0 * xi) * (pip * tr) + pipp * g - (ph.Mp * ph.Mp / M) * h)
+        return mu, dmu

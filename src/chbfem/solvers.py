@@ -36,8 +36,8 @@ from .fem import default_rule, rt0_basis
 from .linalg import (SOLVE_RTOL, Block, CsrPattern, LinearSolveFailure,
                      factored_block, solve_linear)
 from .mesh import StructuredTriMesh
-from .model import (VOIGT_ID, MaterialParams, Phase, Pointwise, check_fields,
-                    choice, integer, real)
+from .model import (VOIGT_ID, FrozenCoupling, MaterialParams, Phase,
+                    Pointwise, check_fields, choice, integer, real)
 
 DIVERGENCE_LIMIT = 1.0e6
 # Monolithic Jacobians of at least this many rows carry their diagonal
@@ -226,11 +226,11 @@ class ChbSystem:
     through S.
 
     The layouts, their orderings and factors, the constant element blocks
-    and the kernels' cells-last tables are the solver workspace: built on first
-    use, dropped by release_workspace().  advance_simulation drops it
-    before and after each run, so a run's result does not depend on what
-    the system solved before, and a finished run leaves only the constant
-    operators behind.
+    and the quadrature tables (the kernels' cells-last tables and
+    lam_outer) are the solver workspace: built on first use, dropped by
+    release_workspace().  advance_simulation drops it before and after
+    each run, so a run's result does not depend on what the system solved
+    before, and a finished run leaves only the constant operators behind.
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
@@ -305,8 +305,8 @@ class ChbSystem:
     def release_workspace(self) -> None:
         """Drop every table built on first use: the CSR layouts with their
         stored LU orderings and factors, the CH Jacobian image, the constant
-        element blocks and the kernels' cells-last tables.  The next use builds
-        each one again."""
+        element blocks and the quadrature tables.  The next use builds each
+        one again."""
         for name, attr in vars(ChbSystem).items():
             if isinstance(attr, cached_property):
                 self.__dict__.pop(name, None)
@@ -342,7 +342,7 @@ class ChbSystem:
         """Divergence row of B per cell: rows 0 and 1 added, (nc, 6)."""
         return self.B[:, 0, :] + self.B[:, 1, :]
 
-    # -- the kernels' cells-last tables, built on first use -----------------
+    # -- quadrature tables, built on first use -------------------------------
 
     @cached_property
     def wq_last(self) -> np.ndarray:
@@ -358,6 +358,12 @@ class ChbSystem:
     def B_last(self) -> np.ndarray:
         """B cells last, (3, 6, nc)."""
         return kn.cells_last(self.B)
+
+    @cached_property
+    def lam_outer(self) -> np.ndarray:
+        """lam_i lam_j at each quadrature point, (nqp, 9)."""
+        lam = self.lam
+        return (lam[:, :, None] * lam[:, None, :]).reshape(len(lam), 9)
 
     # -- field evaluation helpers ------------------------------------------
 
@@ -376,6 +382,10 @@ class ChbSystem:
         """The laws at the iterate (phi, u, p), at the quadrature points."""
         return Pointwise(self.phase_values(phi), self.strain_per_cell(u),
                          np.ascontiguousarray(p))
+
+    def frozen_coupling(self, u, p) -> FrozenCoupling:
+        """The chemical-potential laws at the frozen (u, p) of a CH solve."""
+        return FrozenCoupling(self.strain_per_cell(u), p, self.params)
 
     def initial_state(self, phi_expr=None) -> FieldState:
         """State at time level 0: half-domain phase split, everything else zero."""
@@ -404,31 +414,37 @@ class ChbSystem:
         pa = self.params
         return (pa.gamma / pa.ell) * (self.M @ (state_prev.phi - 0.5))
 
-    def ch_residual(self, state_prev, phi, mu, pw, explicit):
-        """Stacked residual of the (phi, mu) block with u, p frozen.
+    def ch_residual(self, state_prev, phi, mu, load, explicit):
+        """Stacked residual of the (phi, mu) block at the iterate (phi, mu).
 
-        pw: the laws at the iterate, pointwise(phi, u, p) for the frozen
-        u and p; explicit: ch_explicit_load(state_prev).
+        load: the element load vectors of mu_nonlinear at the iterate,
+        (nc, 3); explicit: ch_explicit_load(state_prev).  The convex
+        double-well term and the energy couplings are evaluated at phi
+        (implicit), the expansive term at the previous time step.
         """
         pa = self.params
-        nl = _scatter_vector(kn.ch_load(pw, self.wq_last, self.lam),
-                             self.cells, self.nv)
+        nl = _scatter_vector(load, self.cells, self.nv)
         r_phi = self.M @ (phi - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu)
         r_mu = (self.M @ mu - pa.gamma * pa.ell * (self.K @ phi) - nl
                 + explicit)
         return np.concatenate([r_phi, r_mu])
 
-    def ch_residual_and_jacobian(self, state_prev, phi, mu, pw, explicit):
-        """Residual and Jacobian of the Cahn-Hilliard block at the iterate.
+    def ch_residual_and_jacobian(self, state_prev, phi, mu, values, coupling,
+                                 explicit):
+        """Residual and Jacobian of the Cahn-Hilliard block at the iterate,
+        with u and p frozen, as the splitting solves it.
 
-        The convex double-well term and the energy couplings are evaluated
-        at phi (implicit), the expansive term at the previous time step.
-        pw and explicit as for ch_residual.
+        values: phase_values(phi); coupling: frozen_coupling(u, p) of the
+        frozen u and p; explicit: ch_explicit_load(state_prev).  Each
+        element integral is one product with the quadrature table:
+        (wq mu)^T lam for the load, (wq dmu)^T (lam x lam) for W.
         """
-        # the Jacobian first: the residual waits for pw's double-well cube,
-        # which the helper thread computes meanwhile (model.Phase)
-        J = self._ch_matrix(kn.ch_jac(pw, self.wq_last, self.lam))
-        return self.ch_residual(state_prev, phi, mu, pw, explicit), J
+        mu_nl, dmu_nl = coupling.ch_laws(values)
+        wq = self.wq_last
+        w_elem = ((wq * dmu_nl).T @ self.lam_outer).reshape(-1, 3, 3)
+        load = (wq * mu_nl).T @ self.lam
+        return (self.ch_residual(state_prev, phi, mu, load, explicit),
+                self._ch_matrix(w_elem))
 
     def _ch_matrix(self, w_elem) -> sp.csr_matrix:
         """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] for the
@@ -467,23 +483,21 @@ class ChbSystem:
                                 & (pattern.indices < self.nv))
         return image, mu_phi, k_mu_phi
 
-    def solve_ch_subsystem(self, state_prev, u_fixed, p_fixed, config, phi,
-                           mu, values, stats: IterationStats):
-        """Newton iteration on the (phi, mu) block from the start (phi, mu);
-        returns the new (phi, mu).
+    def solve_ch_subsystem(self, state_prev, explicit, u_fixed, p_fixed,
+                           config, phi, mu, values, stats: IterationStats):
+        """Newton iteration on the (phi, mu) block from the start (phi, mu)
+        at the frozen (u_fixed, p_fixed); returns the new (phi, mu).
 
-        values: phase_values(phi) of the start phi.  Appends its Newton
-        count to stats.inner_newton and keeps it current.
+        explicit: ch_explicit_load(state_prev); values: phase_values(phi)
+        of the start phi.  Appends its Newton count to stats.inner_newton
+        and keeps it current.
         """
-        # fixed over the Newton iteration
-        strain = self.strain_per_cell(u_fixed)
-        p_cell = np.ascontiguousarray(p_fixed)
-        explicit = self.ch_explicit_load(state_prev)
+        coupling = self.frozen_coupling(u_fixed, p_fixed)
         done = stats.inner_newton
         for it in range(1, config.max_iter + 1):
             stats.inner_newton = (*done, it)
             res, J = self.ch_residual_and_jacobian(
-                state_prev, phi, mu, Pointwise(values, strain, p_cell), explicit)
+                state_prev, phi, mu, values, coupling, explicit)
             delta = solve_linear(J, -res)
             phi = phi + delta[:self.nv]
             mu = mu + delta[self.nv:]
@@ -672,10 +686,12 @@ class ChbSystem:
         phi_o, mu_o = state_prev.phi, state_prev.mu
         u_o, p_o, q_o = state_prev.u, state_prev.p, state_prev.q
         storage_prev = self.storage_coefficient(state_prev)
+        explicit = self.ch_explicit_load(state_prev)
         values = self.phase_values(phi_o)
         for it in range(1, config.max_iter + 1):
             phi_n, mu_n = self.solve_ch_subsystem(
-                state_prev, u_o, p_o, config, phi_o, mu_o, values, stats)
+                state_prev, explicit, u_o, p_o, config, phi_o, mu_o, values,
+                stats)
             # shared by both subsystems and the next outer iteration's
             # first Cahn-Hilliard iterate, which starts at phi_n
             phase = self.phase_integrals(phi_n)
@@ -716,8 +732,9 @@ class ChbSystem:
         st = state_iter
         pw, mq_elem = at
         res = np.empty(self.ndofs)
-        res[:2 * self.nv] = self.ch_residual(state_prev, st.phi, st.mu, pw,
-                                             self.ch_explicit_load(state_prev))
+        res[:2 * self.nv] = self.ch_residual(
+            state_prev, st.phi, st.mu, kn.ch_load(pw, self.wq_last, self.lam),
+            self.ch_explicit_load(state_prev))
         phase = self.phase_integrals(st.phi, pw)
         cint, swell = self._elasticity_data(phase)
         sint = np.einsum("cab,cb->ca", cint, pw.strain) - swell
@@ -735,9 +752,9 @@ class ChbSystem:
             - self.BdivT @ st.p
         return res
 
-    def monolithic_jacobian(self, state_prev: FieldState,
-                            state_iter: FieldState, at) -> sp.csr_matrix:
-        """Exact Jacobian of monolithic_residual at the iterate.
+    def monolithic_jacobian(self, state_iter: FieldState, at) -> sp.csr_matrix:
+        """Exact Jacobian of monolithic_residual at the iterate; the
+        previous step enters the residual only through constants.
 
         at: monolithic_iterate(state_iter).
         """
@@ -802,7 +819,7 @@ class ChbSystem:
             stats.newton_iters = it
             at = self.monolithic_iterate(state)
             # J first, while the helper thread computes the residual's cube
-            J = self.monolithic_jacobian(state_prev, state, at)
+            J = self.monolithic_jacobian(state, at)
             res = self.monolithic_residual(state_prev, state, at)
             del at  # its pointwise arrays need not outlive the factorization
             delta = solve_linear(J, -res)

@@ -55,6 +55,31 @@ def random_state(system: ChbSystem, rng: np.random.Generator,
 
 
 def ch_frozen(system: ChbSystem, prev: FieldState, phi, u, p):
-    """The values the CH residual and Jacobian at phi read, with u and p
-    frozen: (system.pointwise(phi, u, p), system.ch_explicit_load(prev))."""
-    return system.pointwise(phi, u, p), system.ch_explicit_load(prev)
+    """The values the splitting's CH residual and Jacobian at phi read,
+    with u and p frozen: (system.phase_values(phi),
+    system.frozen_coupling(u, p), system.ch_explicit_load(prev))."""
+    return (system.phase_values(phi), system.frozen_coupling(u, p),
+            system.ch_explicit_load(prev))
+
+
+def ch_split_residual(system: ChbSystem, prev: FieldState, phi, mu, u, p):
+    """The residual of the splitting's CH subsystem at (phi, mu), with u
+    and p frozen."""
+    res, _ = system.ch_residual_and_jacobian(
+        prev, phi, mu, *ch_frozen(system, prev, phi, u, p))
+    return res
+
+
+# The splitting's CH laws (model.FrozenCoupling) and their one-product
+# element integrals agree with the monolithic path's, and with
+# tests/reference_kernels.py, to within this many ulps of the largest
+# value compared; 2.3 ulps measured at n=4 to 65.
+ULPS = 8
+
+
+def assert_within_ulps(got, want, what):
+    """|got - want| <= ULPS ulps of max |want|, entry by entry."""
+    assert got.shape == want.shape, what
+    bound = ULPS * np.finfo(np.float64).eps * np.abs(want).max()
+    err = np.abs(got - want).max()
+    assert err <= bound, f"{what}: {err:.3e} > {bound:.3e}"

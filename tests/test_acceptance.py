@@ -16,7 +16,7 @@ from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig, advance_simulation
 
-from conftest import ch_frozen, random_state, take_step
+from conftest import ch_frozen, ch_split_residual, random_state, take_step
 from reference_fem import assemble_form, mass_kernel, p1_scalar
 
 TOL = 1.0e-6
@@ -97,10 +97,10 @@ def test_criterion_3_jacobian_correctness():
         st = system.unpack(x, 1)
         return system.monolithic_residual(prev, st, system.monolithic_iterate(st))
 
+    # the CH subsystem as the splitting solves it, on frozen u and p
     def ch_residual(prev, x, u, p):
         phi, mu = x[:system.nv], x[system.nv:]
-        return system.ch_residual(prev, phi, mu,
-                                  *ch_frozen(system, prev, phi, u, p))
+        return ch_split_residual(system, prev, phi, mu, u, p)
 
     worst_mono = 0.0
     worst_ch = 0.0
@@ -109,8 +109,7 @@ def test_criterion_3_jacobian_correctness():
         prev = random_state(system, rng)
         st = (random_state(system, rng, n=1) if interior
               else random_state(system, rng, phi_low=1.1, phi_high=1.4, n=1))
-        A = system.monolithic_jacobian(prev, st,
-                                       system.monolithic_iterate(st)).toarray()
+        A = system.monolithic_jacobian(st, system.monolithic_iterate(st)).toarray()
         x0 = system.pack(st)
         F = np.empty_like(A)
         for c in range(len(x0)):

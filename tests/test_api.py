@@ -80,5 +80,8 @@ def test_iterate_methods_take_their_frozen_values_from_the_caller():
         defaulted = [p for p, v in params.items() if v.default is not v.empty]
         assert not defaulted, f"ChbSystem.{name} defaults {defaulted}"
         if name.startswith("ch_"):
-            # they read pw, the laws at u and p, not u and p
+            # they read the laws at u and p, or their integrals, not u and p
             assert not {"u_fixed", "p_fixed"} & set(params), name
+    # the Jacobian does not depend on the previous step
+    assert "state_prev" not in inspect.signature(
+        solvers.ChbSystem.monolithic_jacobian).parameters

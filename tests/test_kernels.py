@@ -15,7 +15,7 @@ from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig
 
-from conftest import ch_frozen, random_state, take_step
+from conftest import assert_within_ulps, ch_frozen, random_state, take_step
 from reference_fem import FieldFunction, assemble_form, p0_space, p1_scalar, rt0_space
 
 
@@ -171,8 +171,9 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     o, state = kernel_inputs(n, 20 + n, MaterialParams(xi=2.0, **stiffness))
     pa = o.params
     prev = random_state(o, np.random.default_rng(n), -0.3, 1.3)
-    _, J = o.ch_residual_and_jacobian(
-        prev, state.phi, state.mu, *ch_frozen(o, prev, state.phi, state.u, state.p))
+    # the monolithic path's CH block
+    J = o._ch_matrix(kn.ch_jac(o.pointwise(state.phi, state.u, state.p),
+                               o.wq_last, o.lam))
     w_elem = ref.ch_jac(o.phi_at_qp(state.phi), o.wq, o.lam,
                         o.strain_per_cell(state.u),
                         np.ascontiguousarray(state.p), pa)
@@ -198,13 +199,15 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     assert np.array_equal(J.indptr, want.indptr)
     assert np.array_equal(J.indices, want.indices)
     assert_same_bits(J.data, want.data, "CH Jacobian")
-    # the splitting's path: phase values shared with the phase integrals,
-    # the strain and the explicit load computed beforehand
-    pw = kn.Pointwise(o.phase_integrals(state.phi).values,
-                      o.strain_per_cell(state.u), np.ascontiguousarray(state.p))
-    _, J = o.ch_residual_and_jacobian(prev, state.phi, state.mu, pw,
-                                      o.ch_explicit_load(prev))
-    assert_same_bits(J.data, want.data, "CH Jacobian from shared values")
+    # the splitting's path, to a few ulps: phase values shared with the
+    # phase integrals, the frozen coupling and the explicit load computed
+    # beforehand
+    _, J = o.ch_residual_and_jacobian(
+        prev, state.phi, state.mu, o.phase_integrals(state.phi).values,
+        o.frozen_coupling(state.u, state.p), o.ch_explicit_load(prev))
+    assert np.array_equal(J.indptr, want.indptr)
+    assert np.array_equal(J.indices, want.indices)
+    assert_within_ulps(J.data, want.data, "CH Jacobian from shared values")
 
 
 def test_kernels_match_reference_at_the_unit_interval_ends():
@@ -215,16 +218,60 @@ def test_kernels_match_reference_at_the_unit_interval_ends():
     check_kernels(system, state)
 
 
+# -- the splitting's CH laws on frozen coupling coefficients ------------------
+# model.FrozenCoupling writes the laws of Pointwise.mu_nonlinear and
+# dmu_nonlinear a second time, as polynomials in xi (phi - phi_bar), and
+# ChbSystem.ch_residual_and_jacobian integrates them with one product
+# each: the same values to a few ulps (conftest.ULPS), not the same bits.
+
+def check_frozen_coupling(system, state):
+    o, pa = system, system.params
+    phi_q = o.phi_at_qp(state.phi)
+    strain = o.strain_per_cell(state.u)
+    p = np.ascontiguousarray(state.p)
+    mu, dmu = o.frozen_coupling(state.u, state.p).ch_laws(o.phase_values(state.phi))
+    pw = kn.Pointwise(kn.Phase(phi_q, pa), strain, p)
+    assert_within_ulps(mu, pw.mu_nonlinear, "mu_nonlinear")
+    assert_within_ulps(dmu, pw.dmu_nonlinear, "dmu_nonlinear")
+    # the element arrays, as ch_residual_and_jacobian integrates them
+    assert_within_ulps((o.wq_last * mu).T @ o.lam,
+                       ref.ch_load(phi_q, o.wq, o.lam, strain, p, pa), "ch_load")
+    w_elem = ((o.wq_last * dmu).T @ o.lam_outer).reshape(-1, 3, 3)
+    assert_within_ulps(w_elem, ref.ch_jac(phi_q, o.wq, o.lam, strain, p, pa),
+                       "ch_jac")
+
+
+@pytest.mark.parametrize("n, seed", [(4, 31), (16, 32),
+                                     pytest.param(65, 33, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("stiffness", [{}, SHEAR_COUPLED],
+                         ids=["default", "shear_coupled"])
+def test_frozen_coupling_matches_reference_within_ulps(n, seed, stiffness):
+    check_frozen_coupling(*kernel_inputs(n, seed,
+                                         MaterialParams(xi=2.0, **stiffness)))
+
+
+@pytest.mark.parametrize("stiffness", [{}, SHEAR_COUPLED],
+                         ids=["default", "shear_coupled"])
+def test_frozen_coupling_matches_reference_at_the_unit_interval_ends(stiffness):
+    # phi at exactly 0 and 1, where pi'' jumps
+    system, state = kernel_inputs(4, 34, MaterialParams(xi=2.0, **stiffness))
+    state.phi = np.where(np.arange(system.nv) % 2 == 0, 0.0, 1.0)
+    check_frozen_coupling(system, state)
+
+
 def test_ch_residual_is_the_same_with_or_without_the_jacobian():
-    system, state = kernel_inputs(16, 7)
-    prev = random_state(system, np.random.default_rng(8), -0.3, 1.3)
-    # each call on values of its own, as the Jacobian reads pw first
-    args = (system, prev, state.phi, state.u, state.p)
-    res, _ = system.ch_residual_and_jacobian(prev, state.phi, state.mu,
-                                             *ch_frozen(*args))
-    assert_same_bits(res, system.ch_residual(prev, state.phi, state.mu,
-                                             *ch_frozen(*args)),
-                     "ch_residual")
+    o, state = kernel_inputs(16, 7)
+    prev = random_state(o, np.random.default_rng(8), -0.3, 1.3)
+    values, coupling, explicit = ch_frozen(o, prev, state.phi, state.u, state.p)
+    res, _ = o.ch_residual_and_jacobian(prev, state.phi, state.mu, values,
+                                        coupling, explicit)
+    mu_nl, _ = coupling.ch_laws(values)
+    load = (o.wq_last * mu_nl).T @ o.lam
+    assert_same_bits(res, o.ch_residual(prev, state.phi, state.mu, load,
+                                        explicit), "ch_residual")
+    # the monolithic path's load, from model.Pointwise and kn.ch_load
+    pw = o.pointwise(state.phi, state.u, state.p)
+    assert_within_ulps(load, kn.ch_load(pw, o.wq_last, o.lam), "CH load")
 
 
 def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):
@@ -240,8 +287,7 @@ def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):
         assert_same_bits(-system.monolithic_residual(
             prev, state, system.monolithic_iterate(state)), b,
             "monolithic_residual")
-        J = system.monolithic_jacobian(prev, state,
-                                       system.monolithic_iterate(state))
+        J = system.monolithic_jacobian(state, system.monolithic_iterate(state))
         assert np.array_equal(J.indptr, A.indptr)
         assert np.array_equal(J.indices, A.indices)
         assert_same_bits(J.data, A.data, "monolithic_jacobian")

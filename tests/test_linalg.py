@@ -252,8 +252,7 @@ def test_stored_orderings_reproduce_fresh_factors_on_every_layout(n):
         "elasticity": system._elasticity_matrix(
             np.einsum("cai,cab,cbj->cij", system.B, cint, system.B)),
         "flux": system._flux_matrix(phase.dinv, mq_elem),
-        "monolithic": system.monolithic_jacobian(prev, st,
-                                                 system.monolithic_iterate(st)),
+        "monolithic": system.monolithic_jacobian(st, system.monolithic_iterate(st)),
     }
     for name, A in matrices.items():
         b = rng.normal(size=A.shape[0])

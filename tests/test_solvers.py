@@ -22,7 +22,8 @@ from chbfem.solvers import (DIVERGENCE_LIMIT, ChbSystem, FieldState,
                             IterationStats, NonConvergence, SimulationFailed,
                             SolverConfig, advance_simulation)
 
-from conftest import ch_frozen, random_state, take_step
+from conftest import (assert_within_ulps, ch_frozen, ch_split_residual,
+                      random_state, take_step)
 from reference_fem import apply_dirichlet
 
 
@@ -81,8 +82,7 @@ def test_solver_config_validation():
 
 def test_ch_residual_zero_at_homogeneous_state(system4):
     st = system4.initial_state(lambda x, y: 0.5)
-    res = system4.ch_residual(st, st.phi, st.mu,
-                              *ch_frozen(system4, st, st.phi, st.u, st.p))
+    res = ch_split_residual(system4, st, st.phi, st.mu, st.u, st.p)
     assert np.abs(res[:system4.nv]).max() <= 1e-14
     assert np.abs(res[system4.nv:]).max() <= 1e-14
 
@@ -99,8 +99,7 @@ def test_ch_jacobian_matches_finite_differences(system4):
 
         def r(x):
             phi, mu = x[:system4.nv], x[system4.nv:]
-            return system4.ch_residual(
-                prev, phi, mu, *ch_frozen(system4, prev, phi, prev.u, prev.p))
+            return ch_split_residual(system4, prev, phi, mu, prev.u, prev.p)
 
         F = fd_jacobian(r, x0)
         scale = max(np.abs(F).max(), 1.0)
@@ -111,8 +110,7 @@ def test_monolithic_jacobian_matches_finite_differences(system4):
     rng = np.random.default_rng(32)
     prev = random_state(system4, rng)
     st = random_state(system4, rng, n=1)
-    J = system4.monolithic_jacobian(prev, st,
-                                    system4.monolithic_iterate(st)).toarray()
+    J = system4.monolithic_jacobian(st, system4.monolithic_iterate(st)).toarray()
 
     def r(x):
         state = system4.unpack(x, 1)
@@ -128,8 +126,7 @@ def test_jacobian_interpolation_couplings_vanish_outside_unit_interval(system4):
     rng = np.random.default_rng(33)
     prev = random_state(system4, rng)
     st = random_state(system4, rng, phi_low=1.2, phi_high=1.6, n=1)
-    J = system4.monolithic_jacobian(prev, st,
-                                    system4.monolithic_iterate(st)).toarray()
+    J = system4.monolithic_jacobian(st, system4.monolithic_iterate(st)).toarray()
     o = system4
     # couplings mediated by pi'(phi): (mu,p), (p,phi) and (q,phi) blocks
     assert np.abs(J[o.off_mu:o.off_u, o.off_p:o.off_q]).max() == 0.0
@@ -223,8 +220,7 @@ def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
     rng = np.random.default_rng(39)
     prev = random_state(system4, rng)
     st = random_state(system4, rng, n=1)
-    J = system4.monolithic_jacobian(prev, st,
-                                    system4.monolithic_iterate(st)).toarray()
+    J = system4.monolithic_jacobian(st, system4.monolithic_iterate(st)).toarray()
     o = system4
     phase = system4.phase_integrals(st.phi)
     dinv = phase.dinv
@@ -268,7 +264,7 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
     np.testing.assert_allclose(S, S.T, rtol=0, atol=1e-15 * np.abs(S).max())
     np.linalg.cholesky(S)
     # the preconditioner's flow block against a direct solve of J's (p, q)
-    J = o.monolithic_jacobian(prev, st, o.monolithic_iterate(st))
+    J = o.monolithic_jacobian(st, o.monolithic_iterate(st))
     flow = J.blocks[2]
     b = rng.normal(size=flow.size)
     x = flow.solver()(b)
@@ -328,7 +324,8 @@ def test_ch_solve_at_extreme_surface_tension_fails_cleanly(system4):
     cfg = SolverConfig(strategy="splitting", num_steps=1, max_iter=8)
     stats = IterationStats(step=1)
     try:
-        system.solve_ch_subsystem(st0, st0.u, st0.p, cfg, st0.phi, st0.mu,
+        system.solve_ch_subsystem(st0, system.ch_explicit_load(st0), st0.u,
+                                  st0.p, cfg, st0.phi, st0.mu,
                                   system.phase_values(st0.phi), stats)
     except NonConvergence:
         pass
@@ -455,7 +452,7 @@ def test_splitting_subsystems_use_symmetric_mode_lu(splu_specs):
 def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
     system4.release_workspace()   # an earlier test may have ordered it
     st0 = system4.initial_state()
-    J = system4.monolithic_jacobian(st0, st0, system4.monolithic_iterate(st0))
+    J = system4.monolithic_jacobian(st0, system4.monolithic_iterate(st0))
     solve_linear(J, -system4.monolithic_residual(
         st0, st0, system4.monolithic_iterate(st0)))
     assert splu_specs == ["MMD_AT_PLUS_A"]
@@ -496,7 +493,7 @@ def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
     rng = np.random.default_rng(40)
     prev = random_state(system4, rng)
     st = random_state(system4, rng, n=1)
-    J = system4.monolithic_jacobian(prev, st, system4.monolithic_iterate(st))
+    J = system4.monolithic_jacobian(st, system4.monolithic_iterate(st))
     b = -system4.monolithic_residual(prev, st, system4.monolithic_iterate(st))
     x = solve_linear(J, b)
     assert splu_specs == ["MMD_AT_PLUS_A"]
@@ -528,14 +525,14 @@ def test_krylov_path_keeps_the_direct_paths_newton_counts(monkeypatch,
 def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
     system = ChbSystem(build_unit_square_mesh(16), MaterialParams())
     st0 = system.initial_state()
-    J = system.monolithic_jacobian(st0, st0, system.monolithic_iterate(st0))
+    J = system.monolithic_jacobian(st0, system.monolithic_iterate(st0))
     assert J.shape[0] == 2468 < solvers.KRYLOV_MIN_ROWS
     assert not hasattr(J, "blocks")
     monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
     o = ChbSystem(build_unit_square_mesh(4), MaterialParams())
     rng = np.random.default_rng(41)
     prev, st = random_state(o, rng), random_state(o, rng, n=1)
-    J = o.monolithic_jacobian(prev, st, o.monolithic_iterate(st))
+    J = o.monolithic_jacobian(st, o.monolithic_iterate(st))
     ch, elas, flow = J.blocks
     assert [blk.size for blk in J.blocks] == [o.off_u, o.off_p - o.off_u,
                                               o.ndofs - o.off_p]
@@ -654,7 +651,7 @@ def test_jacobians_with_blocks_keep_no_direct_factor(monkeypatch, splu_specs):
     o = ChbSystem(build_unit_square_mesh(4), MaterialParams())
     rng = np.random.default_rng(42)
     prev, st = random_state(o, rng), random_state(o, rng, n=1)
-    J = o.monolithic_jacobian(prev, st, o.monolithic_iterate(st))
+    J = o.monolithic_jacobian(st, o.monolithic_iterate(st))
     assert J.layout.keep_factor and J.blocks
     solve_linear(J, -o.monolithic_residual(prev, st, o.monolithic_iterate(st)))
     # one GMRES iteration misses the contract after the three block
@@ -1090,10 +1087,17 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
     for _ in range(3):  # the first call builds the patterns, later ones fill
         prev = random_state(o, rng, *phi_range)
         st = random_state(o, rng, *phi_range, n=1)
+        want = reference_ch_jacobian(o, st.phi, st.u, st.p)
+        # the monolithic path's CH block, bit for bit
+        pw = o.pointwise(st.phi, st.u, st.p)
+        assert_same_csr(o._ch_matrix(kn.ch_jac(pw, o.wq_last, o.lam)), want)
+        # the splitting's, to a few ulps
         _, J = o.ch_residual_and_jacobian(prev, st.phi, st.mu,
                                           *ch_frozen(o, prev, st.phi, st.u, st.p))
-        assert_same_csr(J, reference_ch_jacobian(o, st.phi, st.u, st.p))
-        assert_same_csr(o.monolithic_jacobian(prev, st, o.monolithic_iterate(st)),
+        assert np.array_equal(J.indptr, want.indptr)
+        assert np.array_equal(J.indices, want.indices)
+        assert_within_ulps(J.data, want.data, "splitting's CH Jacobian")
+        assert_same_csr(o.monolithic_jacobian(st, o.monolithic_iterate(st)),
                         reference_monolithic_jacobian(o, st))
         solved.clear()
         phase = o.phase_integrals(st.phi)
@@ -1208,8 +1212,8 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
             assert np.array_equal(reused.pack(got), reused.pack(want))
             # a finished run keeps no workspace
             assert not {"_ch_layout", "_monolithic_layout", "wq_last",
-                        "psi_last", "B_last", "_m_elem", "_k_elem",
-                        "_div_elem", "drow"} & set(vars(reused))
+                        "psi_last", "B_last", "lam_outer", "_m_elem",
+                        "_k_elem", "_div_elem", "drow"} & set(vars(reused))
 
 
 def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch):
@@ -1227,6 +1231,29 @@ def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch)
     # the previous step's storage term, the first iterate, and one per
     # later CH iterate and per converged phi
     assert len(built) <= stats.newton_total + 2
+
+
+def test_only_the_monolithic_path_computes_the_cube(system4, monkeypatch):
+    # the splitting reads s * s * s (model.FrozenCoupling); each monolithic
+    # Newton iterate builds one model.Pointwise, which starts one cube on
+    # the helper thread
+    submitted = []
+    helper = model._helper
+
+    class Counting:
+        def submit(self, *args):
+            submitted.append(args)
+            return helper.submit(*args)
+
+    monkeypatch.setattr(model, "_helper", Counting())
+    _, stats = take_step(system4.splitting_step, system4.initial_state(),
+                         SolverConfig())
+    assert stats.outer_iters >= 2 and stats.newton_total > stats.outer_iters
+    assert submitted == []
+    _, stats = take_step(system4.monolithic_step, system4.initial_state(),
+                         SolverConfig(strategy="monolithic"))
+    assert stats.newton_iters >= 2
+    assert len(submitted) == stats.newton_iters
 
 
 def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
