@@ -22,11 +22,6 @@ agrees with Pointwise to a few ulps, not bit for bit.  So the laws of
 mu_nonlinear and dmu_nonlinear are written twice until the monolithic
 path moves to the same form (ROADMAP items 1 and 3).
 
-Pointwise starts the cube of its double well on a helper thread, one for
-the whole process, as soon as it is built; well_prime waits for it.  The
-monolithic Newton step assembles its Jacobian meanwhile, so a run uses two
-threads.
-
 Each law of Phase and Pointwise performs the operations of its twin in
 tests/reference_kernels.py in the same order, as the kernels' bit-exact
 contract asks (see chbfem._kernels): products left to right in the
@@ -41,11 +36,8 @@ and the experiment config share.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -227,42 +219,18 @@ def pi_double_prime(phi):
     return pi_laws(phi)[2]
 
 
-def _start_helper():
-    """The one thread that computes each Phase's double-well cube (see
-    Phase.well_prime); its thread starts with the first cube."""
-    global _helper
-    _helper = ThreadPoolExecutor(max_workers=1,
-                                 thread_name_prefix="chbfem-cube")
-
-
-_start_helper()
-# a forked child inherits the executor but not its thread, and would wait
-# forever on its first cube
-os.register_at_fork(after_in_child=_start_helper)
-
-
 class Phase:
     """The laws of phi alone at the quadrature points, cells last.
 
     phi_q is phi at the quadrature points, (nc, nqp), as
     ChbSystem.phi_at_qp returns it; every value is (nqp, nc).  A value
     that several kernels read is computed on first use and kept; a
-    kernel's integrand is computed when that kernel reads it.  The cube
-    of well_prime starts on the helper thread when a Pointwise is built
-    from the phase, or else when well_prime is first read.
+    kernel's integrand is computed when that kernel reads it.
     """
 
     def __init__(self, phi_q, params: MaterialParams):
         self.phi = phi_q.T.copy()
         self.params = params
-
-    @cached_property
-    def _cube(self):
-        """The future of (phi - 1/2) ** 3 on the helper thread."""
-        # numpy keeps its error state (np.errstate) in a context variable,
-        # which the helper sees only in a copy of the caller's context
-        return _helper.submit(contextvars.copy_context().run,
-                              np.power, self.shifted, 3)
 
     @cached_property
     def pi(self):
@@ -305,17 +273,15 @@ class Phase:
     # a slow scalar path, about 0.14 ms of each Newton iterate at n=16 and
     # 2.7 ms at n=65, but neither s * s * s nor a power of |s| with the
     # sign copied back gives the bits of ** 3 in every lane, and the
-    # monolithic kernels are held to those bits.  The power releases the
-    # interpreter lock, so it runs on the helper thread while the caller
-    # assembles the Jacobian (see ChbSystem.monolithic_step).  The
-    # splitting reads s * s * s (FrozenCoupling).  Once the kernels are
-    # held to a few ulps (ROADMAP item 2) and the benchmark no longer pins
-    # roundoff (item 1), s * s * s replaces both the power and the helper.
+    # monolithic kernels are held to those bits.  The splitting reads
+    # s * s * s (FrozenCoupling).  Once the kernels are held to a few ulps
+    # (ROADMAP item 2) and the benchmark no longer pins roundoff (item 1),
+    # s * s * s replaces the power here too.
     @property
     def well_prime(self):
         """(gamma/ell) psi_c'(phi) = (gamma/ell) 4 (phi - 1/2)^3."""
         pa = self.params
-        return (pa.gamma / pa.ell) * 4.0 * self._cube.result()
+        return (pa.gamma / pa.ell) * 4.0 * np.power(self.shifted, 3)
 
     @property
     def well_second(self):
@@ -346,8 +312,7 @@ class Phase:
 class Pointwise(Phase):
     """The laws of phi plus those of one iterate's strain and pressure.
 
-    Built from the Phase of phi, whose values computed so far it shares,
-    and whose double-well cube it starts on the helper thread.
+    Built from the Phase of phi, whose values computed so far it shares.
     strain is the Voigt strain per cell, (nc, 3), and p the cellwise
     pressure, (nc,).  The energies whose phi-derivatives enter the
     chemical potential are E_el = (eps - T):C(phi)(eps - T)/2, with
@@ -357,9 +322,6 @@ class Pointwise(Phase):
 
     def __init__(self, phase: Phase, strain, p):
         self.__dict__.update(phase.__dict__)
-        # only the monolithic path reads the cube, and it builds its
-        # Jacobian meanwhile
-        self._cube = phase._cube
         self.strain = strain
         self.p = p
 

@@ -542,13 +542,18 @@ class ChbSystem:
         the clamped dofs.
         """
         cint, swell = self._elasticity_data(phase)
-        a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
-                           optimize=STIFFNESS_PATH)
+        a_elem = self._stiffness_elem(cint)
         rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
                     + (phase.abar * p_fixed)[:, None] * self.drow)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
         return _solve_from(self._elasticity_matrix(a_elem), b, u_start)
+
+    def _stiffness_elem(self, cint) -> np.ndarray:
+        """Element stiffness blocks B^T cint B of the integrated stiffness
+        per cell, (nc, 6, 6)."""
+        return np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
+                         optimize=STIFFNESS_PATH)
 
     def _elasticity_matrix(self, a_elem) -> sp.csr_matrix:
         """Stiffness matrix of the element blocks a_elem, Dirichlet rows
@@ -608,12 +613,16 @@ class ChbSystem:
     def _flow_residual_norm(self, dinv, mq_elem, f, p, q) -> float:
         """||(f, 0) - [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]] (p, q)||, Mq
         applied by its element blocks; not finite where p or q is not."""
-        mq_q = _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[self.qdofs]),
-                               self.qdofs, self.ne)
+        mq_q = self._mq_times(mq_elem, q)
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.hypot(
                 np.linalg.norm(f - dinv * p - self.params.tau * (self.Bdiv @ q)),
                 np.linalg.norm(self.BdivT @ p - mq_q)))
+
+    def _mq_times(self, mq_elem, q) -> np.ndarray:
+        """Mq q, Mq applied by its element blocks mq_elem."""
+        return _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[self.qdofs]),
+                               self.qdofs, self.ne)
 
     def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
         """The full flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]],
@@ -747,9 +756,7 @@ class ChbSystem:
         res[self.off_p:self.off_q] = (phase.dinv * st.p + phase.abar * pw.divu
                                       - storage_prev
                                       + pa.tau * (self.Bdiv @ st.q))
-        mq_q = np.einsum("cij,cj->ci", mq_elem, st.q[self.qdofs])
-        res[self.off_q:] = _scatter_vector(mq_q, self.qdofs, self.ne) \
-            - self.BdivT @ st.p
+        res[self.off_q:] = self._mq_times(mq_elem, st.q) - self.BdivT @ st.p
         return res
 
     def monolithic_jacobian(self, state_iter: FieldState, at) -> sp.csr_matrix:
@@ -769,8 +776,7 @@ class ChbSystem:
         phase = self.phase_integrals(st.phi, pw)
         cint, _ = self._elasticity_data(phase)
         abar, dinv = phase.abar, phase.dinv
-        a_elem = np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
-                           optimize=STIFFNESS_PATH)
+        a_elem = self._stiffness_elem(cint)
         m, k, div = self._m_elem, self._k_elem, self._div_elem
         # in the order of MONOLITHIC_BLOCKS, one row field per line
         values = [
@@ -818,7 +824,6 @@ class ChbSystem:
         for it in range(1, config.max_iter + 1):
             stats.newton_iters = it
             at = self.monolithic_iterate(state)
-            # J first, while the helper thread computes the residual's cube
             J = self.monolithic_jacobian(state, at)
             res = self.monolithic_residual(state_prev, state, at)
             del at  # its pointwise arrays need not outlive the factorization

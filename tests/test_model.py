@@ -1,7 +1,3 @@
-import os
-import signal
-import threading
-
 import numpy as np
 import pytest
 
@@ -158,40 +154,11 @@ def test_well_prime_has_the_bits_of_the_inline_power(n):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_the_cube_runs_on_another_thread(monkeypatch):
-    threads = []
-    power = np.power
-
-    def spy(*args):
-        threads.append(threading.get_ident())
-        return power(*args)
-
-    monkeypatch.setattr(np, "power", spy)
-    laws([0.2, 0.7]).well_prime
-    assert threads and threading.get_ident() not in threads
-
-
 def test_the_cube_keeps_the_callers_error_state():
     with np.errstate(over="raise"):
         ph = laws([1e103, -1e103])
         with pytest.raises(FloatingPointError):
             ph.well_prime
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_computes_the_cube():
-    laws(0.2).well_prime   # the helper thread runs in the parent
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            signal.alarm(10)   # a child left without a helper waits forever
-            laws(0.7).well_prime
-            code = 0
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_swelling_tensor():

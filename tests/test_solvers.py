@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import threading
 import time
 import weakref
 from functools import partial
@@ -1235,25 +1236,26 @@ def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch)
 
 def test_only_the_monolithic_path_computes_the_cube(system4, monkeypatch):
     # the splitting reads s * s * s (model.FrozenCoupling); each monolithic
-    # Newton iterate builds one model.Pointwise, which starts one cube on
-    # the helper thread
-    submitted = []
-    helper = model._helper
+    # Newton iterate reads the double well of its model.Pointwise once, on
+    # the caller's thread
+    reads = []
+    well_prime = model.Phase.well_prime
 
-    class Counting:
-        def submit(self, *args):
-            submitted.append(args)
-            return helper.submit(*args)
+    def counting(self):
+        reads.append(threading.get_ident())
+        return well_prime.fget(self)
 
-    monkeypatch.setattr(model, "_helper", Counting())
+    monkeypatch.setattr(model.Phase, "well_prime", property(counting))
     _, stats = take_step(system4.splitting_step, system4.initial_state(),
                          SolverConfig())
     assert stats.outer_iters >= 2 and stats.newton_total > stats.outer_iters
-    assert submitted == []
+    assert reads == []
+    threads = threading.active_count()
     _, stats = take_step(system4.monolithic_step, system4.initial_state(),
                          SolverConfig(strategy="monolithic"))
+    assert threading.active_count() == threads
     assert stats.newton_iters >= 2
-    assert len(submitted) == stats.newton_iters
+    assert reads == [threading.get_ident()] * stats.newton_iters
 
 
 def test_phase_integrals_evaluated_once_per_outer_iteration(system4, monkeypatch):
