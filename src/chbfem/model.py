@@ -8,12 +8,12 @@ its derivatives, the split double well, the interpolated coefficients M,
 alpha' and kappa.  Pointwise adds those of one iterate's strain and
 pressure: the swelling strain, the stiffness, and the phi-derivatives of
 the elastic and fluid energies with the derivatives the Jacobians need.
-chbfem._kernels only integrates these values; ChbSystem turns the cell
-integrals of Phase.cell_integrands into the integrated stiffness,
-Biot-Willis coefficient and swelling load.  Symmetric 2-tensors use Voigt
-form: strains as (e_xx, e_yy, 2*e_xy), stresses as (s_xx, s_yy, s_xy), so
-the double contraction of a strain-type vector with a stress-type vector
-is a plain dot product.
+chbfem._kernels only integrates these values; ChbSystem.phase_integrals
+turns the cell integrals of Phase.cell_integrands into the integrated
+stiffness, swelling load, storage and Biot-Willis coefficient.
+Symmetric 2-tensors use Voigt form: strains as (e_xx, e_yy, 2*e_xy),
+stresses as (s_xx, s_yy, s_xy), so the double contraction of a
+strain-type vector with a stress-type vector is a plain dot product.
 
 FrozenCoupling holds the same chemical-potential laws for the splitting's
 Cahn-Hilliard solve, where u and p stay fixed: as polynomials in
@@ -188,35 +188,18 @@ class MaterialParams:
 
 
 def pi_laws(phi):
-    """(pi_interp, pi_prime, pi_double_prime) of phi from one pass.
+    """(pi, pi', pi'') of phi from one pass.
 
-    phi^2*(3-2*phi) and its two derivatives on [0, 1].  pi and pi' are
-    evaluated at phi clipped to [0, 1], where their end values are
-    exactly 0 and 1, and 0; pi'' jumps at 0 and 1 and vanishes outside.
+    pi is the phase interpolation weight: phi^2*(3-2*phi) on [0, 1], 0
+    below and 1 above.  pi and pi' are evaluated at phi clipped to
+    [0, 1], where their end values are exactly 0 and 1, and 0; pi''
+    jumps at 0 and 1 and vanishes outside.
     """
     phi = np.asarray(phi, dtype=np.float64)
     c = np.clip(phi, 0.0, 1.0)
     six = 6.0 * c
     return (c * c * (3.0 - 2.0 * c), six - six * c,
             np.where((phi < 0.0) | (phi > 1.0), 0.0, 6.0 - 12.0 * phi))
-
-
-# the three parts of pi_laws one at a time, as tests/reference_kernels.py
-# reads them
-
-def pi_interp(phi):
-    """Phase interpolation weight: 0 below 0, phi^2*(3-2*phi) on [0,1], 1 above."""
-    return pi_laws(phi)[0]
-
-
-def pi_prime(phi):
-    """Derivative of pi_interp; vanishes outside (0, 1) and at both ends."""
-    return pi_laws(phi)[1]
-
-
-def pi_double_prime(phi):
-    """Second derivative of pi_interp (jumps at 0 and 1)."""
-    return pi_laws(phi)[2]
 
 
 class Phase:

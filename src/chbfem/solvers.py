@@ -188,16 +188,19 @@ def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
 
 
 class PhaseIntegrals(NamedTuple):
-    """The model.Phase of phi, the cellwise integrals that
-    kn.phase_cell_integrals takes of its cell_integrands, and the
-    integrated Biot-Willis coefficient abar."""
+    """The per-cell coefficients of the laws in values (a model.Phase):
+    integrated stiffness cint (nc, 3, 3), swelling load swell (nc, 3),
+    pressure storage dinv and Biot-Willis coefficient abar."""
 
     values: Phase
-    ibar: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
+    cint: np.ndarray
+    swell: np.ndarray
     dinv: np.ndarray
     abar: np.ndarray
+
+    def storage(self, p, divu) -> np.ndarray:
+        """Cellwise integral of p/M(phi) + alpha(phi) div u."""
+        return self.dinv * p + self.abar * divu
 
 
 class ChbSystem:
@@ -206,6 +209,9 @@ class ChbSystem:
     Precomputes geometry tables, basis values at quadrature points, the
     constant P1 mass/stiffness matrices and the RT0 divergence matrix;
     the phi-dependent terms are assembled on demand through the kernels.
+    The laws of phi enter the elasticity and flow blocks through the
+    per-cell coefficients of one PhaseIntegrals (phase_integrals), which
+    every solve, residual and Jacobian at that phase field reads.
     Each linear system has one CSR layout (a linalg.CsrPattern), built at
     its first assembly; every later matrix of that system only fills it.
     Every layout keeps the LU ordering of its first factorization, and on
@@ -512,38 +518,27 @@ class ChbSystem:
 
     # -- elasticity subsystem ----------------------------------------------
 
-    def phase_integrals(self, phi, values=None) -> PhaseIntegrals:
-        """The laws of phi and their cellwise integrals.
-
-        values: phase_values(phi), or a pointwise at phi, when the caller
-        has it already.
-        """
+    def phase_integrals(self, values) -> PhaseIntegrals:
+        """The PhaseIntegrals of values, a phase_values(phi) or a pointwise
+        at phi, from the cell integrals of values.cell_integrands."""
         pa = self.params
-        if values is None:
-            values = self.phase_values(phi)
         ibar, s1, s2, dinv = kn.phase_cell_integrals(values, self.wq_last)
-        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
-        return PhaseIntegrals(values, ibar, s1, s2, dinv, abar)
-
-    def _elasticity_data(self, phase: PhaseIntegrals):
-        """Integrated stiffness and swelling load per cell."""
-        pa = self.params
         cint = (self.areas[:, None, None] * pa.C0
-                + phase.ibar[:, None, None] * pa.dC)
-        swell = pa.xi * (np.outer(phase.s1, pa.C0 @ VOIGT_ID)
-                         + np.outer(phase.s2, pa.dC @ VOIGT_ID))
-        return cint, swell
+                + ibar[:, None, None] * pa.dC)
+        swell = pa.xi * (np.outer(s1, pa.C0 @ VOIGT_ID)
+                         + np.outer(s2, pa.dC @ VOIGT_ID))
+        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
+        return PhaseIntegrals(values, cint, swell, dinv, abar)
 
     def solve_elasticity(self, phase: PhaseIntegrals, p_fixed, u_start):
         """Solve the linear elasticity subsystem at the phase field of
-        `phase` (phase_integrals(phi)).
+        `phase`.
 
         u_start: a displacement to solve for the increment from, zero at
         the clamped dofs.
         """
-        cint, swell = self._elasticity_data(phase)
-        a_elem = self._stiffness_elem(cint)
-        rhs_elem = (np.einsum("cai,ca->ci", self.B, swell)
+        a_elem = self._stiffness_elem(phase.cint)
+        rhs_elem = (np.einsum("cai,ca->ci", self.B, phase.swell)
                     + (phase.abar * p_fixed)[:, None] * self.drow)
         b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
         b[self.u_bdofs] = 0.0
@@ -577,12 +572,12 @@ class ChbSystem:
 
     def storage_coefficient(self, state: FieldState) -> np.ndarray:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
-        phase = self.phase_integrals(state.phi)
-        return phase.dinv * state.p + phase.abar * self.divu_per_cell(state.u)
+        return self.phase_integrals(self.phase_values(state.phi)).storage(
+            state.p, self.divu_per_cell(state.u))
 
     def solve_flow(self, phase: PhaseIntegrals, u, q_start, storage_prev):
         """Solve the mixed pressure/flux subsystem at the phase field of
-        `phase` (phase_integrals(phi)); returns (p, q).
+        `phase`; returns (p, q).
 
         The flux solves the flux Schur complement for the increment from
         q_start (_flow_from_flux), and (p, q) must meet solve_linear's
@@ -703,8 +698,8 @@ class ChbSystem:
                 stats)
             # shared by both subsystems and the next outer iteration's
             # first Cahn-Hilliard iterate, which starts at phi_n
-            phase = self.phase_integrals(phi_n)
-            values = phase.values
+            values = self.phase_values(phi_n)
+            phase = self.phase_integrals(values)
             u_n = self.solve_elasticity(phase, p_o, u_o)
             p_n, q_n = self.solve_flow(phase, u_n, q_o, storage_prev)
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
@@ -730,12 +725,14 @@ class ChbSystem:
         return pw, kn.rt0_weighted_mass(pw, self.wq_last, self.psi_last)
 
     def monolithic_residual(self, state_prev: FieldState,
-                            state_iter: FieldState, at) -> np.ndarray:
+                            state_iter: FieldState, at,
+                            explicit) -> np.ndarray:
         """Stacked residual of all five blocks with every coupling implicit.
 
         Only the expansive double-well term and the storage term keep
         their previous-time-step evaluation; boundary rows of the
-        displacement block read u - 0.  at: monolithic_iterate(state_iter).
+        displacement block read u - 0.  at: monolithic_iterate(state_iter);
+        explicit: ch_explicit_load(state_prev).
         """
         pa = self.params
         st = state_iter
@@ -743,17 +740,16 @@ class ChbSystem:
         res = np.empty(self.ndofs)
         res[:2 * self.nv] = self.ch_residual(
             state_prev, st.phi, st.mu, kn.ch_load(pw, self.wq_last, self.lam),
-            self.ch_explicit_load(state_prev))
-        phase = self.phase_integrals(st.phi, pw)
-        cint, swell = self._elasticity_data(phase)
-        sint = np.einsum("cab,cb->ca", cint, pw.strain) - swell
+            explicit)
+        phase = self.phase_integrals(pw)
+        sint = np.einsum("cab,cb->ca", phase.cint, pw.strain) - phase.swell
         ru_elem = (np.einsum("cai,ca->ci", self.B, sint)
                    - (phase.abar * st.p)[:, None] * self.drow)
         r_u = _scatter_vector(ru_elem, self.udofs, 2 * self.nv)
         r_u[self.u_bdofs] = st.u[self.u_bdofs]
         res[self.off_u:self.off_p] = r_u
         storage_prev = self.storage_coefficient(state_prev)
-        res[self.off_p:self.off_q] = (phase.dinv * st.p + phase.abar * pw.divu
+        res[self.off_p:self.off_q] = (phase.storage(st.p, pw.divu)
                                       - storage_prev
                                       + pa.tau * (self.Bdiv @ st.q))
         res[self.off_q:] = self._mq_times(mq_elem, st.q) - self.BdivT @ st.p
@@ -773,10 +769,9 @@ class ChbSystem:
         w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
         mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
             pw, self.wq_last, self.lam, qloc, self.B_last, self.psi_last)
-        phase = self.phase_integrals(st.phi, pw)
-        cint, _ = self._elasticity_data(phase)
+        phase = self.phase_integrals(pw)
         abar, dinv = phase.abar, phase.dinv
-        a_elem = self._stiffness_elem(cint)
+        a_elem = self._stiffness_elem(phase.cint)
         m, k, div = self._m_elem, self._k_elem, self._div_elem
         # in the order of MONOLITHIC_BLOCKS, one row field per line
         values = [
@@ -821,11 +816,12 @@ class ChbSystem:
         Counts its Newton iterations in stats.
         """
         state = replace(state_prev, n=state_prev.n + 1)
+        explicit = self.ch_explicit_load(state_prev)
         for it in range(1, config.max_iter + 1):
             stats.newton_iters = it
             at = self.monolithic_iterate(state)
             J = self.monolithic_jacobian(state, at)
-            res = self.monolithic_residual(state_prev, state, at)
+            res = self.monolithic_residual(state_prev, state, at, explicit)
             del at  # its pointwise arrays need not outlive the factorization
             delta = solve_linear(J, -res)
             x = self.pack(state) + delta

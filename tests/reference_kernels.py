@@ -18,8 +18,7 @@ def ch_load(phi_q, wq, lam, strain, p, params: MaterialParams):
     """
     pa = params
     xi, C0, dC = pa.xi, pa.C0, pa.dC
-    piv = model.pi_interp(phi_q)
-    pip = model.pi_prime(phi_q)
+    piv, pip, _ = model.pi_laws(phi_q)
     t = xi * (phi_q - pa.phi_bar)
     em = strain[:, None, :] - t[:, :, None] * model.VOIGT_ID
     C = C0 + piv[..., None, None] * dC
@@ -41,9 +40,7 @@ def ch_jac(phi_q, wq, lam, strain, p, params: MaterialParams):
     """Element matrices of the phi-derivative of the same terms, (nc, 3, 3)."""
     pa = params
     xi, C0, dC = pa.xi, pa.C0, pa.dC
-    piv = model.pi_interp(phi_q)
-    pip = model.pi_prime(phi_q)
-    pipp = model.pi_double_prime(phi_q)
+    piv, pip, pipp = model.pi_laws(phi_q)
     t = xi * (phi_q - pa.phi_bar)
     em = strain[:, None, :] - t[:, :, None] * model.VOIGT_ID
     C = C0 + piv[..., None, None] * dC
@@ -68,7 +65,7 @@ def ch_jac(phi_q, wq, lam, strain, p, params: MaterialParams):
 def phase_cell_integrals(phi_q, wq, params: MaterialParams):
     """Cellwise integrals (pi, phi - phibar, pi*(phi - phibar), 1/M)."""
     pa = params
-    piv = model.pi_interp(phi_q)
+    piv = model.pi_laws(phi_q)[0]
     dphi = phi_q - pa.phi_bar
     M = pa.M0 + piv * (pa.M1 - pa.M0)
     ibar = np.einsum("cq,cq->c", wq, piv)
@@ -81,7 +78,7 @@ def phase_cell_integrals(phi_q, wq, params: MaterialParams):
 def rt0_weighted_mass(phi_q, wq, psi_q, params: MaterialParams):
     """RT0 element mass matrices weighted by 1/kappa(phi), (nc, 3, 3)."""
     k0, k1 = params.kappa0, params.kappa1
-    kinv = 1.0 / (k0 + model.pi_interp(phi_q) * (k1 - k0))
+    kinv = 1.0 / (k0 + model.pi_laws(phi_q)[0] * (k1 - k0))
     return np.einsum("cq,cqia,cqja->cij", wq * kinv, psi_q, psi_q)
 
 
@@ -95,8 +92,7 @@ def coupling_blocks(phi_q, wq, lam, strain, p, qloc, B, psi_q,
     """
     pa = params
     xi, C0, dC = pa.xi, pa.C0, pa.dC
-    piv = model.pi_interp(phi_q)
-    pip = model.pi_prime(phi_q)
+    piv, pip, _ = model.pi_laws(phi_q)
     t = xi * (phi_q - pa.phi_bar)
     em = strain[:, None, :] - t[:, :, None] * model.VOIGT_ID
     C = C0 + piv[..., None, None] * dC

@@ -66,7 +66,8 @@ def test_criterion_2_fixed_point_exactness(desk_system, desk_pair):
     worst = 0.0
     for prev, cur in zip(split_states[:-1], split_states[1:]):
         res = desk_system.monolithic_residual(
-            prev, cur, desk_system.monolithic_iterate(cur))
+            prev, cur, desk_system.monolithic_iterate(cur),
+            desk_system.ch_explicit_load(prev))
         for blk in (res[:o.nv], res[o.off_mu:o.off_u], res[o.off_u:o.off_p],
                     res[o.off_p:o.off_q], res[o.off_q:]):
             worst = max(worst, np.linalg.norm(blk))
@@ -95,7 +96,8 @@ def test_criterion_3_jacobian_correctness():
 
     def mono_residual(prev, x):
         st = system.unpack(x, 1)
-        return system.monolithic_residual(prev, st, system.monolithic_iterate(st))
+        return system.monolithic_residual(prev, st, system.monolithic_iterate(st),
+                                          system.ch_explicit_load(prev))
 
     # the CH subsystem as the splitting solves it, on frozen u and p
     def ch_residual(prev, x, u, p):

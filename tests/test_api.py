@@ -22,12 +22,13 @@ MOVED_FROM_FEM = (
     "integrate_scalar", "p1_scalar", "p1_vector", "p0_space", "rt0_space",
 )
 DELETED_FROM_LINALG = ("SparseMatrix", "TripletBuffer", "compress", "norms")
-# the tensor-form laws; model.Phase and Pointwise hold those the solver runs
+# the tensor-form laws and the parts of pi_laws one at a time; model.Phase
+# and Pointwise hold those the solver runs
 DELETED_FROM_MODEL = (
     "zeta", "zeta_prime", "psi_split", "swelling_T", "swelling_T_prime",
     "stiffness_C", "stress", "dphi_E_elastic", "d2phi_E_elastic",
     "deps_dphi_E_elastic", "dphi_E_fluid", "d2phi_E_fluid", "dp_dphi_E_fluid",
-    "ddivu_dphi_E_fluid",
+    "ddivu_dphi_E_fluid", "pi_interp", "pi_prime", "pi_double_prime",
 )
 
 # iteration counts live in the step's solvers.IterationStats, which the
@@ -38,7 +39,7 @@ COUNTS_ON_EXCEPTIONS = ("iterations", "inner_newton", "state")
 # holds it already, and rebuilds none
 ITERATE_METHODS = ("ch_residual", "ch_residual_and_jacobian",
                    "monolithic_residual", "monolithic_jacobian",
-                   "solve_ch_subsystem")
+                   "phase_integrals", "solve_ch_subsystem")
 
 
 def test_top_level_exports_are_pinned_and_resolve():
@@ -47,7 +48,7 @@ def test_top_level_exports_are_pinned_and_resolve():
     for name in chbfem.__all__:
         assert getattr(chbfem, name) is not None, name
     # the constitutive laws stay reachable through their module
-    assert callable(chbfem.model.pi_interp)
+    assert callable(chbfem.model.pi_laws)
 
 
 def test_solver_modules_hold_only_what_the_solver_runs():
@@ -63,6 +64,8 @@ def test_solver_modules_hold_only_what_the_solver_runs():
     assert not hasattr(mesh, "boundary_dofs")
     for name in DELETED_FROM_SOLVERS:
         assert not hasattr(solvers, name), f"chbfem.solvers.{name}"
+    # phase_integrals forms every per-cell coefficient
+    assert not hasattr(solvers.ChbSystem, "_elasticity_data")
     # advance_simulation picks the step method from config.strategy
     assert not hasattr(solvers.ChbSystem, "step")
     # no step copies its start: every iterate is a new array

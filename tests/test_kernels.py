@@ -203,7 +203,7 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     # phase integrals, the frozen coupling and the explicit load computed
     # beforehand
     _, J = o.ch_residual_and_jacobian(
-        prev, state.phi, state.mu, o.phase_integrals(state.phi).values,
+        prev, state.phi, state.mu, o.phase_values(state.phi),
         o.frozen_coupling(state.u, state.p), o.ch_explicit_load(prev))
     assert np.array_equal(J.indptr, want.indptr)
     assert np.array_equal(J.indices, want.indices)
@@ -285,7 +285,8 @@ def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):
     state = dataclasses.replace(prev, n=prev.n + 1)
     for A, b, x in solves:
         assert_same_bits(-system.monolithic_residual(
-            prev, state, system.monolithic_iterate(state)), b,
+            prev, state, system.monolithic_iterate(state),
+            system.ch_explicit_load(prev)), b,
             "monolithic_residual")
         J = system.monolithic_jacobian(state, system.monolithic_iterate(state))
         assert np.array_equal(J.indptr, A.indptr)

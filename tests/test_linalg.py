@@ -244,13 +244,12 @@ def test_stored_orderings_reproduce_fresh_factors_on_every_layout(n):
     rng = np.random.default_rng(n)
     prev, st = random_state(system, rng), random_state(system, rng)
     pw = system.pointwise(st.phi, st.u, st.p)
-    phase = system.phase_integrals(st.phi, pw)
-    cint, _ = system._elasticity_data(phase)
+    phase = system.phase_integrals(pw)
     mq_elem = kn.rt0_weighted_mass(pw, system.wq_last, system.psi_last)
     matrices = {
         "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.lam)),
         "elasticity": system._elasticity_matrix(
-            np.einsum("cai,cab,cbj->cij", system.B, cint, system.B)),
+            np.einsum("cai,cab,cbj->cij", system.B, phase.cint, system.B)),
         "flux": system._flux_matrix(phase.dinv, mq_elem),
         "monolithic": system.monolithic_jacobian(st, system.monolithic_iterate(st)),
     }

@@ -116,7 +116,8 @@ def test_monolithic_jacobian_matches_finite_differences(system4):
     def r(x):
         state = system4.unpack(x, 1)
         return system4.monolithic_residual(prev, state,
-                                           system4.monolithic_iterate(state))
+                                           system4.monolithic_iterate(state),
+                                           system4.ch_explicit_load(prev))
 
     F = fd_jacobian(r, system4.pack(st))
     scale = max(np.abs(F).max(), 1.0)
@@ -148,9 +149,9 @@ def test_stiffness_path_is_the_one_einsum_picks(n):
 
 
 def test_elasticity_zero_load(system4):
-    phi = np.full(system4.nv, 0.5)
-    u = system4.solve_elasticity(system4.phase_integrals(phi),
-                                 np.zeros(system4.nc), np.zeros(2 * system4.nv))
+    phase = system4.phase_integrals(system4.phase_values(np.full(system4.nv, 0.5)))
+    u = system4.solve_elasticity(phase, np.zeros(system4.nc),
+                                 np.zeros(2 * system4.nv))
     assert np.abs(u).max() <= 1e-14
 
 
@@ -158,11 +159,11 @@ def test_elasticity_residual_and_boundary(system4):
     rng = np.random.default_rng(34)
     phi = rng.uniform(0.0, 1.0, system4.nv)
     p = rng.normal(0.0, 0.5, system4.nc)
-    phase = system4.phase_integrals(phi)
+    phase = system4.phase_integrals(system4.phase_values(phi))
     u = system4.solve_elasticity(phase, p, np.zeros(2 * system4.nv))
     assert np.abs(u[system4.u_bdofs]).max() == 0.0
     # residual of the unconstrained equations at the solution
-    cint, swell = system4._elasticity_data(phase)
+    cint, swell = phase.cint, phase.swell
     abar = phase.abar
     strain = system4.strain_per_cell(u)
     sint = np.einsum("cab,cb->ca", cint, strain) - swell
@@ -183,8 +184,8 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
     params = MaterialParams(C1=MaterialParams().C0.copy())
     system = ChbSystem(mesh, params)
     phi = mesh.vertices[:, 0].copy()
-    u = system.solve_elasticity(system.phase_integrals(phi), np.zeros(system.nc),
-                                np.zeros(2 * system.nv))
+    u = system.solve_elasticity(system.phase_integrals(system.phase_values(phi)),
+                                np.zeros(system.nc), np.zeros(2 * system.nv))
     n = mesh.n
     ux = u[0::2].reshape(n + 1, n + 1)
     uy = u[1::2].reshape(n + 1, n + 1)
@@ -195,8 +196,8 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
 
 def test_flow_zero_data(system4):
     prev = system4.initial_state(lambda x, y: 0.5)
-    p, q = system4.solve_flow(system4.phase_integrals(prev.phi), prev.u,
-                              np.zeros(system4.ne),
+    phase = system4.phase_integrals(system4.phase_values(prev.phi))
+    p, q = system4.solve_flow(phase, prev.u, np.zeros(system4.ne),
                               system4.storage_coefficient(prev))
     assert np.abs(p).max() <= 1e-14
     assert np.abs(q).max() <= 1e-14
@@ -207,8 +208,8 @@ def test_flow_elementwise_residual_and_global_mass(system4):
     prev = random_state(system4, rng)
     phi = rng.uniform(0.1, 0.9, system4.nv)
     u = rng.normal(0.0, 0.01, 2 * system4.nv)
-    p, q = system4.solve_flow(system4.phase_integrals(phi), u,
-                              np.zeros(system4.ne),
+    phase = system4.phase_integrals(system4.phase_values(phi))
+    p, q = system4.solve_flow(phase, u, np.zeros(system4.ne),
                               system4.storage_coefficient(prev))
     state = FieldState(phi, prev.mu, u, p, q, n=1)
     cell_res = system4.flow_cell_residual(prev, state)
@@ -223,7 +224,7 @@ def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
     st = random_state(system4, rng, n=1)
     J = system4.monolithic_jacobian(st, system4.monolithic_iterate(st)).toarray()
     o = system4
-    phase = system4.phase_integrals(st.phi)
+    phase = system4.phase_integrals(system4.phase_values(st.phi))
     dinv = phase.dinv
     mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
     r = np.repeat(o.qdofs[:, :, None], 3, axis=2).ravel()
@@ -244,7 +245,7 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
     prev = random_state(o, rng, *phi_range)
     st = random_state(o, rng, *phi_range, n=1)
     A = reference_flow_matrix(o, st.phi)
-    phase = o.phase_integrals(st.phi)
+    phase = o.phase_integrals(o.phase_values(st.phi))
     rhs = np.concatenate([o.storage_coefficient(prev)
                           - phase.abar * o.divu_per_cell(st.u), np.zeros(o.ne)])
     # from zero and for the increment from a flux far from the solution
@@ -287,7 +288,7 @@ def test_flow_at_extreme_scales_solves_the_full_flow_system(n, scales):
     prev = random_state(o, rng)
     st = random_state(o, rng, n=1)
     A = reference_flow_matrix(o, st.phi)
-    phase = o.phase_integrals(st.phi)
+    phase = o.phase_integrals(o.phase_values(st.phi))
     f = o.storage_coefficient(prev) - phase.abar * o.divu_per_cell(st.u)
     rhs = np.concatenate([f, np.zeros(o.ne)])
     bound = linalg.SOLVE_RTOL * max(np.linalg.norm(rhs), 1.0)
@@ -308,7 +309,7 @@ def test_elasticity_from_a_start_meets_the_contract(system4):
     rng = np.random.default_rng(36)
     phi = rng.uniform(0.0, 1.0, system4.nv)
     p = rng.normal(0.0, 0.5, system4.nc)
-    phase = system4.phase_integrals(phi)
+    phase = system4.phase_integrals(system4.phase_values(phi))
     u = system4.solve_elasticity(phase, p, np.zeros(2 * system4.nv))
     start = rng.normal(0.0, 1.0, 2 * system4.nv)
     start[system4.u_bdofs] = 0.0
@@ -337,7 +338,8 @@ def test_ch_solve_at_extreme_surface_tension_fails_cleanly(system4):
 def test_monolithic_residual_zero_at_fixed_point(system4):
     st = system4.initial_state(lambda x, y: 0.5)
     nxt = dataclasses.replace(st, n=1)
-    res = system4.monolithic_residual(st, nxt, system4.monolithic_iterate(nxt))
+    res = system4.monolithic_residual(st, nxt, system4.monolithic_iterate(nxt),
+                                      system4.ch_explicit_load(st))
     assert np.abs(res).max() <= 1e-14
 
 
@@ -352,7 +354,8 @@ def test_monolithic_residual_first_order_in_perturbation(system4):
     for eps in (1e-4, 1e-5, 1e-6):
         pert = system4.unpack(system4.pack(st1) + eps * d, 1)
         res = system4.monolithic_residual(st0, pert,
-                                          system4.monolithic_iterate(pert))
+                                          system4.monolithic_iterate(pert),
+                                          system4.ch_explicit_load(st0))
         norms.append(np.linalg.norm(res))
     # residual scales linearly: ratio of successive norms tracks eps ratio
     assert norms[0] / norms[1] == pytest.approx(10.0, rel=0.3)
@@ -375,7 +378,8 @@ def test_monolithic_residual_small_at_splitting_solution(system4):
     st0 = system4.initial_state()
     cfg = SolverConfig(strategy="splitting", num_steps=1)
     st1, _ = take_step(system4.splitting_step, st0, cfg)
-    res = system4.monolithic_residual(st0, st1, system4.monolithic_iterate(st1))
+    res = system4.monolithic_residual(st0, st1, system4.monolithic_iterate(st1),
+                                      system4.ch_explicit_load(st0))
     o = system4
     blocks = [res[:o.nv], res[o.off_mu:o.off_u], res[o.off_u:o.off_p],
               res[o.off_p:o.off_q], res[o.off_q:]]
@@ -455,7 +459,8 @@ def test_monolithic_jacobian_uses_symmetric_mode_lu(system4, splu_specs):
     st0 = system4.initial_state()
     J = system4.monolithic_jacobian(st0, system4.monolithic_iterate(st0))
     solve_linear(J, -system4.monolithic_residual(
-        st0, st0, system4.monolithic_iterate(st0)))
+        st0, st0, system4.monolithic_iterate(st0),
+        system4.ch_explicit_load(st0)))
     assert splu_specs == ["MMD_AT_PLUS_A"]
     # every later Jacobian is factored on that stored ordering, and below
     # KEEP_FACTOR_MIN_DOFS (n=4) once per Newton iterate, with no fallback
@@ -495,7 +500,8 @@ def test_monolithic_jacobian_at_random_state_needs_no_fallback(system4,
     prev = random_state(system4, rng)
     st = random_state(system4, rng, n=1)
     J = system4.monolithic_jacobian(st, system4.monolithic_iterate(st))
-    b = -system4.monolithic_residual(prev, st, system4.monolithic_iterate(st))
+    b = -system4.monolithic_residual(prev, st, system4.monolithic_iterate(st),
+                                     system4.ch_explicit_load(prev))
     x = solve_linear(J, b)
     assert splu_specs == ["MMD_AT_PLUS_A"]
     assert (np.linalg.norm(b - J @ x)
@@ -654,7 +660,8 @@ def test_jacobians_with_blocks_keep_no_direct_factor(monkeypatch, splu_specs):
     prev, st = random_state(o, rng), random_state(o, rng, n=1)
     J = o.monolithic_jacobian(st, o.monolithic_iterate(st))
     assert J.layout.keep_factor and J.blocks
-    solve_linear(J, -o.monolithic_residual(prev, st, o.monolithic_iterate(st)))
+    solve_linear(J, -o.monolithic_residual(prev, st, o.monolithic_iterate(st),
+                                           o.ch_explicit_load(prev)))
     # one GMRES iteration misses the contract after the three block
     # factors; the direct solve's factor is not kept
     assert splu_specs == ["MMD_AT_PLUS_A"] * 4
@@ -963,8 +970,8 @@ def reference_ch_jacobian(o, phi, u, p):
 
 
 def elasticity_elements(o, phi, p):
-    phase = o.phase_integrals(phi)
-    cint, swell = o._elasticity_data(phase)
+    phase = o.phase_integrals(o.phase_values(phi))
+    cint, swell = phase.cint, phase.swell
     abar = phase.abar
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
     rhs_elem = (np.einsum("cai,ca->ci", o.B, swell)
@@ -995,7 +1002,7 @@ def reference_elasticity_system(o, phi, p):
 
 
 def reference_flow_matrix(o, phi):
-    dinv = o.phase_integrals(phi).dinv
+    dinv = o.phase_integrals(o.phase_values(phi)).dinv
     mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
                                     rt0_basis(o.mesh, o.lam), o.params)
     Mq = _coo(mq_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
@@ -1005,7 +1012,7 @@ def reference_flow_matrix(o, phi):
 
 def reference_flux_matrix(o, phi):
     """The flux Schur complement, its cell blocks summed as COO triplets."""
-    dinv = o.phase_integrals(phi).dinv
+    dinv = o.phase_integrals(o.phase_values(phi)).dinv
     mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
                                     rt0_basis(o.mesh, o.lam), o.params)
     d = o._div_elem
@@ -1024,8 +1031,8 @@ def reference_monolithic_jacobian(o, st):
     mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
         phi_q, o.wq, o.lam, strain, p_cell,
         np.ascontiguousarray(st.q[o.qdofs]), o.B, psi_q, pa)
-    phase = o.phase_integrals(st.phi)
-    cint, _ = o._elasticity_data(phase)
+    phase = o.phase_integrals(o.phase_values(st.phi))
+    cint = phase.cint
     abar, dinv = phase.abar, phase.dinv
     a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
     mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa)
@@ -1101,7 +1108,7 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         assert_same_csr(o.monolithic_jacobian(st, o.monolithic_iterate(st)),
                         reference_monolithic_jacobian(o, st))
         solved.clear()
-        phase = o.phase_integrals(st.phi)
+        phase = o.phase_integrals(o.phase_values(st.phi))
         o.solve_elasticity(phase, st.p, np.zeros(2 * o.nv))
         o.solve_flow(phase, st.u, np.zeros(o.ne), o.storage_coefficient(prev))
         (A_el, b_el), (A_fl, b_fl) = solved
@@ -1115,7 +1122,7 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         np.testing.assert_allclose(A_kept.data, A_ref.data, rtol=1e-13, atol=0)
         assert np.array_equal(b_el, b_ref)
         assert_same_csr(A_fl, reference_flux_matrix(o, st.phi))
-        phase = o.phase_integrals(st.phi)
+        phase = o.phase_integrals(o.phase_values(st.phi))
         strain = o.strain_per_cell(st.u)
         divu = strain[:, 0] + strain[:, 1]
         f = o.storage_coefficient(prev) - phase.abar * divu
@@ -1128,8 +1135,8 @@ def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
     solved = []
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
         solved.append(A), np.zeros(len(b)))[1])
-    system4.solve_elasticity(system4.phase_integrals(np.full(system4.nv, 0.5)),
-                             np.zeros(system4.nc), np.zeros(2 * system4.nv))
+    phase = system4.phase_integrals(system4.phase_values(np.full(system4.nv, 0.5)))
+    system4.solve_elasticity(phase, np.zeros(system4.nc), np.zeros(2 * system4.nv))
     A, layout, fixed = solved[0], system4._elasticity_layout, system4.u_bdofs
     assert np.array_equal(A.indptr, layout.indptr)
     assert np.array_equal(A.indices, layout.indices)
@@ -1232,6 +1239,21 @@ def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch)
     # the previous step's storage term, the first iterate, and one per
     # later CH iterate and per converged phi
     assert len(built) <= stats.newton_total + 2
+
+
+def test_monolithic_step_computes_its_explicit_load_once(system4, monkeypatch):
+    # the expansive double-well term reads only the previous step
+    calls = []
+    explicit = ChbSystem.ch_explicit_load
+    monkeypatch.setattr(ChbSystem, "ch_explicit_load",
+                        lambda self, prev: (calls.append(1), explicit(self, prev))[1])
+    for strategy in ("splitting", "monolithic"):
+        calls.clear()
+        step = getattr(system4, f"{strategy}_step")
+        _, stats = take_step(step, system4.initial_state(),
+                             SolverConfig(strategy=strategy))
+        assert stats.newton_total >= 2
+        assert calls == [1], strategy
 
 
 def test_only_the_monolithic_path_computes_the_cube(system4, monkeypatch):
