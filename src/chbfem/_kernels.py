@@ -43,9 +43,9 @@ The contract holds for the monolithic path, whose kernels these are: the
 benchmark pins its iteration counts, among them a chaotic diverging
 Newton run that a 3e-16 change moves.  The splitting's converged counts
 do not move at that scale, so its CH solve already runs on the ulp
-contract.  Once the diverging run is no longer pinned exactly (ROADMAP
-item 1), the monolithic contract can relax the same way, which admits
-optimize=True contractions and batched matmuls here too.
+contract.  Once the benchmark no longer pins the diverging run's Newton
+count exactly, the monolithic contract can relax the same way, which
+admits optimize=True contractions and batched matmuls here too.
 """
 
 from __future__ import annotations

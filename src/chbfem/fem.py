@@ -1,4 +1,5 @@
-"""Quadrature on triangles and the vectorized lowest-order Raviart-Thomas basis.
+"""Quadrature on triangles, the cell geometry and the vectorized
+lowest-order Raviart-Thomas basis.
 
 ChbSystem builds every element table it needs (P1 for phi and mu,
 vector P1 for u, P0 for p and RT0 for q) directly from these and the
@@ -8,15 +9,14 @@ lives with the tests in tests/reference_fem.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import StructuredTriMesh
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Symmetric rule on the reference triangle.
 
     points are barycentric coordinates, weights sum to the reference
@@ -25,11 +25,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
 
 
 def default_rule() -> QuadratureRule:
@@ -44,7 +39,20 @@ def default_rule() -> QuadratureRule:
         b = 1.0 - 2.0 * a
         pts += [(b, a, a), (a, b, a), (a, a, b)]
         wts += [w, w, w]
-    return QuadratureRule(points=np.array(pts), weights=0.5 * np.array(wts), degree=5)
+    return QuadratureRule(np.array(pts), 0.5 * np.array(wts))
+
+
+def cell_geometry(mesh: StructuredTriMesh):
+    """(coords, two_area, signed_lengths) of every cell: the vertex
+    coordinates (nc, 3, 2), twice the signed area (nc,) and the length of
+    each local edge, signed by the cell's orientation of it, (nc, 3)."""
+    coords = mesh.vertices[mesh.cells]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
+    return coords, two_area, mesh.cell_signs * elen_loc
 
 
 def rt0_basis(mesh: StructuredTriMesh, points) -> np.ndarray:
@@ -53,13 +61,8 @@ def rt0_basis(mesh: StructuredTriMesh, points) -> np.ndarray:
     points has shape (npts, 3); returns (num_cells, npts, 3, 2), the basis
     function of local edge k being sign*|e_k|/(2*area) * (x - x_k).
     """
-    coords = mesh.vertices[mesh.cells]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
-    fac = mesh.cell_signs * elen_loc / two_area[:, None]
+    coords, two_area, signed_lengths = cell_geometry(mesh)
+    fac = signed_lengths / two_area[:, None]
     x = np.einsum("qi,cia->cqa", points, coords)
     return np.ascontiguousarray(
         fac[:, None, :, None] * (x[:, :, None, :] - coords[:, None, :, :]))

@@ -105,8 +105,11 @@ class CsrPattern:
     fill from a longer value list that contains entries it leaves out,
     or let several triplets read one value.  Every matrix of one pattern
     keeps all its slots, exact zeros included, and shares its layout.
-    Tables are int32: the first triplet of each slot, and a (slot,
-    triplet) pair for each further one, in summation order.
+    Tables are the first triplet of each slot, and a (slot, triplet) pair
+    for each further one, in summation order.  They are int32, except the
+    first triplets: every fill gathers by them, and numpy converts an
+    int32 index to intp on every gather (for the 120k slots of the n=65
+    Cahn-Hilliard Jacobian, 125 against 66 us on a 2-core AMD EPYC VM).
 
     ``factor`` stores the ordering of its first factorization in
     ``ordering`` and reuses it, with the same bits, for every later one.
@@ -150,7 +153,7 @@ class CsrPattern:
         self.indptr = slot_ends[indptr]
         self.indices = sorted_cols[starts]
         del sorted_cols
-        self._head = order[starts]
+        self._head = order[starts].astype(np.intp)
         later = ~starts
         del starts
         self._tail_src = order[later]

@@ -20,7 +20,8 @@ Cahn-Hilliard solve, where u and p stay fixed: as polynomials in
 xi (phi - phi_bar) whose coefficients are computed once per solve.  It
 agrees with Pointwise to a few ulps, not bit for bit.  So the laws of
 mu_nonlinear and dmu_nonlinear are written twice until the monolithic
-path moves to the same form (ROADMAP items 1 and 3).
+path moves to the same form, which waits until the benchmark no longer
+pins swell's diverging monolithic Newton count exactly.
 
 Each law of Phase and Pointwise performs the operations of its twin in
 tests/reference_kernels.py in the same order, as the kernels' bit-exact
@@ -257,9 +258,9 @@ class Phase:
     # 2.7 ms at n=65, but neither s * s * s nor a power of |s| with the
     # sign copied back gives the bits of ** 3 in every lane, and the
     # monolithic kernels are held to those bits.  The splitting reads
-    # s * s * s (FrozenCoupling).  Once the kernels are held to a few ulps
-    # (ROADMAP item 2) and the benchmark no longer pins roundoff (item 1),
-    # s * s * s replaces the power here too.
+    # s * s * s (FrozenCoupling).  Once the benchmark no longer pins
+    # swell's diverging monolithic Newton count exactly, the kernels can
+    # be held to a few ulps and s * s * s replaces the power here too.
     @property
     def well_prime(self):
         """(gamma/ell) psi_c'(phi) = (gamma/ell) 4 (phi - 1/2)^3."""

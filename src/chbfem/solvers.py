@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as kn
-from .fem import default_rule, rt0_basis
+from .fem import cell_geometry, default_rule, rt0_basis
 from .linalg import (SOLVE_RTOL, Block, CsrPattern, LinearSolveFailure,
                      factored_block, solve_linear)
 from .mesh import StructuredTriMesh
@@ -139,6 +139,11 @@ class SolverConfig:
 def _scatter_vector(elem, dofs, n):
     """Sum element vectors into a global one; adds in ravel order from 0.0."""
     return np.bincount(dofs.ravel(), weights=elem.ravel(), minlength=n)
+
+
+def _divergence(strain):
+    """div u per cell from its strain_per_cell, as Pointwise.divu has it."""
+    return strain[:, 0] + strain[:, 1]
 
 
 def _solve_from(A, b, start):
@@ -253,10 +258,7 @@ class ChbSystem:
         self.off_q = 4 * self.nv + self.nc
         self.ndofs = 4 * self.nv + self.nc + self.ne
 
-        coords = mesh.vertices[mesh.cells]
-        d1 = coords[:, 1] - coords[:, 0]
-        d2 = coords[:, 2] - coords[:, 0]
-        two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        coords, two_area, self.signed_lengths = cell_geometry(mesh)
         self.areas = 0.5 * two_area
         grads = np.empty((self.nc, 3, 2))
         for k in range(3):
@@ -310,9 +312,8 @@ class ChbSystem:
 
     def release_workspace(self) -> None:
         """Drop every table built on first use: the CSR layouts with their
-        stored LU orderings and factors, the CH Jacobian image, the constant
-        element blocks and the quadrature tables.  The next use builds each
-        one again."""
+        stored LU orderings and factors, the constant element blocks and
+        the quadrature tables.  The next use builds each one again."""
         for name, attr in vars(ChbSystem).items():
             if isinstance(attr, cached_property):
                 self.__dict__.pop(name, None)
@@ -338,10 +339,7 @@ class ChbSystem:
     @cached_property
     def _div_elem(self):
         """Element blocks of the RT0 divergence matrix, (nc, 1, 3)."""
-        mesh = self.mesh
-        edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-        elen_loc = np.linalg.norm(edge_vec, axis=1)[mesh.cell_edges]
-        return (mesh.cell_signs * elen_loc).astype(np.float64)[:, None, :]
+        return self.signed_lengths[:, None, :]
 
     @cached_property
     def drow(self) -> np.ndarray:
@@ -388,10 +386,6 @@ class ChbSystem:
         """The laws at the iterate (phi, u, p), at the quadrature points."""
         return Pointwise(self.phase_values(phi), self.strain_per_cell(u),
                          np.ascontiguousarray(p))
-
-    def frozen_coupling(self, u, p) -> FrozenCoupling:
-        """The chemical-potential laws at the frozen (u, p) of a CH solve."""
-        return FrozenCoupling(self.strain_per_cell(u), p, self.params)
 
     def initial_state(self, phi_expr=None) -> FieldState:
         """State at time level 0: half-domain phase split, everything else zero."""
@@ -440,7 +434,7 @@ class ChbSystem:
         """Residual and Jacobian of the Cahn-Hilliard block at the iterate,
         with u and p frozen, as the splitting solves it.
 
-        values: phase_values(phi); coupling: frozen_coupling(u, p) of the
+        values: phase_values(phi); coupling: the FrozenCoupling of the
         frozen u and p; explicit: ch_explicit_load(state_prev).  Each
         element integral is one product with the quadrature table:
         (wq mu)^T lam for the load, (wq dmu)^T (lam x lam) for W.
@@ -454,12 +448,14 @@ class ChbSystem:
 
     def _ch_matrix(self, w_elem) -> sp.csr_matrix:
         """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] for the
-        element blocks of W."""
+        element blocks of W.  No slot of its stack holds more than one
+        triplet, so each block keeps the bits of its P1 slot values."""
+        pa = self.params
         p1, pattern = self._ch_layout
-        image, mu_phi, k_mu_phi = self._ch_image
-        data = image.copy()
-        data[mu_phi] = k_mu_phi - p1.sum(w_elem.ravel())
-        return pattern.matrix(data)
+        return pattern.matrix(pattern.sum(np.concatenate([
+            self.M.data, self.K.data * (pa.tau * pa.mobility),
+            self.K.data * (-pa.gamma * pa.ell) - p1.sum(w_elem.ravel()),
+            self.M.data])))
 
     @cached_property
     def _ch_layout(self):
@@ -471,34 +467,17 @@ class ChbSystem:
         return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv),
                               keep_factor=self._keeps_factors)
 
-    @cached_property
-    def _ch_image(self):
-        """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] without W.
-
-        Returns its slot values, the slots of its (mu, phi) block, which
-        follow the P1 slot order of W, and -gamma ell K there.  No slot of
-        the stack holds more than one triplet.
-        """
-        pa = self.params
-        _, pattern = self._ch_layout
-        k_mu_phi = self.K.data * (-pa.gamma * pa.ell)
-        image = pattern.sum(np.concatenate([
-            self.M.data, self.K.data * (pa.tau * pa.mobility), k_mu_phi,
-            self.M.data]))
-        mu_phi = np.flatnonzero((_slot_rows(pattern) >= self.nv)
-                                & (pattern.indices < self.nv))
-        return image, mu_phi, k_mu_phi
-
-    def solve_ch_subsystem(self, state_prev, explicit, u_fixed, p_fixed,
+    def solve_ch_subsystem(self, state_prev, explicit, strain, p_fixed,
                            config, phi, mu, values, stats: IterationStats):
         """Newton iteration on the (phi, mu) block from the start (phi, mu)
-        at the frozen (u_fixed, p_fixed); returns the new (phi, mu).
+        at the frozen strain (strain_per_cell of the frozen u) and pressure
+        p_fixed; returns the new (phi, mu).
 
         explicit: ch_explicit_load(state_prev); values: phase_values(phi)
         of the start phi.  Appends its Newton count to stats.inner_newton
         and keeps it current.
         """
-        coupling = self.frozen_coupling(u_fixed, p_fixed)
+        coupling = FrozenCoupling(strain, p_fixed, self.params)
         done = stats.inner_newton
         for it in range(1, config.max_iter + 1):
             stats.inner_newton = (*done, it)
@@ -566,16 +545,15 @@ class ChbSystem:
     # -- flow subsystem ------------------------------------------------------
 
     def divu_per_cell(self, u: np.ndarray) -> np.ndarray:
-        """div u per cell, as model.Pointwise.divu computes it."""
-        strain = self.strain_per_cell(u)
-        return strain[:, 0] + strain[:, 1]
+        """div u per cell."""
+        return _divergence(self.strain_per_cell(u))
 
     def storage_coefficient(self, state: FieldState) -> np.ndarray:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
         return self.phase_integrals(self.phase_values(state.phi)).storage(
             state.p, self.divu_per_cell(state.u))
 
-    def solve_flow(self, phase: PhaseIntegrals, u, q_start, storage_prev):
+    def solve_flow(self, phase: PhaseIntegrals, divu, q_start, storage_prev):
         """Solve the mixed pressure/flux subsystem at the phase field of
         `phase`; returns (p, q).
 
@@ -586,11 +564,12 @@ class ChbSystem:
         complement is singular in double precision, as for a permeability
         or time step far above it, the full system is solved directly.
 
-        storage_prev: storage_coefficient of the previous time step.
+        divu: divu_per_cell of the displacement; storage_prev:
+        storage_coefficient of the previous time step.
         """
         mq_elem = kn.rt0_weighted_mass(phase.values, self.wq_last, self.psi_last)
         dinv = phase.dinv
-        f = storage_prev - phase.abar * self.divu_per_cell(u)
+        f = storage_prev - phase.abar * divu
         S = self._flux_matrix(dinv, mq_elem)
         try:
             p, q = self._flow_from_flux(
@@ -689,19 +668,26 @@ class ChbSystem:
         """
         phi_o, mu_o = state_prev.phi, state_prev.mu
         u_o, p_o, q_o = state_prev.u, state_prev.p, state_prev.q
-        storage_prev = self.storage_coefficient(state_prev)
         explicit = self.ch_explicit_load(state_prev)
+        # one Phase of phi_o serves the previous step's storage term and
+        # the first CH iterate; each strain serves the CH solve frozen at
+        # it, and a new displacement's strain its flow solve before that
         values = self.phase_values(phi_o)
+        strain = self.strain_per_cell(u_o)
+        storage_prev = self.phase_integrals(values).storage(
+            p_o, _divergence(strain))
         for it in range(1, config.max_iter + 1):
             phi_n, mu_n = self.solve_ch_subsystem(
-                state_prev, explicit, u_o, p_o, config, phi_o, mu_o, values,
+                state_prev, explicit, strain, p_o, config, phi_o, mu_o, values,
                 stats)
             # shared by both subsystems and the next outer iteration's
             # first Cahn-Hilliard iterate, which starts at phi_n
             values = self.phase_values(phi_n)
             phase = self.phase_integrals(values)
             u_n = self.solve_elasticity(phase, p_o, u_o)
-            p_n, q_n = self.solve_flow(phase, u_n, q_o, storage_prev)
+            strain = self.strain_per_cell(u_n)
+            p_n, q_n = self.solve_flow(phase, _divergence(strain), q_o,
+                                       storage_prev)
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
                                  + np.linalg.norm(mu_n - mu_o) ** 2
                                  + np.linalg.norm(u_n - u_o) ** 2

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from chbfem import MaterialParams, build_unit_square_mesh
+from chbfem.model import FrozenCoupling
 from chbfem.solvers import ChbSystem, FieldState, IterationStats
 
 
@@ -56,10 +57,15 @@ def random_state(system: ChbSystem, rng: np.random.Generator,
 
 def ch_frozen(system: ChbSystem, prev: FieldState, phi, u, p):
     """The values the splitting's CH residual and Jacobian at phi read,
-    with u and p frozen: (system.phase_values(phi),
-    system.frozen_coupling(u, p), system.ch_explicit_load(prev))."""
-    return (system.phase_values(phi), system.frozen_coupling(u, p),
+    with u and p frozen: (system.phase_values(phi), their
+    model.FrozenCoupling, system.ch_explicit_load(prev))."""
+    return (system.phase_values(phi), frozen_coupling(system, u, p),
             system.ch_explicit_load(prev))
+
+
+def frozen_coupling(system: ChbSystem, u, p) -> FrozenCoupling:
+    """The chemical-potential laws at the frozen (u, p) of a CH solve."""
+    return FrozenCoupling(system.strain_per_cell(u), p, system.params)
 
 
 def ch_split_residual(system: ChbSystem, prev: FieldState, phi, mu, u, p):

@@ -53,7 +53,7 @@ def test_top_level_exports_are_pinned_and_resolve():
 
 def test_solver_modules_hold_only_what_the_solver_runs():
     assert {n for n in vars(fem) if not n.startswith("_")} >= {
-        "QuadratureRule", "default_rule", "rt0_basis"}
+        "QuadratureRule", "cell_geometry", "default_rule", "rt0_basis"}
     for name in MOVED_FROM_FEM:
         assert not hasattr(fem, name), f"chbfem.fem.{name}"
     for name in DELETED_FROM_LINALG:

@@ -103,6 +103,20 @@ def test_rt0_normal_flux_duality():
             assert np.allclose(flux, want, atol=1e-12)
 
 
+def test_cell_geometry_matches_per_cell_evaluation():
+    mesh = build_unit_square_mesh(3)
+    coords, two_area, signed_lengths = fem.cell_geometry(mesh)
+    for c in range(mesh.num_cells):
+        area, want_coords, _ = cell_geometry(mesh, c)
+        assert np.array_equal(coords[c], want_coords)
+        assert two_area[c] == pytest.approx(2.0 * area, rel=1e-15)
+        # local edge k is opposite local vertex k
+        ends = want_coords[[1, 2, 0]] - want_coords[[2, 0, 1]]
+        assert np.allclose(signed_lengths[c],
+                           mesh.cell_signs[c] * np.hypot(*ends.T),
+                           rtol=1e-15, atol=0)
+
+
 def test_rt0_basis_matches_per_cell_evaluation():
     rng = np.random.default_rng(7)
     mesh = build_unit_square_mesh(3)

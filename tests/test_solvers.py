@@ -3,7 +3,7 @@ import gc
 import threading
 import time
 import weakref
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -197,7 +197,8 @@ def test_elasticity_rotation_symmetry_with_uniform_stiffness():
 def test_flow_zero_data(system4):
     prev = system4.initial_state(lambda x, y: 0.5)
     phase = system4.phase_integrals(system4.phase_values(prev.phi))
-    p, q = system4.solve_flow(phase, prev.u, np.zeros(system4.ne),
+    p, q = system4.solve_flow(phase, system4.divu_per_cell(prev.u),
+                              np.zeros(system4.ne),
                               system4.storage_coefficient(prev))
     assert np.abs(p).max() <= 1e-14
     assert np.abs(q).max() <= 1e-14
@@ -209,7 +210,8 @@ def test_flow_elementwise_residual_and_global_mass(system4):
     phi = rng.uniform(0.1, 0.9, system4.nv)
     u = rng.normal(0.0, 0.01, 2 * system4.nv)
     phase = system4.phase_integrals(system4.phase_values(phi))
-    p, q = system4.solve_flow(phase, u, np.zeros(system4.ne),
+    p, q = system4.solve_flow(phase, system4.divu_per_cell(u),
+                              np.zeros(system4.ne),
                               system4.storage_coefficient(prev))
     state = FieldState(phi, prev.mu, u, p, q, n=1)
     cell_res = system4.flow_cell_residual(prev, state)
@@ -250,7 +252,8 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
                           - phase.abar * o.divu_per_cell(st.u), np.zeros(o.ne)])
     # from zero and for the increment from a flux far from the solution
     for q_start in (np.zeros(o.ne), rng.normal(0.0, 1.0, o.ne)):
-        p, q = o.solve_flow(phase, st.u, q_start, o.storage_coefficient(prev))
+        p, q = o.solve_flow(phase, o.divu_per_cell(st.u), q_start,
+                            o.storage_coefficient(prev))
         residual = np.linalg.norm(rhs - A @ np.concatenate([p, q]))
         assert residual <= linalg.SOLVE_RTOL * max(np.linalg.norm(rhs), 1.0)
         state = FieldState(st.phi, st.mu, st.u, p, q, n=1)
@@ -301,7 +304,8 @@ def test_flow_at_extreme_scales_solves_the_full_flow_system(n, scales):
     except LinearSolveFailure:
         pass
     # so solve_flow solves the full system
-    p, q = o.solve_flow(phase, st.u, np.zeros(o.ne), o.storage_coefficient(prev))
+    p, q = o.solve_flow(phase, o.divu_per_cell(st.u), np.zeros(o.ne),
+                        o.storage_coefficient(prev))
     assert np.linalg.norm(rhs - A @ np.concatenate([p, q])) <= bound
 
 
@@ -326,8 +330,9 @@ def test_ch_solve_at_extreme_surface_tension_fails_cleanly(system4):
     cfg = SolverConfig(strategy="splitting", num_steps=1, max_iter=8)
     stats = IterationStats(step=1)
     try:
-        system.solve_ch_subsystem(st0, system.ch_explicit_load(st0), st0.u,
-                                  st0.p, cfg, st0.phi, st0.mu,
+        system.solve_ch_subsystem(st0, system.ch_explicit_load(st0),
+                                  system.strain_per_cell(st0.u), st0.p, cfg,
+                                  st0.phi, st0.mu,
                                   system.phase_values(st0.phi), stats)
     except NonConvergence:
         pass
@@ -1110,7 +1115,8 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         solved.clear()
         phase = o.phase_integrals(o.phase_values(st.phi))
         o.solve_elasticity(phase, st.p, np.zeros(2 * o.nv))
-        o.solve_flow(phase, st.u, np.zeros(o.ne), o.storage_coefficient(prev))
+        o.solve_flow(phase, o.divu_per_cell(st.u), np.zeros(o.ne),
+                     o.storage_coefficient(prev))
         (A_el, b_el), (A_fl, b_fl) = solved
         assert_same_csr(A_el, reference_elasticity_matrix(o, st.phi))
         # apply_dirichlet sums the full triplet list, in another order
@@ -1208,6 +1214,9 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
     mesh = build_unit_square_mesh(8)
     params = MaterialParams()
     reused = ChbSystem(mesh, params)
+    workspace = {name for name, attr in vars(ChbSystem).items()
+                 if isinstance(attr, cached_property)}
+    assert {"_ch_layout", "_monolithic_layout", "wq_last"} <= workspace
     for strategy in ("splitting", "monolithic"):
         cfg = SolverConfig(strategy=strategy, num_steps=2)
         fresh = ChbSystem(mesh, params)
@@ -1219,9 +1228,7 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
             got, _ = advance_simulation(reused, reused.initial_state(), cfg)
             assert np.array_equal(reused.pack(got), reused.pack(want))
             # a finished run keeps no workspace
-            assert not {"_ch_layout", "_monolithic_layout", "wq_last",
-                        "psi_last", "B_last", "lam_outer", "_m_elem",
-                        "_k_elem", "_div_elem", "drow"} & set(vars(reused))
+            assert not workspace & set(vars(reused))
 
 
 def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch):
@@ -1232,13 +1239,20 @@ def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch)
         built.append(1)
         init(self, *args)
 
+    strains = []
+    strain_per_cell = ChbSystem.strain_per_cell
     monkeypatch.setattr(model.Phase, "__init__", counting)
+    monkeypatch.setattr(ChbSystem, "strain_per_cell", lambda self, u: (
+        strains.append(1), strain_per_cell(self, u))[1])
     _, stats = take_step(system4.splitting_step, system4.initial_state(),
                          SolverConfig())
     assert stats.outer_iters >= 2
-    # the previous step's storage term, the first iterate, and one per
-    # later CH iterate and per converged phi
-    assert len(built) <= stats.newton_total + 2
+    # one Phase of the previous phi serves its storage term and the first
+    # iterate; then one per later CH iterate and per converged phi
+    assert len(built) <= stats.newton_total + 1
+    # the previous displacement's strain, and one per new displacement,
+    # which its flow solve and the next CH solve share
+    assert len(strains) == stats.outer_iters + 1
 
 
 def test_monolithic_step_computes_its_explicit_load_once(system4, monkeypatch):

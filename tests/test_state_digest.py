@@ -1,5 +1,5 @@
-"""tools/state_digest.py: the same run gives the same line, and the
-wrapped solve_linear is put back."""
+"""tools/state_digest.py: the same run gives the same line, the wrapped
+solve_linear is put back, and the settings are the benchmark's."""
 
 import importlib.util
 from pathlib import Path
@@ -7,11 +7,12 @@ from pathlib import Path
 import chbfem
 from chbfem import solvers
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "state_digest.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location("state_digest", TOOL)
+    spec = importlib.util.spec_from_file_location(
+        "state_digest", ROOT / "tools" / "state_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -27,3 +28,10 @@ def test_digest_repeats_and_tells_runs_apart():
     assert lines[0] == lines[1]
     assert len({line.split()[4] for line in lines}) == 3
     assert lines[0].endswith("(converged)")
+
+
+def test_settings_are_the_benchmarks_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "chbbench"))
+    harness = importlib.import_module("harness")
+    assert load_tool().SETTINGS == {
+        name: (w.n, w.steps, w.xi) for name, w in harness.WORKLOADS.items()}
