@@ -3,11 +3,12 @@
 A single flat JSON document configures one experiment; missing keys fall
 back to the baseline parameter set.  SimulationConfig takes its material
 and solver fields, with their defaults and checks, from MaterialParams
-and SolverConfig and validates them with the same model.check_fields,
-so a bad value gets the same ConfigError from either.  Sweeps over the
-surface tension (gamma) or the swelling parameter (xi) run one
-simulation per value and per strategy, record iteration counts and wall
-time per run, and never let a non-converged run abort the sweep.
+and SolverConfig, and checks every field with the same model.check_fields
+when it is made, so a bad value gets the same ConfigError from either.
+Sweeps over the surface tension (gamma) or the swelling parameter (xi)
+run one simulation per value and per strategy, record iteration counts
+and wall time per run, and never let a non-converged run abort the
+sweep.  `chbfem run` creates the output directory before the first run.
 
 Outputs: a metrics CSV with the fixed header
 
@@ -21,8 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +72,15 @@ def _sweep_check(sweep):
             return f"value {value!r} {reason}"
 
 
-def _string_check(value):
+def _path_check(value):
     if not isinstance(value, str):
         return "must be a string"
+    if "\0" in value:
+        return "must not contain a NUL character"
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        return "must be encodable as a file name"
 
 
 _SOLVER_FIELDS = tuple(f for f in fields(SolverConfig) if f.name != "strategy")
@@ -96,10 +104,10 @@ class SimulationConfig(_SharedFields):
     n: int = integer(65, low=1)
     strategy: str = choice("both", "monolithic", "splitting", "both")
     sweep: dict | None = field(default=None, metadata={"check": _sweep_check})
-    out_dir: str = field(default="out", metadata={"check": _string_check})
+    out_dir: str = field(default="out", metadata={"check": _path_check})
     vtk_every: int = integer(0, low=0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self, "configuration")
 
     def material_params(self, **overrides) -> MaterialParams:
@@ -124,16 +132,14 @@ def config_from_dict(data: dict) -> SimulationConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    cfg = SimulationConfig(**data)
-    cfg.validate()
-    return cfg
+    return SimulationConfig(**data)
 
 
 def load_config(path) -> SimulationConfig:
     """Load a JSON config; unspecified fields default to the baseline values."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")   # as RFC 8259 requires
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -208,7 +214,6 @@ def run_experiment(config: SimulationConfig) -> list[RunRecord]:
     Non-converged runs are recorded with converged=false and the
     iterations consumed before the abort; the sweep always continues.
     """
-    config.validate()
     mesh = build_unit_square_mesh(config.n)
     strategies = (["monolithic", "splitting"] if config.strategy == "both"
                   else [config.strategy])
@@ -303,22 +308,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.strategy:
-            config.strategy = args.strategy
-        if args.sweep:
-            existing = config.sweep if config.sweep else {}
-            if existing.get("param") == args.sweep and existing.get("values"):
-                config.sweep = existing
-            else:
-                config.sweep = {"param": args.sweep}
-        if args.out:
-            config.out_dir = args.out
+        overrides = {"strategy": args.strategy, "out_dir": args.out}
+        if args.sweep and (config.sweep or {}).get("param") != args.sweep:
+            overrides["sweep"] = {"param": args.sweep}
         if args.desk:
-            config.n = DESK_N
-            config.num_steps = DESK_NUM_STEPS
-        config.validate()
+            overrides.update(n=DESK_N, num_steps=DESK_NUM_STEPS)
+        config = replace(config, **{k: v for k, v in overrides.items() if v})
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         records = run_experiment(config)
-        csv_path = Path(config.out_dir) / "metrics.csv"
+        csv_path = out_dir / "metrics.csv"
         write_metrics_csv(records, csv_path)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,8 +212,10 @@ class ChbSystem:
     """Discrete operators of the coupled system on one mesh.
 
     Precomputes geometry tables, basis values at quadrature points, the
-    constant P1 mass/stiffness matrices and the RT0 divergence matrix;
-    the phi-dependent terms are assembled on demand through the kernels.
+    constant P1 mass/stiffness matrices and the RT0 divergence matrix.
+    The phi-dependent terms are integrated at each iterate: those of the
+    splitting's Cahn-Hilliard block by products with the quadrature
+    table (ch_residual_and_jacobian), the monolithic ones by the kernels.
     The laws of phi enter the elasticity and flow blocks through the
     per-cell coefficients of one PhaseIntegrals (phase_integrals), which
     every solve, residual and Jacobian at that phase field reads.

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from chbfem.model import SCALE_LIMIT, MaterialParams
 from chbfem.solvers import ChbSystem, SolverConfig
 
 from conftest import random_state
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -85,10 +89,13 @@ def test_negative_tau_rejected_by_name(tmp_path):
     ({"xi": -1e300}, r"xi must lie within \[-1e\+20, 1e\+20\]"),
     ({"C1": [[1e-300, 0, 0], [0, 1e-300, 0], [0, 0, 1e-300]]},
      "C1 must have eigenvalues within"),
+    ({"out_dir": "a\0b"}, "out_dir must not contain a NUL character"),
+    ({"out_dir": "\ud800"}, "out_dir must be encodable as a file name"),
 ], ids=["bool_tol", "fractional_max_iter", "string_n", "indefinite_C0",
         "nan_xi", "inf_phi_bar", "nan_sweep_value", "huge_int_gamma", "inf_C1",
         "bool_C0", "string_C1", "bool_gamma", "M1_lost_in_M0",
-        "kappa1_lost_in_kappa0", "tiny_ell", "tiny_M0", "huge_xi", "tiny_C1"])
+        "kappa1_lost_in_kappa0", "tiny_ell", "tiny_M0", "huge_xi", "tiny_C1",
+        "nul_out_dir", "surrogate_out_dir"])
 def test_invalid_field_rejected_by_name(tmp_path, data, message):
     path = write_config(tmp_path, data)
     with pytest.raises(ConfigError, match=message):
@@ -96,6 +103,52 @@ def test_invalid_field_rejected_by_name(tmp_path, data, message):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--desk", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def fail_if_run(config):
+    pytest.fail("a simulation ran")
+
+
+def assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("data, flags", [
+    ({"out_dir": "a\0b"}, []),
+    ({"out_dir": "\ud800"}, []),
+    ({}, ["--out", "a\0b"]),
+], ids=["nul_in_config", "surrogate_in_config", "nul_in_out_flag"])
+def test_bad_out_dir_ends_before_any_run(tmp_path, monkeypatch, capsys,
+                                         data, flags):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_experiment", fail_if_run)
+    path = write_config(tmp_path, {"n": 2, "num_steps": 1, **data})
+    assert main(["run", "--config", str(path), *flags]) == 1
+    assert_one_error_line(capsys, "out_dir")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_uncreatable_out_dir_ends_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment", fail_if_run)
+    (tmp_path / "file").touch()
+    out = tmp_path / "file" / "out"
+    path = write_config(tmp_path, {"n": 12, "num_steps": 3, "out_dir": str(out)})
+    assert main(["run", "--config", str(path)]) == 1
+    assert_one_error_line(capsys, str(out))
+
+
+def test_config_is_checked_when_made():
+    with pytest.raises(ConfigError, match="n must be"):
+        SimulationConfig(n=0)
+    with pytest.raises(ConfigError, match="vtk_every must be"):
+        dataclasses.replace(config_from_dict({}), vtk_every=-1)
+
+
+def test_desk_flag_is_the_benchmarks_desk_profile(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "chbbench"))
+    desk = importlib.import_module("harness").WORKLOADS["desk"]
+    assert (cli.DESK_N, cli.DESK_NUM_STEPS) == (desk.n, desk.steps)
 
 
 def test_shared_fields_are_declared_once():
@@ -136,6 +189,16 @@ def test_parse_error_reports_line(tmp_path):
     path.write_text('{\n  "gamma": 5,\n  oops\n}')
     with pytest.raises(ConfigError, match="line 3"):
         load_config(path)
+
+
+def test_config_that_is_not_utf8_is_a_read_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment", fail_if_run)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"gamma": 5, "\xff": 1}')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert_one_error_line(capsys, "cannot read config")
 
 
 def test_missing_file(tmp_path):
@@ -244,7 +307,7 @@ _ACCEPTED = {
     "max_iter": st.integers(1, 200), "n": st.integers(1, 200),
     "num_steps": st.integers(0, 50), "vtk_every": st.integers(0, 5),
     "strategy": st.sampled_from(["monolithic", "splitting", "both"]),
-    "out_dir": st.text(max_size=8),
+    "out_dir": st.text(st.characters(exclude_characters="\0"), max_size=8),
 }
 _ACCEPTED["sweep"] = st.none() | st.sampled_from(["gamma", "xi"]).flatmap(
     lambda param: st.fixed_dictionaries(
@@ -541,6 +604,27 @@ def test_main_sweep_flag(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--sweep", "xi",
                  "--out", str(tmp_path / "o")]) == 0
     assert seen["plan"] == ("xi", [0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@pytest.mark.parametrize("sweep, flag, plan", [
+    ({"param": "xi"}, "xi", ("xi", [0.25, 0.5, 1.0, 1.5, 2.0])),
+    ({"param": "xi", "values": [1.0, 2.0]}, "xi", ("xi", [1.0, 2.0])),
+    ({"param": "xi", "values": [1.0, 2.0]}, "gamma",
+     ("gamma", [0.1, 0.5, 1.0, 5.0, 10.0, 25.0])),
+], ids=["default_grid", "configured_grid", "other_param"])
+def test_main_sweep_flag_keeps_a_configured_grid(tmp_path, monkeypatch,
+                                                 sweep, flag, plan):
+    seen = {}
+
+    def fake_run(config):
+        seen["plan"] = config.sweep_plan()
+        return [cli.RunRecord(flag, 1.0, "splitting", True, 1, 1, 0.0)]
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    cfg_path = write_config(tmp_path, {"sweep": sweep})
+    assert main(["run", "--config", str(cfg_path), "--sweep", flag,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert seen["plan"] == plan
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
