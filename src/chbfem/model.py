@@ -203,6 +203,11 @@ def pi_laws(phi):
             np.where((phi < 0.0) | (phi > 1.0), 0.0, 6.0 - 12.0 * phi))
 
 
+def divergence(strain):
+    """div u of a Voigt strain per cell, (nc, 3): e_xx + e_yy, (nc,)."""
+    return strain[:, 0] + strain[:, 1]
+
+
 class Phase:
     """The laws of phi alone at the quadrature points, cells last.
 
@@ -334,7 +339,7 @@ class Pointwise(Phase):
 
     @cached_property
     def divu(self):
-        return self.strain[:, 0] + self.strain[:, 1]
+        return divergence(self.strain)
 
     @property
     def Cem(self):
@@ -434,7 +439,7 @@ class FrozenCoupling:
         self.dc_eps = strain @ dc_i
         self.eps_dc_eps = np.einsum("ci,ij,cj->c", strain, params.dC, strain)
         self.p2 = p * p
-        self.p_divu = p * (strain[:, 0] + strain[:, 1])
+        self.p_divu = p * divergence(strain)
         # I.C0.I and I.dC.I
         self.c0_ii = float(VOIGT_ID @ c0_i)
         self.dc_ii = float(VOIGT_ID @ dc_i)

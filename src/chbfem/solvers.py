@@ -37,7 +37,7 @@ from .linalg import (SOLVE_RTOL, Block, CsrPattern, LinearSolveFailure,
                      factored_block, solve_linear)
 from .mesh import StructuredTriMesh
 from .model import (VOIGT_ID, FrozenCoupling, MaterialParams, Phase,
-                    Pointwise, check_fields, choice, integer, real)
+                    Pointwise, check_fields, choice, divergence, integer, real)
 
 DIVERGENCE_LIMIT = 1.0e6
 # Monolithic Jacobians of at least this many rows carry their diagonal
@@ -56,10 +56,6 @@ KRYLOV_MIN_ROWS = 5000
 # n=4 (188 dofs, by 7%); the threshold stays just above n=4, where the
 # benchmark's smoke run checks one factorization per solve.
 KEEP_FACTOR_MIN_DOFS = 250
-# The contraction order numpy's greedy einsum_path picks for the element
-# stiffness B^T C B at every mesh size (B with C first, then with B),
-# given up front so that no call searches for it.
-STIFFNESS_PATH = ["einsum_path", (0, 1), (0, 1)]
 # The monolithic Jacobian's element blocks, (row field, column field), in
 # the order monolithic_jacobian lists their values.
 MONOLITHIC_BLOCKS = (
@@ -141,9 +137,13 @@ def _scatter_vector(elem, dofs, n):
     return np.bincount(dofs.ravel(), weights=elem.ravel(), minlength=n)
 
 
-def _divergence(strain):
-    """div u per cell from its strain_per_cell, as Pointwise.divu has it."""
-    return strain[:, 0] + strain[:, 1]
+def _converged(norm, config, what) -> bool:
+    """Whether an increment norm is below config.tol; raises
+    NonConvergence("<what> diverged") where it is not finite or above
+    DIVERGENCE_LIMIT."""
+    if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
+        raise NonConvergence(f"{what} diverged", diverged=True)
+    return norm < config.tol
 
 
 def _solve_from(A, b, start):
@@ -229,7 +229,8 @@ class ChbSystem:
     eliminated exactly: the flux solves the flux Schur complement
     S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv, which is SPD and keeps Mq's
     pattern, and the pressure follows from the flux.  solve_flow checks
-    that (p, q) on the full flow system and solves that system directly
+    that (p, q) on flow_residual, the residual of the full flow system
+    that monolithic_residual stacks too, and solves that system directly
     where the elimination loses the contract, as at extreme M, kappa or
     tau.  In the splitting, elasticity and S are solved for the increment
     from the previous outer iterate, so refinement against a kept factor
@@ -292,12 +293,6 @@ class ChbSystem:
         self.qdofs = mesh.cell_edges
         for dofs in (self.udofs, self.pdofs):
             dofs.setflags(write=False)
-        # each field's cell-to-dof map and offset in the monolithic system
-        self.fields = {"phi": (self.cells, self.off_phi),
-                       "mu": (self.cells, self.off_mu),
-                       "u": (self.udofs, self.off_u),
-                       "p": (self.pdofs, self.off_p),
-                       "q": (self.qdofs, self.off_q)}
 
         p1 = _block_indices(self.cells, self.cells)
         self.M = sp.coo_matrix((self._m_elem.ravel(), p1),
@@ -488,10 +483,8 @@ class ChbSystem:
             delta = solve_linear(J, -res)
             phi = phi + delta[:self.nv]
             mu = mu + delta[self.nv:]
-            norm = float(np.linalg.norm(delta))
-            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise NonConvergence("phase-field Newton diverged", diverged=True)
-            if norm < config.tol:
+            if _converged(float(np.linalg.norm(delta)), config,
+                          "phase-field Newton"):
                 return phi, mu
             values = self.phase_values(phi)
         raise NonConvergence(
@@ -528,8 +521,7 @@ class ChbSystem:
     def _stiffness_elem(self, cint) -> np.ndarray:
         """Element stiffness blocks B^T cint B of the integrated stiffness
         per cell, (nc, 6, 6)."""
-        return np.einsum("cai,cab,cbj->cij", self.B, cint, self.B,
-                         optimize=STIFFNESS_PATH)
+        return (self.B.transpose(0, 2, 1) @ cint) @ self.B
 
     def _elasticity_matrix(self, a_elem) -> sp.csr_matrix:
         """Stiffness matrix of the element blocks a_elem, Dirichlet rows
@@ -548,7 +540,7 @@ class ChbSystem:
 
     def divu_per_cell(self, u: np.ndarray) -> np.ndarray:
         """div u per cell."""
-        return _divergence(self.strain_per_cell(u))
+        return divergence(self.strain_per_cell(u))
 
     def storage_coefficient(self, state: FieldState) -> np.ndarray:
         """Cellwise integral of p/M(phi) + alpha(phi)*div(u) at a state."""
@@ -579,26 +571,28 @@ class ChbSystem:
         except LinearSolveFailure:
             pass   # the full system below decides
         else:
-            if (self._flow_residual_norm(dinv, mq_elem, f, p, q)
-                    <= SOLVE_RTOL * max(np.linalg.norm(f), 1.0)):
+            # the norm is not finite, and fails the bound, where p or q is not
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = np.linalg.norm(self.flow_residual(
+                    phase, divu, storage_prev, mq_elem, p, q))
+            if norm <= SOLVE_RTOL * max(np.linalg.norm(f), 1.0):
                 return p, q
         x = solve_linear(self._flow_matrix(dinv, mq_elem),
                          np.append(f, np.zeros(self.ne)))
         return x[:self.nc], x[self.nc:]
 
-    def _flow_residual_norm(self, dinv, mq_elem, f, p, q) -> float:
-        """||(f, 0) - [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]] (p, q)||, Mq
-        applied by its element blocks; not finite where p or q is not."""
-        mq_q = self._mq_times(mq_elem, q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.hypot(
-                np.linalg.norm(f - dinv * p - self.params.tau * (self.Bdiv @ q)),
-                np.linalg.norm(self.BdivT @ p - mq_q)))
-
-    def _mq_times(self, mq_elem, q) -> np.ndarray:
-        """Mq q, Mq applied by its element blocks mq_elem."""
-        return _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[self.qdofs]),
+    def flow_residual(self, phase: PhaseIntegrals, divu, storage_prev,
+                      mq_elem, p, q) -> np.ndarray:
+        """The flow residual at (p, q): per cell the mass balance
+        storage(p, divu) - storage_prev + tau Bdiv q, storage_prev the
+        previous step's storage_coefficient, then Darcy's law
+        Mq q - Bdiv^T p, Mq applied by its element blocks mq_elem."""
+        mq_q = _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[self.qdofs]),
                                self.qdofs, self.ne)
+        return np.concatenate([
+            phase.storage(p, divu) - storage_prev
+            + self.params.tau * (self.Bdiv @ q),
+            mq_q - self.BdivT @ p])
 
     def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
         """The full flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]],
@@ -677,7 +671,7 @@ class ChbSystem:
         values = self.phase_values(phi_o)
         strain = self.strain_per_cell(u_o)
         storage_prev = self.phase_integrals(values).storage(
-            p_o, _divergence(strain))
+            p_o, divergence(strain))
         for it in range(1, config.max_iter + 1):
             phi_n, mu_n = self.solve_ch_subsystem(
                 state_prev, explicit, strain, p_o, config, phi_o, mu_o, values,
@@ -688,7 +682,7 @@ class ChbSystem:
             phase = self.phase_integrals(values)
             u_n = self.solve_elasticity(phase, p_o, u_o)
             strain = self.strain_per_cell(u_n)
-            p_n, q_n = self.solve_flow(phase, _divergence(strain), q_o,
+            p_n, q_n = self.solve_flow(phase, divergence(strain), q_o,
                                        storage_prev)
             norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
                                  + np.linalg.norm(mu_n - mu_o) ** 2
@@ -696,10 +690,7 @@ class ChbSystem:
                                  + np.linalg.norm(p_n - p_o) ** 2))
             phi_o, mu_o, u_o, p_o, q_o = phi_n, mu_n, u_n, p_n, q_n
             stats.outer_iters = it
-            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise NonConvergence("splitting outer iteration diverged",
-                                     diverged=True)
-            if norm < config.tol:
+            if _converged(norm, config, "splitting outer iteration"):
                 return FieldState(phi_o, mu_o, u_o, p_o, q_o, n=state_prev.n + 1)
         raise NonConvergence(
             f"splitting did not converge in {config.max_iter} outer iterations")
@@ -722,7 +713,6 @@ class ChbSystem:
         displacement block read u - 0.  at: monolithic_iterate(state_iter);
         explicit: ch_explicit_load(state_prev).
         """
-        pa = self.params
         st = state_iter
         pw, mq_elem = at
         res = np.empty(self.ndofs)
@@ -736,11 +726,9 @@ class ChbSystem:
         r_u = _scatter_vector(ru_elem, self.udofs, 2 * self.nv)
         r_u[self.u_bdofs] = st.u[self.u_bdofs]
         res[self.off_u:self.off_p] = r_u
-        storage_prev = self.storage_coefficient(state_prev)
-        res[self.off_p:self.off_q] = (phase.storage(st.p, pw.divu)
-                                      - storage_prev
-                                      + pa.tau * (self.Bdiv @ st.q))
-        res[self.off_q:] = self._mq_times(mq_elem, st.q) - self.BdivT @ st.p
+        res[self.off_p:] = self.flow_residual(
+            phase, pw.divu, self.storage_coefficient(state_prev), mq_elem,
+            st.p, st.q)
         return res
 
     def monolithic_jacobian(self, state_iter: FieldState, at) -> sp.csr_matrix:
@@ -788,8 +776,11 @@ class ChbSystem:
         MONOLITHIC_BLOCKS, with the rows of the displacement Dirichlet dofs
         set to identity (_clamped_pattern)."""
         # int32 throughout: the n=65 Jacobian has 1.3M triplets
-        fields = {name: (dofs.astype(np.int32), off)
-                  for name, (dofs, off) in self.fields.items()}
+        cells, udofs, pdofs, qdofs = (d.astype(np.int32) for d in (
+            self.cells, self.udofs, self.pdofs, self.qdofs))
+        fields = {"phi": (cells, self.off_phi), "mu": (cells, self.off_mu),
+                  "u": (udofs, self.off_u), "p": (pdofs, self.off_p),
+                  "q": (qdofs, self.off_q)}
         rows, cols = _stacked_indices([
             (*_block_indices(fields[r][0], fields[c][0]),
              fields[r][1], fields[c][1]) for r, c in MONOLITHIC_BLOCKS])
@@ -814,10 +805,8 @@ class ChbSystem:
             delta = solve_linear(J, -res)
             x = self.pack(state) + delta
             state = self.unpack(x, state.n)
-            norm = float(np.linalg.norm(delta))
-            if not np.isfinite(norm) or norm > DIVERGENCE_LIMIT:
-                raise NonConvergence("monolithic Newton diverged", diverged=True)
-            if norm < config.tol:
+            if _converged(float(np.linalg.norm(delta)), config,
+                          "monolithic Newton"):
                 return state
         raise NonConvergence(
             f"monolithic Newton did not converge in {config.max_iter} iterations")

@@ -139,13 +139,14 @@ def test_jacobian_interpolation_couplings_vanish_outside_unit_interval(system4):
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 65])
-def test_stiffness_path_is_the_one_einsum_picks(n):
-    # the path depends on the operands' shapes alone; the same path gives
-    # optimize=True's bits
-    nc = 2 * n * n
-    B, cint = np.empty((nc, 3, 6)), np.empty((nc, 3, 3))
-    path, _ = np.einsum_path("cai,cab,cbj->cij", B, cint, B, optimize=True)
-    assert path == solvers.STIFFNESS_PATH
+def test_stiffness_elem_has_the_bits_of_optimized_einsum(n):
+    # the association (B^T C) B, which the benchmark's pinned counts
+    # depend on; phi reaches past [0, 1], where pi is clamped
+    o = ChbSystem(build_unit_square_mesh(n), MaterialParams())
+    rng = np.random.default_rng(n)
+    cint = o.phase_integrals(o.phase_values(rng.uniform(-0.2, 1.2, o.nv))).cint
+    want = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
+    assert np.array_equal(o._stiffness_elem(cint), want)
 
 
 def test_elasticity_zero_load(system4):
@@ -218,6 +219,19 @@ def test_flow_elementwise_residual_and_global_mass(system4):
     assert np.abs(cell_res).max() <= 1e-10
     # summing the cell equations: storage change balances the net outflux
     assert abs(cell_res.sum()) <= 1e-10
+
+
+def test_flow_cell_residual_is_the_flow_residuals_mass_balance(system4):
+    rng = np.random.default_rng(41)
+    prev = random_state(system4, rng)
+    st = random_state(system4, rng, n=1)
+    o = system4
+    phase = o.phase_integrals(o.phase_values(st.phi))
+    mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
+    res = o.flow_residual(phase, o.divu_per_cell(st.u),
+                          o.storage_coefficient(prev), mq_elem, st.p, st.q)
+    assert res.shape == (o.nc + o.ne,)
+    assert np.array_equal(o.flow_cell_residual(prev, st), res[:o.nc])
 
 
 def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
@@ -894,36 +908,53 @@ def test_linear_breakdown_keeps_true_iteration_counts(system4, monkeypatch,
         assert not failed.converged and failed.wall_seconds > 0.0
 
 
-@pytest.mark.parametrize("strategy, max_iter, far_solve, counts", [
+@pytest.mark.parametrize("strategy, max_iter, far_solve, far, counts, message", [
     # one step on system4 converges after CH Newton counts (4, 3, 2, 2, 2,
     # 1), with an elasticity and a flow solve after each, or after 4
     # monolithic Newton iterates; counts are (outer_iters, inner_newton,
     # newton_iters) of the failed step
-    ("splitting", 100, 4 + 2 + 2, (1, (4, 2), 0)),
-    ("splitting", 3, None, (0, (3,), 0)),
-    ("splitting", 100, 4 + 2 + 3 + 1, (2, (4, 3), 0)),
-    ("splitting", 5, None, (5, (4, 3, 2, 2, 2), 0)),
-    ("monolithic", 100, 3, (0, (), 3)),
-    ("monolithic", 2, None, (0, (), 2)),
-], ids=["ch_diverged", "ch_max_iter", "outer_diverged", "outer_max_iter",
-        "monolithic_diverged", "monolithic_max_iter"])
+    ("splitting", 100, 4 + 2 + 2, 2.0 * DIVERGENCE_LIMIT, (1, (4, 2), 0),
+     "phase-field Newton diverged"),
+    ("splitting", 100, 4 + 2 + 2, np.nan, (1, (4, 2), 0),
+     "phase-field Newton diverged"),
+    ("splitting", 3, None, None, (0, (3,), 0),
+     "phase-field Newton did not converge in 3 iterations"),
+    ("splitting", 100, 4 + 2 + 3 + 1, 2.0 * DIVERGENCE_LIMIT, (2, (4, 3), 0),
+     "splitting outer iteration diverged"),
+    # a NaN displacement would fail the flow solve, so the NaN lands in
+    # the flow solve and in its fallback to the full system
+    ("splitting", 100, 4 + 2 + 3 + 2, np.nan, (2, (4, 3), 0),
+     "splitting outer iteration diverged"),
+    ("splitting", 5, None, None, (5, (4, 3, 2, 2, 2), 0),
+     "splitting did not converge in 5 outer iterations"),
+    ("monolithic", 100, 3, 2.0 * DIVERGENCE_LIMIT, (0, (), 3),
+     "monolithic Newton diverged"),
+    ("monolithic", 100, 3, np.nan, (0, (), 3), "monolithic Newton diverged"),
+    ("monolithic", 2, None, None, (0, (), 2),
+     "monolithic Newton did not converge in 2 iterations"),
+], ids=["ch_diverged", "ch_diverged_nan", "ch_max_iter", "outer_diverged",
+        "outer_diverged_nan", "outer_max_iter", "monolithic_diverged",
+        "monolithic_diverged_nan", "monolithic_max_iter"])
 def test_nonconvergence_keeps_true_iteration_counts(system4, monkeypatch,
                                                     strategy, max_iter,
-                                                    far_solve, counts):
-    # the solve numbered far_solve, if any, lands far beyond
-    # DIVERGENCE_LIMIT, so its Newton or outer iteration diverges
+                                                    far_solve, far, counts,
+                                                    message):
+    # every solve from the one numbered far_solve on, if any, is off by
+    # far, beyond DIVERGENCE_LIMIT or NaN, so its Newton or outer
+    # iteration diverges
     calls = []
 
-    def far_at_k(A, b):
+    def far_from_k(A, b):
         calls.append(1)
         x = solve_linear(A, b)
-        return x + 2.0 * DIVERGENCE_LIMIT if len(calls) == far_solve else x
+        return x + far if far_solve is not None and len(calls) >= far_solve else x
 
-    monkeypatch.setattr(solvers, "solve_linear", far_at_k)
+    monkeypatch.setattr(solvers, "solve_linear", far_from_k)
     cfg = SolverConfig(strategy=strategy, num_steps=1, max_iter=max_iter)
     with pytest.raises(SimulationFailed) as exc_info:
         advance_simulation(system4, system4.initial_state(), cfg)
     assert isinstance(exc_info.value.cause, NonConvergence)
+    assert str(exc_info.value.cause) == message
     assert exc_info.value.cause.diverged == (far_solve is not None)
     (failed,) = exc_info.value.stats
     assert (failed.outer_iters, failed.inner_newton, failed.newton_iters) == counts
