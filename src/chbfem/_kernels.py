@@ -135,10 +135,10 @@ def rt0_weighted_mass(ph: Phase, wq, psi):
 def coupling_blocks(pw: Pointwise, wq, lam, qloc, B, psi):
     """Element blocks of the cross-derivative couplings.
 
-    Returns (mu_u, mu_p, u_phi, p_phi, q_phi) with shapes
-    (nc,3,6), (nc,3), (nc,6,3), (nc,3), (nc,3,3).  Signs are those of the
-    raw derivative; callers place them in the residual's Jacobian.
-    u_phi is mu_u transposed: see model.Pointwise.deps_dphi_E_elastic.
+    Returns (mu_u, mu_p, p_phi, q_phi) with shapes (nc,3,6), (nc,3),
+    (nc,3), (nc,3,3).  Signs are those of the raw derivative; callers
+    place them in the residual's Jacobian.  The (u, phi) block is mu_u
+    transposed: see model.Pointwise.deps_dphi_E_elastic.
     """
     # sum_q sum_k w lam_i r_k B_kl, then the div(u) part of
     # d(dphi_E)/d(strain), -p alpha'(phi), which is also the pressure
@@ -160,5 +160,4 @@ def coupling_blocks(pw: Pointwise, wq, lam, qloc, B, psi):
     qh = (qloc[0] * psi[:, 0] + qloc[1] * psi[:, 1]) + qloc[2] * psi[:, 2]
     wpsi = (wq * pw.dkinv)[:, None, None, :] * psi
     q_phi = _psi_sum(wpsi * qh[:, None], lam[:, :, None, None])
-    return (mu_u, mu_p, np.ascontiguousarray(mu_u.transpose(0, 2, 1)), p_phi,
-            q_phi)
+    return mu_u, mu_p, p_phi, q_phi

@@ -171,20 +171,17 @@ def _stacked_indices(blocks):
             np.concatenate([c + co for _, c, _, co in blocks]))
 
 
-def _clamped_pattern(rows, cols, fixed, shape, symmetric=False,
-                     keep_factor=False) -> CsrPattern:
+def _clamped_pattern(rows, cols, fixed, shape, keep_factor=False) -> CsrPattern:
     """Pattern of a triplet list whose dofs `fixed` get identity rows.
 
-    Leaves out the triplets in a fixed row, and with symmetric=True in a
-    fixed column, and adds a unit diagonal triplet per fixed dof; each of
-    these reads one 1.0 appended to the triplet values.  keep_factor is
-    passed on to CsrPattern.
+    Leaves out the triplets in a fixed row, not those in a fixed column,
+    and adds a unit diagonal triplet per fixed dof; each of these reads
+    one 1.0 appended to the triplet values.  keep_factor is passed on to
+    CsrPattern.
     """
     clamped = np.zeros(shape[0], dtype=bool)
     clamped[fixed] = True
     kept = ~clamped[rows]
-    if symmetric:
-        kept &= ~clamped[cols]
     take = np.concatenate([np.flatnonzero(kept), np.full(len(fixed), len(rows))],
                           dtype=np.int32)
     return CsrPattern(np.concatenate([rows[kept], fixed]),
@@ -237,7 +234,9 @@ class ChbSystem:
     starts there.  A monolithic Jacobian of at least KRYLOV_MIN_ROWS rows
     carries its three diagonal blocks as ``blocks``, for block GMRES:
     factors of the CH and elasticity matrices, and the flow block solved
-    through S.
+    through S.  The Jacobian and the elasticity matrix both clamp
+    displacement rows only (_clamped_pattern), so the elasticity matrix
+    is the Jacobian's (u, u) block, to roundoff.
 
     The layouts, their orderings and factors, the constant element blocks
     and the quadrature tables (the kernels' cells-last tables and
@@ -300,7 +299,7 @@ class ChbSystem:
         self.K = sp.coo_matrix((self._k_elem.ravel(), p1),
                                shape=(self.nv, self.nv)).tocsr()
         self.Bdiv = sp.coo_matrix(
-            (self._div_elem.ravel(), _block_indices(self.pdofs, self.qdofs)),
+            (self.signed_lengths.ravel(), _block_indices(self.pdofs, self.qdofs)),
             shape=(self.nc, self.ne)).tocsr()
         self.BdivT = self.Bdiv.T.tocsr()
 
@@ -332,11 +331,6 @@ class ChbSystem:
         """Element blocks of the P1 stiffness matrix, (nc, 3, 3)."""
         grads = self.grads
         return self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
-
-    @cached_property
-    def _div_elem(self):
-        """Element blocks of the RT0 divergence matrix, (nc, 1, 3)."""
-        return self.signed_lengths[:, None, :]
 
     @cached_property
     def drow(self) -> np.ndarray:
@@ -525,16 +519,16 @@ class ChbSystem:
 
     def _elasticity_matrix(self, a_elem) -> sp.csr_matrix:
         """Stiffness matrix of the element blocks a_elem, Dirichlet rows
-        and columns set to identity."""
+        set to identity."""
         pattern = self._elasticity_layout
         return pattern.matrix(pattern.sum(np.append(a_elem.ravel(), 1.0)))
 
     @cached_property
     def _elasticity_layout(self) -> CsrPattern:
-        """Stiffness pattern, Dirichlet rows and columns set to identity."""
+        """Stiffness pattern, Dirichlet rows set to identity."""
         return _clamped_pattern(*_block_indices(self.udofs, self.udofs),
                                 self.u_bdofs, (2 * self.nv, 2 * self.nv),
-                                symmetric=True, keep_factor=self._keeps_factors)
+                                keep_factor=self._keeps_factors)
 
     # -- flow subsystem ------------------------------------------------------
 
@@ -621,9 +615,9 @@ class ChbSystem:
         """The flux Schur complement S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv
         for the element blocks of Mq: cell c adds (tau / dinv_c) d_c d_c^T
         to its block of Mq, d_c its row of Bdiv."""
-        d = self._div_elem
+        d = self.signed_lengths
         s_elem = mq_elem + (self.params.tau / dinv)[:, None, None] * (
-            d.transpose(0, 2, 1) * d)
+            d[:, :, None] * d[:, None, :])
         pattern = self._flux_layout
         return pattern.matrix(pattern.sum(s_elem.ravel()))
 
@@ -743,28 +737,23 @@ class ChbSystem:
         qloc = st.q[self.qdofs.T]
 
         w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
-        mu_u, mu_p, u_phi, p_phi, q_phi = kn.coupling_blocks(
+        mu_u, mu_p, p_phi, q_phi = kn.coupling_blocks(
             pw, self.wq_last, self.lam, qloc, self.B_last, self.psi_last)
         phase = self.phase_integrals(pw)
         abar, dinv = phase.abar, phase.dinv
         a_elem = self._stiffness_elem(phase.cint)
-        m, k, div = self._m_elem, self._k_elem, self._div_elem
+        m, k, div = self._m_elem, self._k_elem, self.signed_lengths
         # in the order of MONOLITHIC_BLOCKS, one row field per line
         values = [
             m, pa.tau * pa.mobility * k,
             m, -pa.gamma * pa.ell * k, -w_elem, -mu_u, -mu_p,
-            a_elem, u_phi, -abar[:, None] * self.drow,
+            a_elem, mu_u.transpose(0, 2, 1), -abar[:, None] * self.drow,
             p_phi, abar[:, None] * self.drow, dinv, pa.tau * div,
             mq_elem, -div, q_phi]
         pattern = self._monolithic_layout
         J = pattern.matrix(pattern.sum(np.concatenate(
             [v.ravel() for v in values] + [[1.0]])))
         if self.ndofs >= KRYLOV_MIN_ROWS:
-            # The (u, u) block of J keeps the columns of the clamped dofs,
-            # which the elasticity matrix sets to identity.  Both agree on
-            # every vector that is zero at the clamped dofs, as every
-            # Newton right-hand side is, and the preconditioned Krylov
-            # space stays among those vectors.
             J.blocks = (factored_block(self._ch_matrix(w_elem)),
                         factored_block(self._elasticity_matrix(a_elem)),
                         self._flow_block(dinv, mq_elem))

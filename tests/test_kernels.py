@@ -114,11 +114,12 @@ def check_kernels(system, state):
     qloc = np.ascontiguousarray(state.q[o.qdofs])
     psi_q = rt0_basis(o.mesh, o.lam)
     phase = kn.Phase(phi_q, pa)
+    mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
+        phi_q, o.wq, o.lam, strain, p, qloc, o.B, psi_q, pa)
     want = {
         "ch_load": ref.ch_load(phi_q, o.wq, o.lam, strain, p, pa),
         "ch_jac": ref.ch_jac(phi_q, o.wq, o.lam, strain, p, pa),
-        "coupling_blocks": ref.coupling_blocks(phi_q, o.wq, o.lam, strain, p,
-                                               qloc, o.B, psi_q, pa),
+        "coupling_blocks": (mu_u, mu_p, p_phi, q_phi),
     }
 
     def run(name, pw):
@@ -144,6 +145,10 @@ def check_kernels(system, state):
             for k, (g, e) in enumerate(zip(got, exp)):
                 assert_same_bits(g, e, f"{name}[{k}] ({path} pass)")
                 assert g.flags.c_contiguous
+            if name == "coupling_blocks":
+                # the Jacobian's (u, phi) block is mu_u transposed
+                assert_same_bits(got[0].transpose(0, 2, 1), u_phi,
+                                 f"u_phi ({path} pass)")
 
 
 @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (16, 3), (16, 4),

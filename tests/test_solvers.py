@@ -771,15 +771,19 @@ def _perturbed_split(system, seed):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("xi, seed", [(-2.4999999999999996, 12130), (-2.5, 7)])
-def test_wandering_monolithic_newton_stops_cleanly(xi, seed):
-    # at n=9 and |xi| near 2.5 the first monolithic step leaves Newton's
-    # local regime on both paths, and roundoff decides whether it
+@pytest.mark.parametrize("n, xi, seed", [(9, -2.4999999999999996, 12130),
+                                         (9, -2.5, 7), (10, -2.5, 7),
+                                         (10, -2.5, 13)])
+def test_wandering_monolithic_newton_stops_cleanly(n, xi, seed):
+    # at n=9 and 10 and |xi| near 2.5 the first monolithic step leaves
+    # Newton's local regime on both paths, and roundoff decides whether it
     # converges: in these draws one path converges after more than 20
-    # iterations and the other stops.  Either outcome is clean: a stop
-    # is a NonConvergence, and a run that converges meets every linear
-    # solve's contract (_two_steps)
-    mesh = build_unit_square_mesh(9)
+    # iterations and the other stops.  At n=10 they split both ways: with
+    # seed 7 the fast paths converge and the direct path stops, with seed
+    # 13 the other way round.  Either outcome is clean: a stop is a
+    # NonConvergence, and a run that converges meets every linear solve's
+    # contract (_two_steps)
+    mesh = build_unit_square_mesh(n)
     params = MaterialParams(xi=xi)
     system = ChbSystem(mesh, params)
     state0 = _perturbed_split(system, seed)
@@ -1016,12 +1020,12 @@ def elasticity_elements(o, phi, p):
 
 
 def reference_elasticity_matrix(o, phi):
-    """The stiffness triplets that touch no Dirichlet dof, plus one unit
+    """The stiffness triplets outside the Dirichlet rows, plus one unit
     triplet per Dirichlet dof."""
     a_elem, _ = elasticity_elements(o, phi, np.zeros(o.nc))
     r = np.repeat(o.udofs[:, :, None], 6, axis=2).ravel()
     c = np.repeat(o.udofs[:, None, :], 6, axis=1).ravel()
-    keep = ~np.isin(r, o.u_bdofs) & ~np.isin(c, o.u_bdofs)
+    keep = ~np.isin(r, o.u_bdofs)
     fixed = o.u_bdofs
     return sp.coo_matrix(
         (np.concatenate([a_elem.ravel()[keep], np.ones(len(fixed))]),
@@ -1034,7 +1038,7 @@ def reference_elasticity_system(o, phi, p):
     A = _coo(a_elem, o.udofs, o.udofs, (2 * o.nv, 2 * o.nv))
     b = np.zeros(2 * o.nv)
     np.add.at(b, o.udofs.ravel(), rhs_elem.ravel())
-    return apply_dirichlet(A, b, o.u_bdofs, symmetric=True)
+    return apply_dirichlet(A, b, o.u_bdofs, symmetric=False)
 
 
 def reference_flow_matrix(o, phi):
@@ -1051,9 +1055,9 @@ def reference_flux_matrix(o, phi):
     dinv = o.phase_integrals(o.phase_values(phi)).dinv
     mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
                                     rt0_basis(o.mesh, o.lam), o.params)
-    d = o._div_elem
+    d = o.signed_lengths
     s_elem = mq_elem + (o.params.tau / dinv)[:, None, None] * (
-        d.transpose(0, 2, 1) * d)
+        d[:, :, None] * d[:, None, :])
     return _coo(s_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
 
 
@@ -1074,7 +1078,7 @@ def reference_monolithic_jacobian(o, st):
     mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa)
     cells, u, pd, q = o.cells, o.udofs, o.pdofs, o.qdofs
     m, k = o._m_elem, o._k_elem
-    div = o._div_elem.transpose(0, 2, 1)
+    div = o.signed_lengths[:, :, None]
     diag = np.arange(o.nc)[:, None]
     blocks = [  # (elem, row dofs, col dofs, row offset, col offset)
         (m, cells, cells, o.off_phi, o.off_phi),
@@ -1166,9 +1170,34 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         assert np.array_equal(b_fl, o.BdivT @ (f / phase.dinv))
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_jacobians_displacement_block_is_the_elasticity_matrix(n):
+    # both clamp the Dirichlet rows only, so the block preconditioner's
+    # (u, u) block is the Jacobian's own: the same slots, the same unit
+    # rows, and the same values to roundoff in how each sums its triplets
+    o = ChbSystem(build_unit_square_mesh(n), MaterialParams(xi=2.0))
+    st = random_state(o, np.random.default_rng(n), n=1)
+    J = o.monolithic_jacobian(st, o.monolithic_iterate(st))
+    block = J[o.off_u:o.off_p, o.off_u:o.off_p]
+    A = o._elasticity_matrix(o._stiffness_elem(
+        o.phase_integrals(o.phase_values(st.phi)).cint))
+    assert np.array_equal(block.indptr, A.indptr)
+    assert np.array_equal(block.indices, A.indices)
+    fixed = o.u_bdofs
+    for M, start in ((J, o.off_u), (A, 0)):
+        for dof in fixed:
+            row = M[start + dof]
+            assert np.array_equal(row.indices, [start + dof])
+            assert np.array_equal(row.data, [1.0])
+    clamped = np.isin(solvers._slot_rows(A), fixed)
+    assert np.array_equal(block.data[clamped], A.data[clamped])
+    assert_within_ulps(block.data, A.data, "the Jacobian's (u, u) block")
+
+
 def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
-    # the eliminated Dirichlet rows and columns hold only their unit
-    # diagonal; every other slot of the layout stays, exact zeros included
+    # the Dirichlet rows hold only their unit diagonal; the free rows keep
+    # every slot of the stiffness pattern, those in the Dirichlet columns
+    # and exact zeros included
     solved = []
     monkeypatch.setattr(solvers, "solve_linear", lambda A, b: (
         solved.append(A), np.zeros(len(b)))[1])
@@ -1178,11 +1207,19 @@ def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
     assert np.array_equal(A.indptr, layout.indptr)
     assert np.array_equal(A.indices, layout.indices)
     rows = solvers._slot_rows(A)
-    touches = np.isin(rows, fixed) | np.isin(A.indices, fixed)
-    assert np.array_equal(rows[touches], A.indices[touches])
-    assert np.array_equal(rows[touches], fixed)
-    assert np.all(A.data[touches] == 1.0)
-    assert np.any(A.data[~touches] == 0.0)
+    clamped = np.isin(rows, fixed)
+    assert np.array_equal(rows[clamped], A.indices[clamped])
+    assert np.array_equal(rows[clamped], fixed)
+    assert np.all(A.data[clamped] == 1.0)
+    udofs = system4.udofs
+    full = _coo(np.ones((system4.nc, 6, 6)), udofs, udofs, A.shape)
+    full.sort_indices()
+    full_rows = solvers._slot_rows(full)
+    free = ~np.isin(full_rows, fixed)
+    assert np.array_equal(rows[~clamped], full_rows[free])
+    assert np.array_equal(A.indices[~clamped], full.indices[free])
+    assert np.any(np.isin(A.indices[~clamped], fixed))
+    assert np.any(A.data[~clamped] == 0.0)
 
 
 def test_every_solve_gets_its_systems_one_layout(monkeypatch):
