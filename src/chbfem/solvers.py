@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from . import _kernels as kn
 from .fem import cell_geometry, default_rule, rt0_basis
 from .linalg import (SOLVE_RTOL, Block, CsrPattern, LinearSolveFailure,
-                     factored_block, solve_linear)
+                     factored_block, l2norm, matvec, solve_linear)
 from .mesh import StructuredTriMesh
 from .model import (VOIGT_ID, FrozenCoupling, MaterialParams, Phase,
                     Pointwise, check_fields, choice, divergence, integer, real)
@@ -148,7 +148,7 @@ def _converged(norm, config, what) -> bool:
 
 def _solve_from(A, b, start):
     """solve_linear(A, b), solved for the increment from `start`."""
-    return start + solve_linear(A, b - A @ start)
+    return start + solve_linear(A, b - matvec(A, start))
 
 
 def _block_indices(rows, cols):
@@ -403,7 +403,7 @@ class ChbSystem:
         """(gamma/ell) M (phi_prev - 1/2): the expansive double-well term,
         fixed over a time step."""
         pa = self.params
-        return (pa.gamma / pa.ell) * (self.M @ (state_prev.phi - 0.5))
+        return (pa.gamma / pa.ell) * matvec(self.M, state_prev.phi - 0.5)
 
     def ch_residual(self, state_prev, phi, mu, load, explicit):
         """Stacked residual of the (phi, mu) block at the iterate (phi, mu).
@@ -415,9 +415,10 @@ class ChbSystem:
         """
         pa = self.params
         nl = _scatter_vector(load, self.cells, self.nv)
-        r_phi = self.M @ (phi - state_prev.phi) + pa.tau * pa.mobility * (self.K @ mu)
-        r_mu = (self.M @ mu - pa.gamma * pa.ell * (self.K @ phi) - nl
-                + explicit)
+        r_phi = (matvec(self.M, phi - state_prev.phi)
+                 + pa.tau * pa.mobility * matvec(self.K, mu))
+        r_mu = (matvec(self.M, mu) - pa.gamma * pa.ell * matvec(self.K, phi)
+                - nl + explicit)
         return np.concatenate([r_phi, r_mu])
 
     def ch_residual_and_jacobian(self, state_prev, phi, mu, values, coupling,
@@ -439,24 +440,36 @@ class ChbSystem:
 
     def _ch_matrix(self, w_elem) -> sp.csr_matrix:
         """The CH Jacobian [[M, tau m K], [-gamma ell K - W, M]] for the
-        element blocks of W.  No slot of its stack holds more than one
-        triplet, so each block keeps the bits of its P1 slot values."""
-        pa = self.params
-        p1, pattern = self._ch_layout
-        return pattern.matrix(pattern.sum(np.concatenate([
-            self.M.data, self.K.data * (pa.tau * pa.mobility),
-            self.K.data * (-pa.gamma * pa.ell) - p1.sum(w_elem.ravel()),
-            self.M.data])))
+        element blocks of W.  Only the (mu, phi) slots change with W; each
+        is its -gamma ell K slot minus its W slot, so each block keeps the
+        bits of its P1 slot values."""
+        p1, pattern, fixed, w_slots = self._ch_layout
+        data = fixed.copy()
+        data[w_slots] -= p1.sum(w_elem.ravel())
+        return pattern.matrix(data)
 
     @cached_property
     def _ch_layout(self):
-        """P1 pattern of M, K and W, and the CH Jacobian's, its 2x2 stack."""
+        """P1 pattern of M, K and W; the CH Jacobian's, their 2x2 stack; its
+        slot values for W = 0; and its (mu, phi) slots, in P1 slot order.
+
+        No slot of the stack holds more than one triplet, so its values
+        are those of its P1 blocks.  Each row's columns are sorted, so the
+        (mu, phi) slots of the stack, in order, are the P1 slots in order.
+        """
+        pa = self.params
         p1 = CsrPattern(*_block_indices(self.cells, self.cells),
                         (self.nv, self.nv))
         r, c, nv = _slot_rows(p1), p1.indices, self.nv
         blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
-        return p1, CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv),
-                              keep_factor=self._keeps_factors)
+        pattern = CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv),
+                             keep_factor=self._keeps_factors)
+        fixed = pattern.sum(np.concatenate([
+            self.M.data, self.K.data * (pa.tau * pa.mobility),
+            self.K.data * (-pa.gamma * pa.ell), self.M.data]))
+        w_slots = np.flatnonzero((_slot_rows(pattern) >= nv)
+                                 & (pattern.indices < nv))
+        return p1, pattern, fixed, w_slots
 
     def solve_ch_subsystem(self, state_prev, explicit, strain, p_fixed,
                            config, phi, mu, values, stats: IterationStats):
@@ -477,8 +490,7 @@ class ChbSystem:
             delta = solve_linear(J, -res)
             phi = phi + delta[:self.nv]
             mu = mu + delta[self.nv:]
-            if _converged(float(np.linalg.norm(delta)), config,
-                          "phase-field Newton"):
+            if _converged(float(l2norm(delta)), config, "phase-field Newton"):
                 return phi, mu
             values = self.phase_values(phi)
         raise NonConvergence(
@@ -567,9 +579,9 @@ class ChbSystem:
         else:
             # the norm is not finite, and fails the bound, where p or q is not
             with np.errstate(over="ignore", invalid="ignore"):
-                norm = np.linalg.norm(self.flow_residual(
+                norm = l2norm(self.flow_residual(
                     phase, divu, storage_prev, mq_elem, p, q))
-            if norm <= SOLVE_RTOL * max(np.linalg.norm(f), 1.0):
+            if norm <= SOLVE_RTOL * max(l2norm(f), 1.0):
                 return p, q
         x = solve_linear(self._flow_matrix(dinv, mq_elem),
                          np.append(f, np.zeros(self.ne)))
@@ -585,8 +597,8 @@ class ChbSystem:
                                self.qdofs, self.ne)
         return np.concatenate([
             phase.storage(p, divu) - storage_prev
-            + self.params.tau * (self.Bdiv @ q),
-            mq_q - self.BdivT @ p])
+            + self.params.tau * matvec(self.Bdiv, q),
+            mq_q - matvec(self.BdivT, p)])
 
     def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
         """The full flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]],
@@ -605,11 +617,11 @@ class ChbSystem:
         complement system S q = g + Bdiv^T (f / dinv) (_flux_matrix),
         which solve_flux solves.
         """
-        rhs = self.BdivT @ (f / dinv)
+        rhs = matvec(self.BdivT, f / dinv)
         if g is not None:
             rhs += g
         q = solve_flux(rhs)
-        return (f - self.params.tau * (self.Bdiv @ q)) / dinv, q
+        return (f - self.params.tau * matvec(self.Bdiv, q)) / dinv, q
 
     def _flux_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
         """The flux Schur complement S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv
@@ -678,10 +690,10 @@ class ChbSystem:
             strain = self.strain_per_cell(u_n)
             p_n, q_n = self.solve_flow(phase, divergence(strain), q_o,
                                        storage_prev)
-            norm = float(np.sqrt(np.linalg.norm(phi_n - phi_o) ** 2
-                                 + np.linalg.norm(mu_n - mu_o) ** 2
-                                 + np.linalg.norm(u_n - u_o) ** 2
-                                 + np.linalg.norm(p_n - p_o) ** 2))
+            norm = float(np.sqrt(l2norm(phi_n - phi_o) ** 2
+                                 + l2norm(mu_n - mu_o) ** 2
+                                 + l2norm(u_n - u_o) ** 2
+                                 + l2norm(p_n - p_o) ** 2))
             phi_o, mu_o, u_o, p_o, q_o = phi_n, mu_n, u_n, p_n, q_n
             stats.outer_iters = it
             if _converged(norm, config, "splitting outer iteration"):
@@ -794,8 +806,7 @@ class ChbSystem:
             delta = solve_linear(J, -res)
             x = self.pack(state) + delta
             state = self.unpack(x, state.n)
-            if _converged(float(np.linalg.norm(delta)), config,
-                          "monolithic Newton"):
+            if _converged(float(l2norm(delta)), config, "monolithic Newton"):
                 return state
         raise NonConvergence(
             f"monolithic Newton did not converge in {config.max_iter} iterations")

@@ -260,6 +260,57 @@ def test_stored_orderings_reproduce_fresh_factors_on_every_layout(n):
         assert np.array_equal(stored.factor(A.data)(b), fresh.solve(b)), name
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_matvec_has_the_bits_of_scipys_product(n):
+    # every matrix the solve loop multiplies by linalg.matvec
+    system = ChbSystem(build_unit_square_mesh(n), MaterialParams())
+    rng = np.random.default_rng(n)
+    st = random_state(system, rng)
+    pw = system.pointwise(st.phi, st.u, st.p)
+    phase = system.phase_integrals(pw)
+    matrices = {
+        "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.lam)),
+        "elasticity": system._elasticity_matrix(
+            system._stiffness_elem(phase.cint)),
+        "flux": system._flux_matrix(
+            phase.dinv, kn.rt0_weighted_mass(pw, system.wq_last,
+                                             system.psi_last)),
+        "monolithic": system.monolithic_jacobian(
+            st, system.monolithic_iterate(st)),
+        "M": system.M, "K": system.K, "Bdiv": system.Bdiv,
+        "BdivT": system.BdivT,
+    }
+    for name, A in matrices.items():
+        assert A.format == "csr", name
+        assert A.indices.dtype == A.indptr.dtype == np.int32, name
+        ncols = A.shape[1]
+        vectors = [rng.normal(size=ncols), np.zeros(ncols),
+                   rng.normal(size=ncols) * 1e300]
+        for bad in (np.nan, np.inf, -np.inf):
+            x = rng.normal(size=ncols)
+            x[rng.integers(ncols)] = bad
+            vectors.append(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in vectors:
+                got, want = linalg.matvec(A, x), A @ x
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError):
+            linalg.matvec(A, np.ones(ncols + 1))
+
+
+def test_l2norm_has_the_bits_of_numpys_norm():
+    rng = np.random.default_rng(3)
+    for x in (rng.normal(size=578), np.zeros(7), np.full(3, 1e200),
+              np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
+        with np.errstate(over="ignore"):
+            got, want = linalg.l2norm(x), np.linalg.norm(x)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        linalg.l2norm(np.full(3, 1e200))
+
+
 def test_stored_solves_refill_one_container_bit_for_bit():
     # every stored-ordering solve of a layout refills the same CSC
     # container; each must give the bits of a freshly built one

@@ -831,6 +831,51 @@ def test_kept_factors_go_with_the_run(monkeypatch):
             gc.enable()
 
 
+def test_matrix_fills_construct_nothing_and_keep_the_layout_contract(
+        monkeypatch):
+    # scipy's constructor costs more than the product at n=16, so a fill
+    # must not call it: a run makes as many sparse matrices for 3 steps
+    # as for 1, all of them while it builds its layouts and orderings
+    from scipy.sparse._base import _spbase
+    made = []
+    init = _spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counted)
+    system = ChbSystem(build_unit_square_mesh(8), MaterialParams())
+    counts = []
+    for steps in (1, 3):
+        made.clear()
+        _, stats = advance_simulation(system, system.initial_state(),
+                                      SolverConfig(num_steps=steps))
+        counts.append((len(made), sum(s.outer_iters for s in stats)))
+    assert counts[0][0] == counts[1][0]
+    assert counts[1][1] > counts[0][1]
+
+    # two matrices of one layout share its read-only tables, and hold
+    # their own values and attributes
+    monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
+    rng = np.random.default_rng(8)
+    first, second = (
+        system.monolithic_jacobian(st, system.monolithic_iterate(st))
+        for st in (random_state(system, rng), random_state(system, rng)))
+    plain = first.layout.matrix(first.data.copy())
+    for mat in (first, second, plain):
+        assert type(mat) is sp.csr_matrix and mat.has_canonical_format
+        assert mat.layout is first.layout
+        for table in ("indices", "indptr"):
+            assert getattr(mat, table) is getattr(first, table)
+            assert not getattr(mat, table).flags.writeable
+    assert not np.shares_memory(first.data, second.data)
+    assert not np.shares_memory(first.data, plain.data)
+    assert first.blocks is not second.blocks
+    assert not hasattr(plain, "blocks")
+    system.release_workspace()
+
+
 def test_advance_simulation_zero_steps(system4):
     st0 = system4.initial_state()
     fin, stats = advance_simulation(system4, st0, SolverConfig(num_steps=0))

@@ -1,7 +1,9 @@
 """tools/state_digest.py: the same run gives the same line, the wrapped
-solve_linear is put back, and the settings are the benchmark's."""
+solve_linear is put back, the settings are the benchmark's, and a tree
+compared with itself moves nothing."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import chbfem
@@ -35,3 +37,22 @@ def test_settings_are_the_benchmarks_workloads(monkeypatch):
     harness = importlib.import_module("harness")
     assert load_tool().SETTINGS == {
         name: (w.n, w.steps, w.xi) for name, w in harness.WORKLOADS.items()}
+
+
+def test_one_root_against_itself_moves_nothing(monkeypatch):
+    tool = load_tool()
+    other = tool.load(ROOT / "src", "chbfem_twice")
+    try:
+        for strategy in tool.STRATEGIES:
+            line = tool.compare((chbfem, solvers), other, 4, 2, 0.5, strategy)
+            assert " moves steps=+0 outer=+0 newton=+0 " in line
+            assert " max|diff| phi=0 mu=0 u=0 p=0 q=0 x=0 " in line
+            assert " digests same " in line
+        # refinement against kept factors moves the bits at roundoff
+        monkeypatch.setattr(other[1], "KEEP_FACTOR_MIN_DOFS", 0)
+        line = tool.compare((chbfem, solvers), other, 4, 2, 0.5, "splitting")
+        assert " digests differ " in line
+        assert " max|diff| phi=0 " not in line
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "chbfem_twice"]:
+            del sys.modules[name]
