@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fem import rt0_basis
+from .fem import discretization
 from .linalg import LinearSolveFailure
 from .mesh import StructuredTriMesh, build_unit_square_mesh
 from .model import (ConfigError, MaterialParams, check_fields, choice, integer,
@@ -259,7 +259,7 @@ def write_vtk(state: FieldState, mesh: StructuredTriMesh, path) -> None:
     """
     nv = mesh.num_vertices
     nc = mesh.num_cells
-    psi_c = rt0_basis(mesh, np.full((1, 3), 1.0 / 3.0))[:, 0]
+    psi_c = discretization(mesh).centroid_basis
     qc = np.einsum("ck,cka->ca", state.q[mesh.cell_edges], psi_c)
     vector = "%.10e %.10e 0.0"
     lines = [

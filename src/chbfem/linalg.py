@@ -10,7 +10,10 @@ fixed while its values change, as in every Newton or outer iteration on
 one mesh.  It is built once; each fill only gathers and adds values and
 keeps every slot, exact zeros included.  Its sums are those of scipy's
 COO-to-CSR conversion bit for bit: every slot adds its triplets in the
-order that conversion adds them, taken once from scipy's own sort.
+order that conversion adds them, taken once from scipy's own routines,
+run on the triplet numbers: the row pass of its kernel coo_tocsr, a
+private name like csr_matvec below, and its sort of each row.  The tests
+compare patterns with ``coo_matrix(...).tocsr()`` bit for bit.
 Its matrices are made without scipy's constructor: the layout checks one
 csr_matrix of its tables once, and each fill is a shallow copy of that
 template with its own ``data``.  Each is a real csr_matrix on the same
@@ -83,6 +86,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 # relative residual every successful solve must satisfy
@@ -162,17 +166,19 @@ class CsrPattern:
                           or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("triplet index out of range")
         self.shape = (nrows, ncols)
-        rows = rows.astype(np.int32, copy=False)
-        cols = cols.astype(np.int32, copy=False)
-        # the row pass of scipy's coo_tocsr is a stable counting sort
-        order = np.argsort(rows, kind="stable").astype(np.int32)
-        indptr = np.zeros(nrows + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        del rows
-        # scipy sorts the triplet numbers in place; its sort moves entries
-        # by their columns alone, so the numbers' type does not matter
-        csr = sp.csr_matrix((order, cols[order], indptr), shape=self.shape)
-        del cols
+        ntrip = len(rows)
+        # scipy's conversion moves the triplet numbers in place of values:
+        # coo_tocsr's row pass, a stable counting sort, then its sort of
+        # each row, which moves entries by their columns alone, so the
+        # numbers' type does not matter
+        indptr = np.empty(nrows + 1, dtype=np.int32)
+        sorted_cols = np.empty(ntrip, dtype=np.int32)
+        order = np.empty(ntrip, dtype=np.int32)
+        _coo_tocsr(nrows, ncols, ntrip, rows.astype(np.int32, copy=False),
+                   cols.astype(np.int32, copy=False),
+                   np.arange(ntrip, dtype=np.int32), indptr, sorted_cols, order)
+        del rows, cols
+        csr = sp.csr_matrix((order, sorted_cols, indptr), shape=self.shape)
         csr.sort_indices()
         order, sorted_cols = csr.data, csr.indices
         del csr
@@ -195,7 +201,8 @@ class CsrPattern:
         del order
         self._tail_slot = slot_ends[1:][later]
         self._tail_slot -= 1
-        for table in (self.indptr, self.indices):
+        for table in (self.indptr, self.indices, self._head, self._tail_src,
+                      self._tail_slot):
             table.flags.writeable = False
         # scipy checks the tables once; its zero data is never touched, and
         # is not kept.  The template holds no reference to this pattern.

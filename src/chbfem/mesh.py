@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredTriMesh:
     """Immutable triangulation of the unit square.
+
+    A mesh equals only itself and hashes by identity, so tables built
+    from it can be looked up by the mesh object (fem.discretization).
 
     Attributes
     ----------

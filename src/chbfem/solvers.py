@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as kn
-from .fem import cell_geometry, default_rule, rt0_basis
+from .fem import block_indices, discretization
 from .linalg import (SOLVE_RTOL, Block, CsrPattern, LinearSolveFailure,
                      factored_block, l2norm, matvec, solve_linear)
 from .mesh import StructuredTriMesh
@@ -151,15 +151,6 @@ def _solve_from(A, b, start):
     return start + solve_linear(A, b - matvec(A, start))
 
 
-def _block_indices(rows, cols):
-    """Row and column of each entry of per-cell blocks, in elem.ravel() order."""
-    a = rows.shape[1]
-    b = cols.shape[1]
-    r = np.repeat(rows[:, :, None], b, axis=2).ravel()
-    c = np.repeat(cols[:, None, :], a, axis=1).ravel()
-    return r, c
-
-
 def _slot_rows(csr) -> np.ndarray:
     """Row of every stored entry of a CSR matrix or pattern."""
     return np.repeat(np.arange(len(csr.indptr) - 1), np.diff(csr.indptr))
@@ -206,10 +197,14 @@ class PhaseIntegrals(NamedTuple):
 
 
 class ChbSystem:
-    """Discrete operators of the coupled system on one mesh.
+    """Discrete operators of the coupled system on one mesh, at one set of
+    material parameters.
 
-    Precomputes geometry tables, basis values at quadrature points, the
-    constant P1 mass/stiffness matrices and the RT0 divergence matrix.
+    Every table that depends on the mesh alone, from the cell geometry to
+    the constant P1 mass/stiffness matrices and the RT0 divergence
+    matrix, is the mesh's one chbfem.fem.Discretization (``fem``), which
+    every system on that mesh shares; a system holds its parameters and
+    its solver workspace.
     The phi-dependent terms are integrated at each iterate: those of the
     splitting's Cahn-Hilliard block by products with the quadrature
     table (ch_residual_and_jacobian), the monolithic ones by the kernels.
@@ -238,17 +233,24 @@ class ChbSystem:
     displacement rows only (_clamped_pattern), so the elasticity matrix
     is the Jacobian's (u, u) block, to roundoff.
 
-    The layouts, their orderings and factors, the constant element blocks
-    and the quadrature tables (the kernels' cells-last tables and
-    lam_outer) are the solver workspace: built on first use, dropped by
-    release_workspace().  advance_simulation drops it before and after
-    each run, so a run's result does not depend on what the system solved
-    before, and a finished run leaves only the constant operators behind.
+    The layouts, their orderings and factors, and the quadrature tables
+    (the kernels' cells-last tables and lam_outer) are the solver
+    workspace: built on first use, dropped by release_workspace().
+    advance_simulation drops it before and after each run, so a run's
+    result does not depend on what the system solved before, and a
+    finished run leaves only its parameters and the shared
+    discretization behind.  The workspace stays off the discretization,
+    which lives as long as its mesh: a caller that holds finished runs'
+    meshes, as the benchmark holds every repetition's, would pay for each
+    layout once per mesh (13.6 MB for the monolithic one at n=65).
     """
 
     def __init__(self, mesh: StructuredTriMesh, params: MaterialParams):
         self.mesh = mesh
         self.params = params
+        self.fem = discretization(mesh)
+        # read by callers' conservation checks
+        self.M = self.fem.M
 
         self.nv = mesh.num_vertices
         self.nc = mesh.num_cells
@@ -260,56 +262,10 @@ class ChbSystem:
         self.off_q = 4 * self.nv + self.nc
         self.ndofs = 4 * self.nv + self.nc + self.ne
 
-        coords, two_area, self.signed_lengths = cell_geometry(mesh)
-        self.areas = 0.5 * two_area
-        grads = np.empty((self.nc, 3, 2))
-        for k in range(3):
-            a = coords[:, (k + 1) % 3]
-            b = coords[:, (k + 2) % 3]
-            grads[:, k, 0] = (a[:, 1] - b[:, 1]) / two_area
-            grads[:, k, 1] = (b[:, 0] - a[:, 0]) / two_area
-        self.grads = grads
-
-        quad = default_rule()
-        self.lam = np.ascontiguousarray(quad.points)
-        self.wq = np.ascontiguousarray(quad.weights[None, :] * two_area[:, None])
-
-        # strain-displacement matrices; local u dofs (x0, y0, x1, y1, x2, y2)
-        B = np.zeros((self.nc, 3, 6))
-        B[:, 0, 0::2] = grads[:, :, 0]
-        B[:, 1, 1::2] = grads[:, :, 1]
-        B[:, 2, 0::2] = grads[:, :, 1]
-        B[:, 2, 1::2] = grads[:, :, 0]
-        self.B = B
-
-        # cell-to-dof maps: u interleaved per vertex, one p dof per cell
-        self.cells = mesh.cells
-        udofs = np.empty((self.nc, 6), dtype=np.int64)
-        udofs[:, 0::2] = 2 * mesh.cells
-        udofs[:, 1::2] = 2 * mesh.cells + 1
-        self.udofs = udofs
-        self.pdofs = np.arange(self.nc, dtype=np.int64)[:, None]
-        self.qdofs = mesh.cell_edges
-        for dofs in (self.udofs, self.pdofs):
-            dofs.setflags(write=False)
-
-        p1 = _block_indices(self.cells, self.cells)
-        self.M = sp.coo_matrix((self._m_elem.ravel(), p1),
-                               shape=(self.nv, self.nv)).tocsr()
-        self.K = sp.coo_matrix((self._k_elem.ravel(), p1),
-                               shape=(self.nv, self.nv)).tocsr()
-        self.Bdiv = sp.coo_matrix(
-            (self.signed_lengths.ravel(), _block_indices(self.pdofs, self.qdofs)),
-            shape=(self.nc, self.ne)).tocsr()
-        self.BdivT = self.Bdiv.T.tocsr()
-
-        bverts = np.flatnonzero(mesh.boundary_vertex_flags)
-        self.u_bdofs = np.sort(np.concatenate([2 * bverts, 2 * bverts + 1]))
-
     def release_workspace(self) -> None:
         """Drop every table built on first use: the CSR layouts with their
-        stored LU orderings and factors, the constant element blocks and
-        the quadrature tables.  The next use builds each one again."""
+        stored LU orderings and factors, and the quadrature tables.  The
+        next use builds each one again."""
         for name, attr in vars(ChbSystem).items():
             if isinstance(attr, cached_property):
                 self.__dict__.pop(name, None)
@@ -319,55 +275,38 @@ class ChbSystem:
         """Whether the layouts keep their last factor."""
         return self.ndofs >= KEEP_FACTOR_MIN_DOFS
 
-    # -- constant element blocks, built on first use --------------------------
-
-    @cached_property
-    def _m_elem(self):
-        """Element blocks of the P1 mass matrix, (nc, 3, 3)."""
-        return (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-
-    @cached_property
-    def _k_elem(self):
-        """Element blocks of the P1 stiffness matrix, (nc, 3, 3)."""
-        grads = self.grads
-        return self.areas[:, None, None] * np.einsum("cia,cja->cij", grads, grads)
-
-    @cached_property
-    def drow(self) -> np.ndarray:
-        """Divergence row of B per cell: rows 0 and 1 added, (nc, 6)."""
-        return self.B[:, 0, :] + self.B[:, 1, :]
-
     # -- quadrature tables, built on first use -------------------------------
 
     @cached_property
     def wq_last(self) -> np.ndarray:
         """wq cells last, (nqp, nc)."""
-        return kn.cells_last(self.wq)
+        return kn.cells_last(self.fem.wq)
 
     @cached_property
     def psi_last(self) -> np.ndarray:
         """Signed RT0 basis at the quadrature points, (nqp, 3, 2, nc)."""
-        return kn.cells_last(rt0_basis(self.mesh, self.lam))
+        return kn.cells_last(self.fem.rt0_basis(self.fem.lam))
 
     @cached_property
     def B_last(self) -> np.ndarray:
         """B cells last, (3, 6, nc)."""
-        return kn.cells_last(self.B)
+        return kn.cells_last(self.fem.B)
 
     @cached_property
     def lam_outer(self) -> np.ndarray:
         """lam_i lam_j at each quadrature point, (nqp, 9)."""
-        lam = self.lam
+        lam = self.fem.lam
         return (lam[:, :, None] * lam[:, None, :]).reshape(len(lam), 9)
 
     # -- field evaluation helpers ------------------------------------------
 
     def phi_at_qp(self, phi: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(phi[self.cells] @ self.lam.T)
+        fem = self.fem
+        return np.ascontiguousarray(phi[fem.cells] @ fem.lam.T)
 
     def strain_per_cell(self, u: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(
-            np.einsum("cil,cl->ci", self.B, u[self.udofs]))
+        fem = self.fem
+        return np.ascontiguousarray(np.einsum("cil,cl->ci", fem.B, u[fem.udofs]))
 
     def phase_values(self, phi) -> Phase:
         """The laws of phi alone, at the quadrature points."""
@@ -403,7 +342,7 @@ class ChbSystem:
         """(gamma/ell) M (phi_prev - 1/2): the expansive double-well term,
         fixed over a time step."""
         pa = self.params
-        return (pa.gamma / pa.ell) * matvec(self.M, state_prev.phi - 0.5)
+        return (pa.gamma / pa.ell) * matvec(self.fem.M, state_prev.phi - 0.5)
 
     def ch_residual(self, state_prev, phi, mu, load, explicit):
         """Stacked residual of the (phi, mu) block at the iterate (phi, mu).
@@ -413,11 +352,11 @@ class ChbSystem:
         double-well term and the energy couplings are evaluated at phi
         (implicit), the expansive term at the previous time step.
         """
-        pa = self.params
-        nl = _scatter_vector(load, self.cells, self.nv)
-        r_phi = (matvec(self.M, phi - state_prev.phi)
-                 + pa.tau * pa.mobility * matvec(self.K, mu))
-        r_mu = (matvec(self.M, mu) - pa.gamma * pa.ell * matvec(self.K, phi)
+        pa, fem = self.params, self.fem
+        nl = _scatter_vector(load, fem.cells, self.nv)
+        r_phi = (matvec(fem.M, phi - state_prev.phi)
+                 + pa.tau * pa.mobility * matvec(fem.K, mu))
+        r_mu = (matvec(fem.M, mu) - pa.gamma * pa.ell * matvec(fem.K, phi)
                 - nl + explicit)
         return np.concatenate([r_phi, r_mu])
 
@@ -434,7 +373,7 @@ class ChbSystem:
         mu_nl, dmu_nl = coupling.ch_laws(values)
         wq = self.wq_last
         w_elem = ((wq * dmu_nl).T @ self.lam_outer).reshape(-1, 3, 3)
-        load = (wq * mu_nl).T @ self.lam
+        load = (wq * mu_nl).T @ self.fem.lam
         return (self.ch_residual(state_prev, phi, mu, load, explicit),
                 self._ch_matrix(w_elem))
 
@@ -443,33 +382,32 @@ class ChbSystem:
         element blocks of W.  Only the (mu, phi) slots change with W; each
         is its -gamma ell K slot minus its W slot, so each block keeps the
         bits of its P1 slot values."""
-        p1, pattern, fixed, w_slots = self._ch_layout
+        pattern, fixed, w_slots = self._ch_layout
         data = fixed.copy()
-        data[w_slots] -= p1.sum(w_elem.ravel())
+        data[w_slots] -= self.fem.p1.sum(w_elem.ravel())
         return pattern.matrix(data)
 
     @cached_property
     def _ch_layout(self):
-        """P1 pattern of M, K and W; the CH Jacobian's, their 2x2 stack; its
-        slot values for W = 0; and its (mu, phi) slots, in P1 slot order.
+        """The CH Jacobian's pattern, the 2x2 stack of the mesh's P1 pattern
+        (the pattern of M, K and W); its slot values for W = 0; and its
+        (mu, phi) slots, in P1 slot order.
 
         No slot of the stack holds more than one triplet, so its values
         are those of its P1 blocks.  Each row's columns are sorted, so the
         (mu, phi) slots of the stack, in order, are the P1 slots in order.
         """
-        pa = self.params
-        p1 = CsrPattern(*_block_indices(self.cells, self.cells),
-                        (self.nv, self.nv))
-        r, c, nv = _slot_rows(p1), p1.indices, self.nv
+        pa, fem = self.params, self.fem
+        r, c, nv = _slot_rows(fem.p1), fem.p1.indices, self.nv
         blocks = [(r, c, 0, 0), (r, c, 0, nv), (r, c, nv, 0), (r, c, nv, nv)]
         pattern = CsrPattern(*_stacked_indices(blocks), (2 * nv, 2 * nv),
                              keep_factor=self._keeps_factors)
         fixed = pattern.sum(np.concatenate([
-            self.M.data, self.K.data * (pa.tau * pa.mobility),
-            self.K.data * (-pa.gamma * pa.ell), self.M.data]))
+            fem.M.data, fem.K.data * (pa.tau * pa.mobility),
+            fem.K.data * (-pa.gamma * pa.ell), fem.M.data]))
         w_slots = np.flatnonzero((_slot_rows(pattern) >= nv)
                                  & (pattern.indices < nv))
-        return p1, pattern, fixed, w_slots
+        return pattern, fixed, w_slots
 
     def solve_ch_subsystem(self, state_prev, explicit, strain, p_fixed,
                            config, phi, mu, values, stats: IterationStats):
@@ -501,13 +439,12 @@ class ChbSystem:
     def phase_integrals(self, values) -> PhaseIntegrals:
         """The PhaseIntegrals of values, a phase_values(phi) or a pointwise
         at phi, from the cell integrals of values.cell_integrands."""
-        pa = self.params
+        pa, areas = self.params, self.fem.areas
         ibar, s1, s2, dinv = kn.phase_cell_integrals(values, self.wq_last)
-        cint = (self.areas[:, None, None] * pa.C0
-                + ibar[:, None, None] * pa.dC)
+        cint = areas[:, None, None] * pa.C0 + ibar[:, None, None] * pa.dC
         swell = pa.xi * (np.outer(s1, pa.C0 @ VOIGT_ID)
                          + np.outer(s2, pa.dC @ VOIGT_ID))
-        abar = pa.alpha0 * self.areas + ibar * (pa.alpha1 - pa.alpha0)
+        abar = pa.alpha0 * areas + ibar * (pa.alpha1 - pa.alpha0)
         return PhaseIntegrals(values, cint, swell, dinv, abar)
 
     def solve_elasticity(self, phase: PhaseIntegrals, p_fixed, u_start):
@@ -517,17 +454,19 @@ class ChbSystem:
         u_start: a displacement to solve for the increment from, zero at
         the clamped dofs.
         """
+        fem = self.fem
         a_elem = self._stiffness_elem(phase.cint)
-        rhs_elem = (np.einsum("cai,ca->ci", self.B, phase.swell)
-                    + (phase.abar * p_fixed)[:, None] * self.drow)
-        b = _scatter_vector(rhs_elem, self.udofs, 2 * self.nv)
-        b[self.u_bdofs] = 0.0
+        rhs_elem = (np.einsum("cai,ca->ci", fem.B, phase.swell)
+                    + (phase.abar * p_fixed)[:, None] * fem.drow)
+        b = _scatter_vector(rhs_elem, fem.udofs, 2 * self.nv)
+        b[fem.u_bdofs] = 0.0
         return _solve_from(self._elasticity_matrix(a_elem), b, u_start)
 
     def _stiffness_elem(self, cint) -> np.ndarray:
         """Element stiffness blocks B^T cint B of the integrated stiffness
         per cell, (nc, 6, 6)."""
-        return (self.B.transpose(0, 2, 1) @ cint) @ self.B
+        B = self.fem.B
+        return (B.transpose(0, 2, 1) @ cint) @ B
 
     def _elasticity_matrix(self, a_elem) -> sp.csr_matrix:
         """Stiffness matrix of the element blocks a_elem, Dirichlet rows
@@ -538,8 +477,9 @@ class ChbSystem:
     @cached_property
     def _elasticity_layout(self) -> CsrPattern:
         """Stiffness pattern, Dirichlet rows set to identity."""
-        return _clamped_pattern(*_block_indices(self.udofs, self.udofs),
-                                self.u_bdofs, (2 * self.nv, 2 * self.nv),
+        udofs = self.fem.udofs
+        return _clamped_pattern(*block_indices(udofs, udofs), self.fem.u_bdofs,
+                                (2 * self.nv, 2 * self.nv),
                                 keep_factor=self._keeps_factors)
 
     # -- flow subsystem ------------------------------------------------------
@@ -593,19 +533,20 @@ class ChbSystem:
         storage(p, divu) - storage_prev + tau Bdiv q, storage_prev the
         previous step's storage_coefficient, then Darcy's law
         Mq q - Bdiv^T p, Mq applied by its element blocks mq_elem."""
-        mq_q = _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[self.qdofs]),
-                               self.qdofs, self.ne)
+        fem = self.fem
+        mq_q = _scatter_vector(np.einsum("cab,cb->ca", mq_elem, q[fem.qdofs]),
+                               fem.qdofs, self.ne)
         return np.concatenate([
             phase.storage(p, divu) - storage_prev
-            + self.params.tau * matvec(self.Bdiv, q),
-            mq_q - matvec(self.BdivT, p)])
+            + self.params.tau * matvec(fem.Bdiv, q),
+            mq_q - matvec(fem.BdivT, p)])
 
     def _flow_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
         """The full flow matrix [[diag(dinv), tau Bdiv], [-Bdiv^T, Mq]],
         solved only where the condensed solve fails."""
-        layout = self._flux_layout
-        return sp.bmat([[sp.diags(dinv), self.params.tau * self.Bdiv],
-                        [-self.BdivT, layout.matrix(layout.sum(mq_elem.ravel()))]],
+        layout, fem = self._flux_layout, self.fem
+        return sp.bmat([[sp.diags(dinv), self.params.tau * fem.Bdiv],
+                        [-fem.BdivT, layout.matrix(layout.sum(mq_elem.ravel()))]],
                        format="csr")
 
     def _flow_from_flux(self, solve_flux, dinv, f, g=None):
@@ -617,17 +558,17 @@ class ChbSystem:
         complement system S q = g + Bdiv^T (f / dinv) (_flux_matrix),
         which solve_flux solves.
         """
-        rhs = matvec(self.BdivT, f / dinv)
+        rhs = matvec(self.fem.BdivT, f / dinv)
         if g is not None:
             rhs += g
         q = solve_flux(rhs)
-        return (f - self.params.tau * matvec(self.Bdiv, q)) / dinv, q
+        return (f - self.params.tau * matvec(self.fem.Bdiv, q)) / dinv, q
 
     def _flux_matrix(self, dinv, mq_elem) -> sp.csr_matrix:
         """The flux Schur complement S = Mq + tau Bdiv^T diag(dinv)^-1 Bdiv
         for the element blocks of Mq: cell c adds (tau / dinv_c) d_c d_c^T
         to its block of Mq, d_c its row of Bdiv."""
-        d = self.signed_lengths
+        d = self.fem.signed_lengths
         s_elem = mq_elem + (self.params.tau / dinv)[:, None, None] * (
             d[:, :, None] * d[:, None, :])
         pattern = self._flux_layout
@@ -636,8 +577,9 @@ class ChbSystem:
     @cached_property
     def _flux_layout(self) -> CsrPattern:
         """Pattern of Mq, which the flux Schur complement shares."""
-        return CsrPattern(*_block_indices(self.qdofs, self.qdofs),
-                          (self.ne, self.ne), keep_factor=self._keeps_factors)
+        qdofs = self.fem.qdofs
+        return CsrPattern(*block_indices(qdofs, qdofs), (self.ne, self.ne),
+                          keep_factor=self._keeps_factors)
 
     def _flow_block(self, dinv, mq_elem) -> Block:
         """The monolithic Jacobian's (p, q) block for block GMRES, solved
@@ -655,7 +597,7 @@ class ChbSystem:
         """Per-cell mass balance residual of the flow equation at a state."""
         return (self.storage_coefficient(state)
                 - self.storage_coefficient(state_prev)
-                + self.params.tau * (self.Bdiv @ state.q))
+                + self.params.tau * (self.fem.Bdiv @ state.q))
 
     # -- splitting strategy ---------------------------------------------------
 
@@ -719,18 +661,18 @@ class ChbSystem:
         displacement block read u - 0.  at: monolithic_iterate(state_iter);
         explicit: ch_explicit_load(state_prev).
         """
-        st = state_iter
+        st, fem = state_iter, self.fem
         pw, mq_elem = at
         res = np.empty(self.ndofs)
         res[:2 * self.nv] = self.ch_residual(
-            state_prev, st.phi, st.mu, kn.ch_load(pw, self.wq_last, self.lam),
+            state_prev, st.phi, st.mu, kn.ch_load(pw, self.wq_last, fem.lam),
             explicit)
         phase = self.phase_integrals(pw)
         sint = np.einsum("cab,cb->ca", phase.cint, pw.strain) - phase.swell
-        ru_elem = (np.einsum("cai,ca->ci", self.B, sint)
-                   - (phase.abar * st.p)[:, None] * self.drow)
-        r_u = _scatter_vector(ru_elem, self.udofs, 2 * self.nv)
-        r_u[self.u_bdofs] = st.u[self.u_bdofs]
+        ru_elem = (np.einsum("cai,ca->ci", fem.B, sint)
+                   - (phase.abar * st.p)[:, None] * fem.drow)
+        r_u = _scatter_vector(ru_elem, fem.udofs, 2 * self.nv)
+        r_u[fem.u_bdofs] = st.u[fem.u_bdofs]
         res[self.off_u:self.off_p] = r_u
         res[self.off_p:] = self.flow_residual(
             phase, pw.divu, self.storage_coefficient(state_prev), mq_elem,
@@ -743,24 +685,24 @@ class ChbSystem:
 
         at: monolithic_iterate(state_iter).
         """
-        pa = self.params
+        pa, fem = self.params, self.fem
         st = state_iter
         pw, mq_elem = at
-        qloc = st.q[self.qdofs.T]
+        qloc = st.q[fem.qdofs.T]
 
-        w_elem = kn.ch_jac(pw, self.wq_last, self.lam)
+        w_elem = kn.ch_jac(pw, self.wq_last, fem.lam)
         mu_u, mu_p, p_phi, q_phi = kn.coupling_blocks(
-            pw, self.wq_last, self.lam, qloc, self.B_last, self.psi_last)
+            pw, self.wq_last, fem.lam, qloc, self.B_last, self.psi_last)
         phase = self.phase_integrals(pw)
         abar, dinv = phase.abar, phase.dinv
         a_elem = self._stiffness_elem(phase.cint)
-        m, k, div = self._m_elem, self._k_elem, self.signed_lengths
+        m, k, div = fem.m_elem, fem.k_elem, fem.signed_lengths
         # in the order of MONOLITHIC_BLOCKS, one row field per line
         values = [
             m, pa.tau * pa.mobility * k,
             m, -pa.gamma * pa.ell * k, -w_elem, -mu_u, -mu_p,
-            a_elem, mu_u.transpose(0, 2, 1), -abar[:, None] * self.drow,
-            p_phi, abar[:, None] * self.drow, dinv, pa.tau * div,
+            a_elem, mu_u.transpose(0, 2, 1), -abar[:, None] * fem.drow,
+            p_phi, abar[:, None] * fem.drow, dinv, pa.tau * div,
             mq_elem, -div, q_phi]
         pattern = self._monolithic_layout
         J = pattern.matrix(pattern.sum(np.concatenate(
@@ -777,16 +719,17 @@ class ChbSystem:
         MONOLITHIC_BLOCKS, with the rows of the displacement Dirichlet dofs
         set to identity (_clamped_pattern)."""
         # int32 throughout: the n=65 Jacobian has 1.3M triplets
+        fem = self.fem
         cells, udofs, pdofs, qdofs = (d.astype(np.int32) for d in (
-            self.cells, self.udofs, self.pdofs, self.qdofs))
+            fem.cells, fem.udofs, fem.pdofs, fem.qdofs))
         fields = {"phi": (cells, self.off_phi), "mu": (cells, self.off_mu),
                   "u": (udofs, self.off_u), "p": (pdofs, self.off_p),
                   "q": (qdofs, self.off_q)}
         rows, cols = _stacked_indices([
-            (*_block_indices(fields[r][0], fields[c][0]),
+            (*block_indices(fields[r][0], fields[c][0]),
              fields[r][1], fields[c][1]) for r, c in MONOLITHIC_BLOCKS])
         return _clamped_pattern(
-            rows, cols, (self.off_u + self.u_bdofs).astype(np.int32),
+            rows, cols, (self.off_u + fem.u_bdofs).astype(np.int32),
             (self.ndofs, self.ndofs), keep_factor=self._keeps_factors)
 
     def monolithic_step(self, state_prev: FieldState, config: SolverConfig,

@@ -220,7 +220,7 @@ def test_criterion_8_element_oracles(desk_system):
     sum_defect = abs(total - 1.0)
     # the solver's own P1 matrices: unit total mass, constants in the kernel
     system_sum_defect = abs(desk_system.M.sum() - 1.0)
-    system_kernel_defect = np.abs(desk_system.K @ np.ones(desk_system.nv)).max()
+    system_kernel_defect = np.abs(desk_system.fem.K @ np.ones(desk_system.nv)).max()
     ok = (mass_defect <= 1e-14 and stiff_defect <= 1e-14 and sum_defect <= 1e-12
           and system_sum_defect <= 1e-12 and system_kernel_defect <= 1e-13)
     check(8, "element oracles", ok,

@@ -21,6 +21,12 @@ MOVED_FROM_FEM = (
     "mass_kernel", "stiffness_kernel", "apply_dirichlet", "interpolate",
     "integrate_scalar", "p1_scalar", "p1_vector", "p0_space", "rt0_space",
 )
+# the tables of one mesh: the mesh's one fem.Discretization holds them, and
+# every ChbSystem on the mesh reads them from there (rt0_basis is its method)
+MOVED_TO_DISCRETIZATION = (
+    "areas", "signed_lengths", "grads", "B", "drow", "lam", "wq", "cells",
+    "udofs", "pdofs", "qdofs", "u_bdofs", "_m_elem", "_k_elem", "K", "Bdiv",
+    "BdivT")
 DELETED_FROM_LINALG = ("SparseMatrix", "TripletBuffer", "compress", "norms")
 # the tensor-form laws and the parts of pi_laws one at a time; model.Phase
 # and Pointwise hold those the solver runs
@@ -53,9 +59,16 @@ def test_top_level_exports_are_pinned_and_resolve():
 
 def test_solver_modules_hold_only_what_the_solver_runs():
     assert {n for n in vars(fem) if not n.startswith("_")} >= {
-        "QuadratureRule", "cell_geometry", "default_rule", "rt0_basis"}
-    for name in MOVED_FROM_FEM:
+        "Discretization", "QuadratureRule", "block_indices", "cell_geometry",
+        "default_rule", "discretization"}
+    for name in MOVED_FROM_FEM + ("rt0_basis",):
         assert not hasattr(fem, name), f"chbfem.fem.{name}"
+    system = solvers.ChbSystem(mesh.build_unit_square_mesh(2),
+                               model.MaterialParams())
+    for name in MOVED_TO_DISCRETIZATION:
+        assert not hasattr(system, name), f"ChbSystem.{name}"
+        assert hasattr(system.fem, name.lstrip("_")), f"Discretization.{name}"
+    assert system.M is system.fem.M
     for name in DELETED_FROM_LINALG:
         assert not hasattr(linalg, name), f"chbfem.linalg.{name}"
     for name in DELETED_FROM_MODEL:

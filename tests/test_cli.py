@@ -522,9 +522,9 @@ def test_vtk_flux_vectors_at_centroids(tmp_path):
 
 def per_value_vtk(state, mesh):
     """The VTK text written one f-string per value, as the writer once did."""
-    from chbfem.fem import rt0_basis
+    from chbfem.fem import discretization
     nv, nc = mesh.num_vertices, mesh.num_cells
-    psi_c = rt0_basis(mesh, np.full((1, 3), 1.0 / 3.0))[:, 0]
+    psi_c = discretization(mesh).rt0_basis(np.full((1, 3), 1.0 / 3.0))[:, 0]
     qc = np.einsum("ck,cka->ca", state.q[mesh.cell_edges], psi_c)
     lines = ["# vtk DataFile Version 3.0", f"chbfem fields at step {state.n}",
              "ASCII", "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]

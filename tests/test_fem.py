@@ -121,7 +121,7 @@ def test_rt0_basis_matches_per_cell_evaluation():
     rng = np.random.default_rng(7)
     mesh = build_unit_square_mesh(3)
     points = rng.dirichlet(np.ones(3), size=4)
-    table = fem.rt0_basis(mesh, points)
+    table = fem.discretization(mesh).rt0_basis(points)
     assert table.shape == (mesh.num_cells, 4, 3, 2)
     for c in range(mesh.num_cells):
         geom = cell_geometry(mesh, c)

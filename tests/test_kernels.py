@@ -8,8 +8,7 @@ import scipy.sparse as sp
 
 import reference_kernels as ref
 from chbfem import _kernels as kn
-from chbfem import model, solvers
-from chbfem.fem import rt0_basis
+from chbfem import fem, model, solvers
 from chbfem.linalg import solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
@@ -33,9 +32,9 @@ def setup():
 def test_ch_load_matches_generic_assembly(setup):
     system, params, state = setup
     elem = kn.ch_load(system.pointwise(state.phi, state.u, state.p),
-                      system.wq_last, system.lam)
+                      system.wq_last, system.fem.lam)
     fast = np.zeros(system.nv)
-    np.add.at(fast, system.cells.ravel(), elem.ravel())
+    np.add.at(fast, system.fem.cells.ravel(), elem.ravel())
 
     strain = system.strain_per_cell(state.u)
     V = p1_scalar(system.mesh)
@@ -55,8 +54,8 @@ def test_rt0_mass_matches_generic_assembly(setup):
     system, params, state = setup
     elem = kn.rt0_weighted_mass(system.phase_values(state.phi), system.wq_last,
                                 system.psi_last)
-    r = np.repeat(system.qdofs[:, :, None], 3, axis=2).ravel()
-    c = np.repeat(system.qdofs[:, None, :], 3, axis=1).ravel()
+    r = np.repeat(system.fem.qdofs[:, :, None], 3, axis=2).ravel()
+    c = np.repeat(system.fem.qdofs[:, None, :], 3, axis=1).ravel()
     fast = sp.coo_matrix((elem.ravel(), (r, c)),
                          shape=(system.ne, system.ne)).toarray()
 
@@ -111,28 +110,28 @@ def check_kernels(system, state):
     phi_q = o.phi_at_qp(state.phi)
     strain = o.strain_per_cell(state.u)
     p = np.ascontiguousarray(state.p)
-    qloc = np.ascontiguousarray(state.q[o.qdofs])
-    psi_q = rt0_basis(o.mesh, o.lam)
+    qloc = np.ascontiguousarray(state.q[o.fem.qdofs])
+    psi_q = o.fem.rt0_basis(o.fem.lam)
     phase = kn.Phase(phi_q, pa)
     mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
-        phi_q, o.wq, o.lam, strain, p, qloc, o.B, psi_q, pa)
+        phi_q, o.fem.wq, o.fem.lam, strain, p, qloc, o.fem.B, psi_q, pa)
     want = {
-        "ch_load": ref.ch_load(phi_q, o.wq, o.lam, strain, p, pa),
-        "ch_jac": ref.ch_jac(phi_q, o.wq, o.lam, strain, p, pa),
+        "ch_load": ref.ch_load(phi_q, o.fem.wq, o.fem.lam, strain, p, pa),
+        "ch_jac": ref.ch_jac(phi_q, o.fem.wq, o.fem.lam, strain, p, pa),
         "coupling_blocks": (mu_u, mu_p, p_phi, q_phi),
     }
 
     def run(name, pw):
         if name == "coupling_blocks":
-            return kn.coupling_blocks(pw, o.wq_last, o.lam, kn.cells_last(qloc),
-                                      kn.cells_last(o.B), o.psi_last)
-        return getattr(kn, name)(pw, o.wq_last, o.lam)
+            return kn.coupling_blocks(pw, o.wq_last, o.fem.lam, kn.cells_last(qloc),
+                                      kn.cells_last(o.fem.B), o.psi_last)
+        return getattr(kn, name)(pw, o.wq_last, o.fem.lam)
 
     assert_same_bits(kn.rt0_weighted_mass(phase, o.wq_last, o.psi_last),
-                     ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa),
+                     ref.rt0_weighted_mass(phi_q, o.fem.wq, psi_q, pa),
                      "rt0_weighted_mass")
     for k, (g, e) in enumerate(zip(kn.phase_cell_integrals(phase, o.wq_last),
-                                   ref.phase_cell_integrals(phi_q, o.wq, pa))):
+                                   ref.phase_cell_integrals(phi_q, o.fem.wq, pa))):
         assert_same_bits(g, e, f"phase_cell_integrals[{k}]")
     # a pointwise that starts from the phase values computed above
     shared = kn.Pointwise(phase, strain, p)
@@ -179,16 +178,16 @@ def test_ch_jacobian_matches_coo_assembly_bit_for_bit(n, stiffness):
     prev = random_state(o, np.random.default_rng(n), -0.3, 1.3)
     # the monolithic path's CH block
     J = o._ch_matrix(kn.ch_jac(o.pointwise(state.phi, state.u, state.p),
-                               o.wq_last, o.lam))
-    w_elem = ref.ch_jac(o.phi_at_qp(state.phi), o.wq, o.lam,
+                               o.wq_last, o.fem.lam))
+    w_elem = ref.ch_jac(o.phi_at_qp(state.phi), o.fem.wq, o.fem.lam,
                         o.strain_per_cell(state.u),
                         np.ascontiguousarray(state.p), pa)
-    r, c = solvers._block_indices(o.cells, o.cells)
+    r, c = fem.block_indices(o.fem.cells, o.fem.cells)
 
     def p1(vals):
         return sp.coo_matrix((vals, (r, c)), shape=(o.nv, o.nv)).tocsr()
 
-    M, K, W = p1(o._m_elem.ravel()), p1(o._k_elem.ravel()), p1(w_elem.ravel())
+    M, K, W = p1(o.fem.m_elem.ravel()), p1(o.fem.k_elem.ravel()), p1(w_elem.ravel())
     for X in (K, W):
         assert np.array_equal(X.indptr, M.indptr)
         assert np.array_equal(X.indices, M.indices)
@@ -241,10 +240,10 @@ def check_frozen_coupling(system, state):
     assert_within_ulps(mu, pw.mu_nonlinear, "mu_nonlinear")
     assert_within_ulps(dmu, pw.dmu_nonlinear, "dmu_nonlinear")
     # the element arrays, as ch_residual_and_jacobian integrates them
-    assert_within_ulps((o.wq_last * mu).T @ o.lam,
-                       ref.ch_load(phi_q, o.wq, o.lam, strain, p, pa), "ch_load")
+    assert_within_ulps((o.wq_last * mu).T @ o.fem.lam,
+                       ref.ch_load(phi_q, o.fem.wq, o.fem.lam, strain, p, pa), "ch_load")
     w_elem = ((o.wq_last * dmu).T @ o.lam_outer).reshape(-1, 3, 3)
-    assert_within_ulps(w_elem, ref.ch_jac(phi_q, o.wq, o.lam, strain, p, pa),
+    assert_within_ulps(w_elem, ref.ch_jac(phi_q, o.fem.wq, o.fem.lam, strain, p, pa),
                        "ch_jac")
 
 
@@ -273,12 +272,12 @@ def test_ch_residual_is_the_same_with_or_without_the_jacobian():
     res, _ = o.ch_residual_and_jacobian(prev, state.phi, state.mu, values,
                                         coupling, explicit)
     mu_nl, _ = coupling.ch_laws(values)
-    load = (o.wq_last * mu_nl).T @ o.lam
+    load = (o.wq_last * mu_nl).T @ o.fem.lam
     assert_same_bits(res, o.ch_residual(prev, state.phi, state.mu, load,
                                         explicit), "ch_residual")
     # the monolithic path's load, from model.Pointwise and kn.ch_load
     pw = o.pointwise(state.phi, state.u, state.p)
-    assert_within_ulps(load, kn.ch_load(pw, o.wq_last, o.lam), "CH load")
+    assert_within_ulps(load, kn.ch_load(pw, o.wq_last, o.fem.lam), "CH load")
 
 
 def test_monolithic_step_assembles_what_the_standalone_methods_do(monkeypatch):

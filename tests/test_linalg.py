@@ -247,9 +247,9 @@ def test_stored_orderings_reproduce_fresh_factors_on_every_layout(n):
     phase = system.phase_integrals(pw)
     mq_elem = kn.rt0_weighted_mass(pw, system.wq_last, system.psi_last)
     matrices = {
-        "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.lam)),
+        "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.fem.lam)),
         "elasticity": system._elasticity_matrix(
-            np.einsum("cai,cab,cbj->cij", system.B, phase.cint, system.B)),
+            np.einsum("cai,cab,cbj->cij", system.fem.B, phase.cint, system.fem.B)),
         "flux": system._flux_matrix(phase.dinv, mq_elem),
         "monolithic": system.monolithic_jacobian(st, system.monolithic_iterate(st)),
     }
@@ -269,7 +269,7 @@ def test_matvec_has_the_bits_of_scipys_product(n):
     pw = system.pointwise(st.phi, st.u, st.p)
     phase = system.phase_integrals(pw)
     matrices = {
-        "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.lam)),
+        "ch": system._ch_matrix(kn.ch_jac(pw, system.wq_last, system.fem.lam)),
         "elasticity": system._elasticity_matrix(
             system._stiffness_elem(phase.cint)),
         "flux": system._flux_matrix(
@@ -277,8 +277,8 @@ def test_matvec_has_the_bits_of_scipys_product(n):
                                              system.psi_last)),
         "monolithic": system.monolithic_jacobian(
             st, system.monolithic_iterate(st)),
-        "M": system.M, "K": system.K, "Bdiv": system.Bdiv,
-        "BdivT": system.BdivT,
+        "M": system.M, "K": system.fem.K, "Bdiv": system.fem.Bdiv,
+        "BdivT": system.fem.BdivT,
     }
     for name, A in matrices.items():
         assert A.format == "csr", name
@@ -391,7 +391,7 @@ def test_systems_on_one_mesh_never_share_an_ordering(splu_specs):
     take_step(second.splitting_step, second.initial_state(), cfg)
     # the second system orders each of its layouts itself
     assert splu_specs.count(SYMMETRIC) == 3
-    layouts = [lambda s: s._ch_layout[1], lambda s: s._elasticity_layout,
+    layouts = [lambda s: s._ch_layout[0], lambda s: s._elasticity_layout,
                lambda s: s._flux_layout]
     for layout in layouts:
         assert layout(first) is not layout(second)
@@ -399,7 +399,7 @@ def test_systems_on_one_mesh_never_share_an_ordering(splu_specs):
         assert layout(second).ordering is not None
         assert layout(first).ordering is not layout(second).ordering
     # an ordering lives on its system's layout and goes away with it
-    stored = weakref.ref(first._ch_layout[1].ordering)
+    stored = weakref.ref(first._ch_layout[0].ordering)
     del first
     gc.collect()
     assert stored() is None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def system_geometry(n):
     """Mesh and the areas and gradients ChbSystem builds on it."""
     mesh = build_unit_square_mesh(n)
     system = ChbSystem(mesh, MaterialParams())
-    return mesh, system.areas, system.grads
+    return mesh, system.fem.areas, system.fem.grads
 
 
 def test_n1_cell_areas_are_half():
@@ -172,3 +174,14 @@ def test_mesh_arrays_immutable():
     mesh = build_unit_square_mesh(2)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 3.0
+
+
+def test_mesh_hashes_and_compares_by_identity():
+    # tables built from a mesh are looked up by the mesh object, so it
+    # must hash, and a second mesh of the same n is another mesh
+    a, b = build_unit_square_mesh(3), build_unit_square_mesh(3)
+    assert hash(a) == hash(a) and a == a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.n = 4

@@ -13,9 +13,8 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import reference_kernels as ref
 from chbfem import _kernels as kn
-from chbfem import linalg, model, solvers
-from chbfem.cli import config_from_dict
-from chbfem.fem import rt0_basis
+from chbfem import fem, linalg, model, solvers
+from chbfem.cli import config_from_dict, run_experiment
 from chbfem.linalg import LinearSolveFailure, solve_linear
 from chbfem.mesh import build_unit_square_mesh
 from chbfem.model import MaterialParams
@@ -145,7 +144,7 @@ def test_stiffness_elem_has_the_bits_of_optimized_einsum(n):
     o = ChbSystem(build_unit_square_mesh(n), MaterialParams())
     rng = np.random.default_rng(n)
     cint = o.phase_integrals(o.phase_values(rng.uniform(-0.2, 1.2, o.nv))).cint
-    want = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
+    want = np.einsum("cai,cab,cbj->cij", o.fem.B, cint, o.fem.B, optimize=True)
     assert np.array_equal(o._stiffness_elem(cint), want)
 
 
@@ -162,17 +161,17 @@ def test_elasticity_residual_and_boundary(system4):
     p = rng.normal(0.0, 0.5, system4.nc)
     phase = system4.phase_integrals(system4.phase_values(phi))
     u = system4.solve_elasticity(phase, p, np.zeros(2 * system4.nv))
-    assert np.abs(u[system4.u_bdofs]).max() == 0.0
+    assert np.abs(u[system4.fem.u_bdofs]).max() == 0.0
     # residual of the unconstrained equations at the solution
     cint, swell = phase.cint, phase.swell
     abar = phase.abar
     strain = system4.strain_per_cell(u)
     sint = np.einsum("cab,cb->ca", cint, strain) - swell
-    elem = (np.einsum("cai,ca->ci", system4.B, sint)
-            - (abar * p)[:, None] * system4.drow)
+    elem = (np.einsum("cai,ca->ci", system4.fem.B, sint)
+            - (abar * p)[:, None] * system4.fem.drow)
     r = np.zeros(2 * system4.nv)
-    np.add.at(r, system4.udofs.ravel(), elem.ravel())
-    free = np.setdiff1d(np.arange(2 * system4.nv), system4.u_bdofs)
+    np.add.at(r, system4.fem.udofs.ravel(), elem.ravel())
+    free = np.setdiff1d(np.arange(2 * system4.nv), system4.fem.u_bdofs)
     assert np.abs(r[free]).max() <= 1e-10
 
 
@@ -243,11 +242,11 @@ def test_monolithic_pq_block_equals_standalone_flow_matrix(system4):
     phase = system4.phase_integrals(system4.phase_values(st.phi))
     dinv = phase.dinv
     mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
-    r = np.repeat(o.qdofs[:, :, None], 3, axis=2).ravel()
-    c = np.repeat(o.qdofs[:, None, :], 3, axis=1).ravel()
+    r = np.repeat(o.fem.qdofs[:, :, None], 3, axis=2).ravel()
+    c = np.repeat(o.fem.qdofs[:, None, :], 3, axis=1).ravel()
     Mq = sp.coo_matrix((mq_elem.ravel(), (r, c)), shape=(o.ne, o.ne)).toarray()
-    flow = np.block([[np.diag(dinv), system4.params.tau * o.Bdiv.toarray()],
-                     [-o.BdivT.toarray(), Mq]])
+    flow = np.block([[np.diag(dinv), system4.params.tau * o.fem.Bdiv.toarray()],
+                     [-o.fem.BdivT.toarray(), Mq]])
     assert np.allclose(J[o.off_p:, o.off_p:], flow, atol=1e-14)
 
 
@@ -276,7 +275,7 @@ def test_condensed_flow_solves_the_full_flow_system(n, phi_range, monkeypatch):
     mq_elem = kn.rt0_weighted_mass(phase.values, o.wq_last, o.psi_last)
     S = o._flux_matrix(phase.dinv, mq_elem).toarray()
     Mq = A[o.nc:, o.nc:].toarray()
-    Bdiv = o.Bdiv.toarray()
+    Bdiv = o.fem.Bdiv.toarray()
     want = Mq + o.params.tau * Bdiv.T @ np.diag(1.0 / phase.dinv) @ Bdiv
     np.testing.assert_allclose(S, want, rtol=0, atol=1e-13 * np.abs(want).max())
     # SPD, up to the roundoff of Mq's element blocks
@@ -330,9 +329,9 @@ def test_elasticity_from_a_start_meets_the_contract(system4):
     phase = system4.phase_integrals(system4.phase_values(phi))
     u = system4.solve_elasticity(phase, p, np.zeros(2 * system4.nv))
     start = rng.normal(0.0, 1.0, 2 * system4.nv)
-    start[system4.u_bdofs] = 0.0
+    start[system4.fem.u_bdofs] = 0.0
     u_inc = system4.solve_elasticity(phase, p, start)
-    assert np.array_equal(u_inc[system4.u_bdofs], np.zeros(len(system4.u_bdofs)))
+    assert np.array_equal(u_inc[system4.fem.u_bdofs], np.zeros(len(system4.fem.u_bdofs)))
     assert np.abs(u_inc - u).max() <= 1e-10 * max(np.abs(u).max(), 1.0)
 
 
@@ -571,9 +570,9 @@ def test_only_large_jacobians_carry_their_diagonal_blocks(monkeypatch):
     # the (u, u) block differs only in the columns of the clamped dofs, so
     # the two agree on vectors that are zero there
     b = rng.normal(size=elas.size)
-    b[o.u_bdofs] = 0.0
+    b[o.fem.u_bdofs] = 0.0
     x = elas.solver()(b)
-    assert np.array_equal(x[o.u_bdofs], np.zeros(len(o.u_bdofs)))
+    assert np.array_equal(x[o.fem.u_bdofs], np.zeros(len(o.fem.u_bdofs)))
     uu = J[o.off_u:o.off_p, o.off_u:o.off_p]
     assert np.linalg.norm(uu @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -660,7 +659,7 @@ def test_kept_factors_start_at_the_measured_crossover(splu_specs):
         _, stats = take_step(system.splitting_step, system.initial_state(),
                          SolverConfig())
         solves = sum(stats.inner_newton) + 2 * stats.outer_iters
-        for layout in (system._ch_layout[1], system._elasticity_layout,
+        for layout in (system._ch_layout[0], system._elasticity_layout,
                        system._flux_layout):
             assert layout.keep_factor == keeps
             assert (layout.kept is not None) == keeps
@@ -801,7 +800,7 @@ def test_kept_factors_go_with_the_run(monkeypatch):
     # the monolithic steps factor the same layouts' blocks for GMRES
     monkeypatch.setattr(solvers, "KRYLOV_MIN_ROWS", 0)
     system = ChbSystem(build_unit_square_mesh(4), MaterialParams())
-    layouts = (lambda: system._ch_layout[1], lambda: system._elasticity_layout,
+    layouts = (lambda: system._ch_layout[0], lambda: system._elasticity_layout,
                lambda: system._flux_layout)
     refs, monolithic_steps = [], []
 
@@ -1047,20 +1046,20 @@ def _coo(elem, rows, cols, shape):
 
 def reference_ch_jacobian(o, phi, u, p):
     pa = o.params
-    w_elem = ref.ch_jac(o.phi_at_qp(phi), o.wq, o.lam, o.strain_per_cell(u),
+    w_elem = ref.ch_jac(o.phi_at_qp(phi), o.fem.wq, o.fem.lam, o.strain_per_cell(u),
                         np.ascontiguousarray(p), pa)
-    W = _coo(w_elem, o.cells, o.cells, (o.nv, o.nv))
-    return sp.bmat([[o.M, pa.tau * pa.mobility * o.K],
-                    [-pa.gamma * pa.ell * o.K - W, o.M]], format="csr")
+    W = _coo(w_elem, o.fem.cells, o.fem.cells, (o.nv, o.nv))
+    return sp.bmat([[o.M, pa.tau * pa.mobility * o.fem.K],
+                    [-pa.gamma * pa.ell * o.fem.K - W, o.M]], format="csr")
 
 
 def elasticity_elements(o, phi, p):
     phase = o.phase_integrals(o.phase_values(phi))
     cint, swell = phase.cint, phase.swell
     abar = phase.abar
-    a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
-    rhs_elem = (np.einsum("cai,ca->ci", o.B, swell)
-                + (abar * p)[:, None] * o.drow)
+    a_elem = np.einsum("cai,cab,cbj->cij", o.fem.B, cint, o.fem.B, optimize=True)
+    rhs_elem = (np.einsum("cai,ca->ci", o.fem.B, swell)
+                + (abar * p)[:, None] * o.fem.drow)
     return a_elem, rhs_elem
 
 
@@ -1068,10 +1067,10 @@ def reference_elasticity_matrix(o, phi):
     """The stiffness triplets outside the Dirichlet rows, plus one unit
     triplet per Dirichlet dof."""
     a_elem, _ = elasticity_elements(o, phi, np.zeros(o.nc))
-    r = np.repeat(o.udofs[:, :, None], 6, axis=2).ravel()
-    c = np.repeat(o.udofs[:, None, :], 6, axis=1).ravel()
-    keep = ~np.isin(r, o.u_bdofs)
-    fixed = o.u_bdofs
+    r = np.repeat(o.fem.udofs[:, :, None], 6, axis=2).ravel()
+    c = np.repeat(o.fem.udofs[:, None, :], 6, axis=1).ravel()
+    keep = ~np.isin(r, o.fem.u_bdofs)
+    fixed = o.fem.u_bdofs
     return sp.coo_matrix(
         (np.concatenate([a_elem.ravel()[keep], np.ones(len(fixed))]),
          (np.concatenate([r[keep], fixed]), np.concatenate([c[keep], fixed]))),
@@ -1080,30 +1079,30 @@ def reference_elasticity_matrix(o, phi):
 
 def reference_elasticity_system(o, phi, p):
     a_elem, rhs_elem = elasticity_elements(o, phi, p)
-    A = _coo(a_elem, o.udofs, o.udofs, (2 * o.nv, 2 * o.nv))
+    A = _coo(a_elem, o.fem.udofs, o.fem.udofs, (2 * o.nv, 2 * o.nv))
     b = np.zeros(2 * o.nv)
-    np.add.at(b, o.udofs.ravel(), rhs_elem.ravel())
-    return apply_dirichlet(A, b, o.u_bdofs, symmetric=False)
+    np.add.at(b, o.fem.udofs.ravel(), rhs_elem.ravel())
+    return apply_dirichlet(A, b, o.fem.u_bdofs, symmetric=False)
 
 
 def reference_flow_matrix(o, phi):
     dinv = o.phase_integrals(o.phase_values(phi)).dinv
-    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
-                                    rt0_basis(o.mesh, o.lam), o.params)
-    Mq = _coo(mq_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
-    return sp.bmat([[sp.diags(dinv), o.params.tau * o.Bdiv],
-                    [-o.BdivT, Mq]], format="csr")
+    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.fem.wq,
+                                    o.fem.rt0_basis(o.fem.lam), o.params)
+    Mq = _coo(mq_elem, o.fem.qdofs, o.fem.qdofs, (o.ne, o.ne))
+    return sp.bmat([[sp.diags(dinv), o.params.tau * o.fem.Bdiv],
+                    [-o.fem.BdivT, Mq]], format="csr")
 
 
 def reference_flux_matrix(o, phi):
     """The flux Schur complement, its cell blocks summed as COO triplets."""
     dinv = o.phase_integrals(o.phase_values(phi)).dinv
-    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.wq,
-                                    rt0_basis(o.mesh, o.lam), o.params)
-    d = o.signed_lengths
+    mq_elem = ref.rt0_weighted_mass(o.phi_at_qp(phi), o.fem.wq,
+                                    o.fem.rt0_basis(o.fem.lam), o.params)
+    d = o.fem.signed_lengths
     s_elem = mq_elem + (o.params.tau / dinv)[:, None, None] * (
         d[:, :, None] * d[:, None, :])
-    return _coo(s_elem, o.qdofs, o.qdofs, (o.ne, o.ne))
+    return _coo(s_elem, o.fem.qdofs, o.fem.qdofs, (o.ne, o.ne))
 
 
 def reference_monolithic_jacobian(o, st):
@@ -1111,19 +1110,19 @@ def reference_monolithic_jacobian(o, st):
     phi_q = o.phi_at_qp(st.phi)
     strain = o.strain_per_cell(st.u)
     p_cell = np.ascontiguousarray(st.p)
-    psi_q = rt0_basis(o.mesh, o.lam)
-    w_elem = ref.ch_jac(phi_q, o.wq, o.lam, strain, p_cell, pa)
+    psi_q = o.fem.rt0_basis(o.fem.lam)
+    w_elem = ref.ch_jac(phi_q, o.fem.wq, o.fem.lam, strain, p_cell, pa)
     mu_u, mu_p, u_phi, p_phi, q_phi = ref.coupling_blocks(
-        phi_q, o.wq, o.lam, strain, p_cell,
-        np.ascontiguousarray(st.q[o.qdofs]), o.B, psi_q, pa)
+        phi_q, o.fem.wq, o.fem.lam, strain, p_cell,
+        np.ascontiguousarray(st.q[o.fem.qdofs]), o.fem.B, psi_q, pa)
     phase = o.phase_integrals(o.phase_values(st.phi))
     cint = phase.cint
     abar, dinv = phase.abar, phase.dinv
-    a_elem = np.einsum("cai,cab,cbj->cij", o.B, cint, o.B, optimize=True)
-    mq_elem = ref.rt0_weighted_mass(phi_q, o.wq, psi_q, pa)
-    cells, u, pd, q = o.cells, o.udofs, o.pdofs, o.qdofs
-    m, k = o._m_elem, o._k_elem
-    div = o.signed_lengths[:, :, None]
+    a_elem = np.einsum("cai,cab,cbj->cij", o.fem.B, cint, o.fem.B, optimize=True)
+    mq_elem = ref.rt0_weighted_mass(phi_q, o.fem.wq, psi_q, pa)
+    cells, u, pd, q = o.fem.cells, o.fem.udofs, o.fem.pdofs, o.fem.qdofs
+    m, k = o.fem.m_elem, o.fem.k_elem
+    div = o.fem.signed_lengths[:, :, None]
     diag = np.arange(o.nc)[:, None]
     blocks = [  # (elem, row dofs, col dofs, row offset, col offset)
         (m, cells, cells, o.off_phi, o.off_phi),
@@ -1135,9 +1134,9 @@ def reference_monolithic_jacobian(o, st):
         (-mu_p[:, :, None], cells, pd, o.off_mu, o.off_p),
         (a_elem, u, u, o.off_u, o.off_u),
         (u_phi, u, cells, o.off_u, o.off_phi),
-        ((-abar[:, None] * o.drow)[:, :, None], u, pd, o.off_u, o.off_p),
+        ((-abar[:, None] * o.fem.drow)[:, :, None], u, pd, o.off_u, o.off_p),
         (p_phi, pd, cells, o.off_p, o.off_phi),
-        ((abar[:, None] * o.drow)[:, None, :], pd, u, o.off_p, o.off_u),
+        ((abar[:, None] * o.fem.drow)[:, None, :], pd, u, o.off_p, o.off_u),
         (dinv[:, None, None], diag, diag, o.off_p, o.off_p),
         (pa.tau * div.transpose(0, 2, 1), pd, q, o.off_p, o.off_q),
         (mq_elem, q, q, o.off_q, o.off_q),
@@ -1152,7 +1151,7 @@ def reference_monolithic_jacobian(o, st):
                     + coff)
         vals.append(elem.ravel())
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    fixed = o.off_u + o.u_bdofs
+    fixed = o.off_u + o.fem.u_bdofs
     keep = ~np.isin(rows, fixed)
     rows = np.concatenate([rows[keep], fixed])
     cols = np.concatenate([cols[keep], fixed])
@@ -1183,7 +1182,7 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         want = reference_ch_jacobian(o, st.phi, st.u, st.p)
         # the monolithic path's CH block, bit for bit
         pw = o.pointwise(st.phi, st.u, st.p)
-        assert_same_csr(o._ch_matrix(kn.ch_jac(pw, o.wq_last, o.lam)), want)
+        assert_same_csr(o._ch_matrix(kn.ch_jac(pw, o.wq_last, o.fem.lam)), want)
         # the splitting's, to a few ulps
         _, J = o.ch_residual_and_jacobian(prev, st.phi, st.mu,
                                           *ch_frozen(o, prev, st.phi, st.u, st.p))
@@ -1212,7 +1211,7 @@ def test_cached_patterns_reproduce_direct_assembly(n, phi_range, monkeypatch):
         strain = o.strain_per_cell(st.u)
         divu = strain[:, 0] + strain[:, 1]
         f = o.storage_coefficient(prev) - phase.abar * divu
-        assert np.array_equal(b_fl, o.BdivT @ (f / phase.dinv))
+        assert np.array_equal(b_fl, o.fem.BdivT @ (f / phase.dinv))
 
 
 @pytest.mark.parametrize("n", [4, 16])
@@ -1228,7 +1227,7 @@ def test_jacobians_displacement_block_is_the_elasticity_matrix(n):
         o.phase_integrals(o.phase_values(st.phi)).cint))
     assert np.array_equal(block.indptr, A.indptr)
     assert np.array_equal(block.indices, A.indices)
-    fixed = o.u_bdofs
+    fixed = o.fem.u_bdofs
     for M, start in ((J, o.off_u), (A, 0)):
         for dof in fixed:
             row = M[start + dof]
@@ -1248,7 +1247,7 @@ def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
         solved.append(A), np.zeros(len(b)))[1])
     phase = system4.phase_integrals(system4.phase_values(np.full(system4.nv, 0.5)))
     system4.solve_elasticity(phase, np.zeros(system4.nc), np.zeros(2 * system4.nv))
-    A, layout, fixed = solved[0], system4._elasticity_layout, system4.u_bdofs
+    A, layout, fixed = solved[0], system4._elasticity_layout, system4.fem.u_bdofs
     assert np.array_equal(A.indptr, layout.indptr)
     assert np.array_equal(A.indices, layout.indices)
     rows = solvers._slot_rows(A)
@@ -1256,7 +1255,7 @@ def test_elasticity_leaves_out_eliminated_entries(system4, monkeypatch):
     assert np.array_equal(rows[clamped], A.indices[clamped])
     assert np.array_equal(rows[clamped], fixed)
     assert np.all(A.data[clamped] == 1.0)
-    udofs = system4.udofs
+    udofs = system4.fem.udofs
     full = _coo(np.ones((system4.nc, 6, 6)), udofs, udofs, A.shape)
     full.sort_indices()
     full_rows = solvers._slot_rows(full)
@@ -1288,7 +1287,7 @@ def test_every_solve_gets_its_systems_one_layout(monkeypatch):
     solved = {"ch": 0, "elas": 0, "flow": 0, "mono": 0}
 
     def checked(A, b):
-        layout = {"ch": system._ch_layout[1],
+        layout = {"ch": system._ch_layout[0],
                   "elas": system._elasticity_layout,
                   "flow": system._flux_layout,
                   "mono": system._monolithic_layout}[within[-1]]
@@ -1327,21 +1326,107 @@ def test_runs_on_a_reused_system_match_a_fresh_one():
     mesh = build_unit_square_mesh(8)
     params = MaterialParams()
     reused = ChbSystem(mesh, params)
+    # a second system on the mesh, at other parameters, whose runs come
+    # between the reused system's
+    other = ChbSystem(mesh, MaterialParams(xi=2.0, gamma=3.0))
+    tables = dict(vars(reused.fem))
     workspace = {name for name, attr in vars(ChbSystem).items()
                  if isinstance(attr, cached_property)}
     assert {"_ch_layout", "_monolithic_layout", "wq_last"} <= workspace
     for strategy in ("splitting", "monolithic"):
         cfg = SolverConfig(strategy=strategy, num_steps=2)
-        fresh = ChbSystem(mesh, params)
-        want, _ = advance_simulation(fresh, fresh.initial_state(), cfg)
+        want = {}
+        for system in (reused, other):
+            fresh = ChbSystem(build_unit_square_mesh(8), system.params)
+            assert fresh.fem is not reused.fem
+            want[system], _ = advance_simulation(fresh, fresh.initial_state(),
+                                                 cfg)
         # a stored LU ordering from an earlier solve would change bits
         take_step(reused.splitting_step, reused.initial_state(), SolverConfig())
-        assert reused._ch_layout[1].ordering is not None
-        for _ in range(2):
-            got, _ = advance_simulation(reused, reused.initial_state(), cfg)
-            assert np.array_equal(reused.pack(got), reused.pack(want))
-            # a finished run keeps no workspace
-            assert not workspace & set(vars(reused))
+        assert reused._ch_layout[0].ordering is not None
+        for system in (reused, other, reused):
+            got, _ = advance_simulation(system, system.initial_state(), cfg)
+            assert np.array_equal(system.pack(got), system.pack(want[system]))
+            # a finished run keeps no workspace, and leaves the shared
+            # tables as it found them: no layout or factor is kept on them
+            assert not workspace & set(vars(system))
+            assert vars(reused.fem).keys() == tables.keys()
+            assert all(vars(reused.fem)[k] is v for k, v in tables.items())
+            assert reused.fem.p1.ordering is None and reused.fem.p1.kept is None
+
+
+def test_systems_on_one_mesh_share_its_discretization():
+    mesh = build_unit_square_mesh(4)
+    first = ChbSystem(mesh, MaterialParams())
+    second = ChbSystem(mesh, MaterialParams(xi=2.0, gamma=3.0))
+    disc = first.fem
+    assert second.fem is disc and fem.discretization(mesh) is disc
+    assert first.M is second.M is disc.M
+    # a second mesh of the same size has its own, with the same values
+    own = ChbSystem(build_unit_square_mesh(4), MaterialParams()).fem
+    assert own is not disc
+    for name, value in vars(disc).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(own, name) is not value, name
+            assert np.array_equal(getattr(own, name), value), name
+    # the centroid basis the VTK writer reads is built once
+    assert disc.centroid_basis is disc.centroid_basis
+    # every array, the matrices' and the P1 pattern's tables included
+    tables = [v for v in vars(disc).values() if isinstance(v, np.ndarray)]
+    for mat in (disc.M, disc.K, disc.Bdiv, disc.BdivT):
+        tables += [mat.data, mat.indices, mat.indptr]
+    p1 = disc.p1
+    tables += [p1.indptr, p1.indices, p1._head, p1._tail_src, p1._tail_slot]
+    assert len(tables) > 20
+    for arr in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        disc.M = None
+    # dropping a system's workspace leaves the shared tables alone
+    held = dict(vars(disc))
+    take_step(first.monolithic_step, first.initial_state(),
+              SolverConfig(strategy="monolithic"))
+    first.release_workspace()
+    assert all(vars(disc)[k] is v for k, v in held.items())
+    # it holds no reference to its mesh, so it goes with the mesh and the
+    # systems on it
+    gone = weakref.ref(disc)
+    del mesh, first, second, disc
+    assert gone() is None
+
+
+def test_a_second_system_on_a_mesh_builds_no_table(monkeypatch, tmp_path):
+    # the first system on a mesh builds its M, K and Bdiv; a second one
+    # constructs no sparse matrix and computes nothing of the mesh
+    from scipy.sparse._base import _spbase
+    made = []
+    init = _spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counted)
+    mesh = build_unit_square_mesh(4)
+    ChbSystem(mesh, MaterialParams())
+    assert made
+    made.clear()
+    ChbSystem(mesh, MaterialParams(xi=2.0))
+    assert made == []
+    monkeypatch.undo()
+
+    # a sweep builds one discretization for all its runs
+    built = []
+    discretize = fem._discretize
+    monkeypatch.setattr(fem, "_discretize",
+                        lambda m: (built.append(m), discretize(m))[1])
+    records = run_experiment(config_from_dict({
+        "n": 4, "num_steps": 1, "strategy": "both", "vtk_every": 1,
+        "sweep": {"param": "xi", "values": [0.5, 1.0]},
+        "out_dir": str(tmp_path)}))
+    assert len(records) == 4 and all(r.converged for r in records)
+    assert len(built) == 1
 
 
 def test_splitting_builds_each_phase_once_and_passes_it_on(system4, monkeypatch):
